@@ -1,12 +1,9 @@
 """Stationary scattering, causality bounds, and wave-packet passage times
 for one-dimensional square barriers and wells.
 
-The hot amplitude/phase-derivative kernel runs compiled when the Cython
-extension was built and falls back to NumPy otherwise; `kernel_backend()`
-reports which one is active.
+Every amplitude and phase derivative comes from one vectorized NumPy kernel
+(`hartman._kernel`), evaluated on whole arrays of wavenumbers.
 """
-from ._kernel import BACKEND as _backend_name
-from ._kernel import available_backends
 from .boundstates import (
     BoundLevel,
     BoundStateSpectrum,
@@ -55,11 +52,6 @@ from .wavepacket import (
 __version__ = "0.1.0"
 
 
-def kernel_backend() -> str:
-    """Active kernel backend: "compiled" or "python"."""
-    return _backend_name
-
-
 __all__ = [
     "ATOMIC",
     "Amplitudes",
@@ -77,7 +69,6 @@ __all__ = [
     "SquarePotential",
     "ThresholdDivergenceError",
     "amplitudes",
-    "available_backends",
     "build_phase_table",
     "causality_bounds",
     "classical_reference_time",
@@ -90,7 +81,6 @@ __all__ = [
     "eigenphase_derivative_bounds",
     "interior_norm",
     "is_at_threshold",
-    "kernel_backend",
     "levinson_check",
     "mean_exit_time",
     "mean_exit_time_via_flux",

@@ -1,4 +1,4 @@
-"""NumPy implementation of the scattering kernel.
+"""Scattering kernel: the closed forms for T, R and their k-derivatives.
 
 Everything is expressed through three functions of the *signed* squared
 inside-wavenumber mu = k^2 - g (g = 2 m v0 / hbar^2, q^2 = mu), all even in
@@ -8,10 +8,9 @@ q so the branch of the square root never matters:
     S1(mu) = sin(q d)/q                     -> sinh(|q| d)/|q| for mu < 0
     S2(mu) = (d*C - S1)/mu                  (removable at mu = 0)
 
-With those, for real k (A = Re D, B = Im D):
+With those, D = C - (i/2) S1 (2k^2 - g)/k, T = e^{-ikd}/D and
+R = -i (g S1 / 2k) T at any k != 0.  For real k (A = Re D, B = Im D):
 
-    D   = C - (i/2) S1 (2k^2 - g)/k        T = e^{-ikd}/D
-    R   = -i (g S1 / 2k) T
     dPhi_T/dk   = -d - Im(D'/D)
     ddelta_j/dk = (dPhi_T/dk -+ correction)/2,  correction from R/T = i*rho
 """
@@ -25,8 +24,8 @@ W_CUT = 1e-3
 
 
 def trig_triplet(mu, width):
-    """C, S1, S2 for an array of mu values at fixed width d."""
-    mu = np.asarray(mu, dtype=float)
+    """C, S1, S2 for an array of real or complex mu values at fixed width d."""
+    mu = np.asarray(mu, dtype=complex if np.iscomplexobj(mu) else float)
     d = float(width)
     w = mu * d * d
     C = np.empty_like(mu)
@@ -40,19 +39,19 @@ def trig_triplet(mu, width):
         S1[small] = d * (1.0 + ws * (-1.0 / 6 + ws * (1.0 / 120 + ws * (-1.0 / 5040))))
         S2[small] = d**3 * (-1.0 / 3 + ws * (1.0 / 30 + ws * (-1.0 / 840 + ws * (1.0 / 45360))))
 
-    pos = ~small & (mu > 0)
-    if np.any(pos):
-        q = np.sqrt(mu[pos])
-        C[pos] = np.cos(q * d)
-        S1[pos] = np.sin(q * d) / q
-        S2[pos] = (d * C[pos] - S1[pos]) / mu[pos]
-
-    neg = ~small & (mu < 0)
-    if np.any(neg):
-        kap = np.sqrt(-mu[neg])
-        C[neg] = np.cosh(kap * d)
-        S1[neg] = np.sinh(kap * d) / kap
-        S2[neg] = (d * C[neg] - S1[neg]) / mu[neg]
+    if np.iscomplexobj(mu):
+        direct = ((~small, np.sqrt, np.cos, np.sin),)
+    else:
+        direct = (
+            (~small & (mu > 0), np.sqrt, np.cos, np.sin),
+            (~small & (mu < 0), lambda m: np.sqrt(-m), np.cosh, np.sinh),
+        )
+    for sel, root, cos, sin in direct:
+        if np.any(sel):
+            q = root(mu[sel])
+            C[sel] = cos(q * d)
+            S1[sel] = sin(q * d) / q
+            S2[sel] = (d * C[sel] - S1[sel]) / mu[sel]
     return C, S1, S2
 
 
@@ -61,8 +60,8 @@ def scatter_grid(g, width, k):
 
     Parameters
     ----------
-    g : float
-        Potential strength 2 m v0 / hbar^2.
+    g : float or ndarray
+        Potential strength 2 m v0 / hbar^2, broadcast against `k`.
     width : float
         Full width d of the potential region.
     k : ndarray
@@ -101,3 +100,17 @@ def scatter_grid(g, width, k):
     dd0 = 0.5 * (dphi + corr)
     dd1 = 0.5 * (dphi - corr)
     return t, r, dphi, dd0, dd1
+
+
+def complex_amplitudes(g, width, k):
+    """T and R at complex nonzero wavenumbers, by analytic continuation:
+    T = e^{-ikd}/D with complex D.  `scatter_grid` is the real-axis entry
+    point; it also returns phase derivatives, which are defined only there.
+    """
+    k = np.asarray(k, dtype=complex)
+    d = float(width)
+    C, S1, _ = trig_triplet(k * k - g, d)
+    D = C - 0.5j * S1 * (2.0 * k * k - g) / k
+    t = np.exp(-1j * k * d) / D
+    r = -0.5j * (g / k) * S1 * t
+    return t, r

@@ -23,9 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernel
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 from .scattering import build_phase_table, default_k_max
 
@@ -239,11 +236,7 @@ def levinson_check(
         pot, consts, k_min, default_k_max(pot, consts), samples=2000
     )
     phi0 = float(table.phi_t[0])
-    # |T(k_min)| is not stored in the table; recompute at the endpoint
-    t, _, _, _, _ = _kernel.scatter_grid(
-        pot.strength(consts), pot.width, np.array([k_min])
-    )
-    t_abs = abs(complex(t[0]))
+    t_abs = abs(complex(table.t[0]))
 
     predicted = math.pi * (n_b - 0.5)
     return LevinsonReport(

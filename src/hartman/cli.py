@@ -11,6 +11,8 @@ Every option has a long flag; defaults may also come from a key=value config
 file (--config), with command-line flags taking precedence.  Output goes to
 --out (CSV or JSON; stdout when omitted), resolved against $HARTMAN_OUT_DIR
 for relative paths.  Identical configurations produce byte-identical files.
+`amplitudes` and `delay-sweep` are each a few vectorized kernel calls;
+`packet-sweep` runs its rows on up to --jobs worker processes.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid input, 3 numerical
 non-convergence.
@@ -29,9 +31,10 @@ import numpy as np
 
 from . import _kernel
 from .boundstates import count_bound_states
+from .delays import oscillatory_delay_bound
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import PhysicalConstants, SquarePotential
-from .scattering import build_phase_table, default_k_max
+from .scattering import build_phase_table, default_k_max, eigenphases
 from .wavepacket import (
     GaussianPacketSpec,
     classical_reference_time,
@@ -167,10 +170,7 @@ def cmd_amplitudes(config: RunConfig, widths=None) -> list[tuple]:
             keep &= np.isin(table.k_grid, base)
         for i in np.nonzero(keep)[0]:
             k = table.k_grid[i]
-            t, r, _, _, _ = _kernel.scatter_grid(
-                pot.strength(consts), pot.width, np.array([k])
-            )
-            tt = complex(t[0])
+            tt = complex(table.t[i])
             rows.append(
                 (w, float(k), tt.real, tt.imag, abs(tt) ** 2,
                  float(table.phi_t[i]), float(table.delta0[i]),
@@ -185,23 +185,20 @@ PACKET_HEADER = ["v0", "p_t", "t_out", "t_classical", "t_subtracted",
                  "classical_defined", "diverged"]
 
 
-def _delay_row(task: tuple) -> tuple:
-    v0, k, width, hbar, mass = task
-    consts = PhysicalConstants(hbar=hbar, mass=mass)
-    pot = SquarePotential(v0=v0, half_width=width / 2.0)
-    g = pot.strength(consts)
-    t, r, dphi, _, _ = _kernel.scatter_grid(g, width, np.array([k]))
-    tt, rr = complex(t[0]), complex(r[0])
-    d0 = 0.5 * math.atan2((tt + rr).imag, (tt + rr).real)
-    d1 = 0.5 * math.atan2((tt - rr).imag, (tt - rr).real)
-    a = width / 2.0
-    p = hbar * k
-    delta_t = mass * float(dphi[0]) / (hbar * k)
-    osc = (mass / (hbar * k)) * (
-        -width
-        - (math.sin(2 * k * a + 2 * d0) - math.sin(2 * k * a + 2 * d1)) / (2 * k)
-    )
-    return (v0, delta_t, osc, -mass * width / p, count_bound_states(pot, consts))
+def delay_rows(v0s, k: float, width: float, consts: PhysicalConstants) -> list[tuple]:
+    """(v0, delta_t, bound_osc, bound_simple, n_b) per well depth or barrier
+    height, from one kernel call over the whole v0 grid."""
+    pots = [SquarePotential(v0=v0, half_width=width / 2.0) for v0 in v0s]
+    g = np.array([pot.strength(consts) for pot in pots])
+    t, r, dphi, _, _ = _kernel.scatter_grid(g, width, np.full(len(g), k))
+    m, hbar = consts.mass, consts.hbar
+    delta_t = m * dphi / (hbar * k)
+    osc = oscillatory_delay_bound(k, width / 2.0, *eigenphases(t, r), consts)
+    simple = -m * width / (hbar * k)
+    return [
+        (pot.v0, dt, bound, simple, count_bound_states(pot, consts))
+        for pot, dt, bound in zip(pots, delta_t.tolist(), osc.tolist())
+    ]
 
 
 def _packet_row(task: tuple) -> tuple:
@@ -229,17 +226,18 @@ def _v0_grid(config: RunConfig) -> list[float]:
 
 
 def _run_tasks(worker, tasks, jobs: int) -> list[tuple]:
-    if jobs <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    chunksize = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks, chunksize=chunksize))
 
 
 def cmd_delay_sweep(config: RunConfig) -> list[tuple]:
     width = config.width if config.width is not None else 2.0
     k = config.k if config.k is not None else 0.1
-    tasks = [(v0, k, width, config.hbar, config.mass) for v0 in _v0_grid(config)]
-    return _run_tasks(_delay_row, tasks, config.jobs)
+    return delay_rows(_v0_grid(config), k, width, config.consts())
 
 
 def cmd_packet_sweep(config: RunConfig) -> list[tuple]:
@@ -286,7 +284,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
                    help="key=value file with defaults; flags override")
     p.add_argument("--jobs", type=int, default=None,
-                   help="concurrent sweep workers (default 1)")
+                   help="worker processes for packet-sweep rows (default 1; "
+                   "at most one per row and per CPU)")
 
 
 def _load_config_file(path: str) -> dict:
@@ -362,6 +361,8 @@ def _resolve_config(args: argparse.Namespace, command: str):
     )
     if config.precision < 12:
         raise ValueError("--precision must be at least 12 significant digits")
+    if config.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     config.consts()  # validates hbar, mass
     return config, widths
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import _kernel
 from .boundstates import solve_bound_states
 from .potential import PhysicalConstants, SquarePotential
-from .scattering import PhaseTable
+from .scattering import PhaseTable, eigenphases
 
 _PARITIES = ("even", "odd")
 
@@ -68,6 +68,33 @@ def _scatter_point(pot, consts, k):
         pot.strength(consts), pot.width, np.array([float(k)])
     )
     return complex(t[0]), complex(r[0]), float(dphi[0]), float(dd0[0]), float(dd1[0])
+
+
+def channel_floors(k, half_width: float, delta0, delta1):
+    """Oscillatory floors of the eigenphase derivatives, elementwise:
+
+        delta_0' > -a - sin[2(ka+delta_0)]/(2k)
+        delta_1' > -a + sin[2(ka+delta_1)]/(2k)
+
+    valid for any real square potential; delta_j may be taken mod pi.
+    """
+    a = half_width
+    return (-a - np.sin(2.0 * (k * a + delta0)) / (2.0 * k),
+            -a + np.sin(2.0 * (k * a + delta1)) / (2.0 * k))
+
+
+def oscillatory_delay_bound(k, half_width: float, delta0, delta1,
+                            consts: PhysicalConstants):
+    """Oscillatory lower bound on the Wigner delay, elementwise:
+
+        dt >= (m/(hbar k)) { -d - [sin(2ka+2 delta_0) - sin(2ka+2 delta_1)]/(2k) }
+
+    which is (m/(hbar k)) times the sum of the two `channel_floors`, since
+    dt = (m/(hbar k)) (delta_0' + delta_1').
+    """
+    a = half_width
+    osc = np.sin(2 * k * a + 2 * delta0) - np.sin(2 * k * a + 2 * delta1)
+    return (consts.mass / (consts.hbar * k)) * (-2.0 * a - osc / (2 * k))
 
 
 def _check_table(table: PhaseTable, pot: SquarePotential) -> None:
@@ -108,15 +135,8 @@ def causality_bounds(
     p = hbar * k
 
     t, r, dphi, _, _ = _scatter_point(pot, consts, k)
-    s0 = t + r
-    s1 = t - r
-    d0 = 0.5 * math.atan2(s0.imag, s0.real)
-    d1 = 0.5 * math.atan2(s1.imag, s1.real)
-
     delta_t = m * dphi / (hbar * k)
-    osc = (m / (hbar * k)) * (
-        -d - (math.sin(2 * k * a + 2 * d0) - math.sin(2 * k * a + 2 * d1)) / (2 * k)
-    )
+    osc = float(oscillatory_delay_bound(k, a, *eigenphases(t, r), consts))
 
     n_b = 0
     bound_bs = None
@@ -174,11 +194,11 @@ def eigenphase_derivative_bounds(
     _check_table(table, pot)
     a = pot.half_width
     k = table.k_grid
-    d0, d1 = table.delta0, table.delta1
     dd0, dd1 = table.ddelta0, table.ddelta1
 
-    margin0 = dd0 - (-a - np.sin(2.0 * (k * a + d0)) / (2.0 * k))
-    margin1 = dd1 - (-a + np.sin(2.0 * (k * a + d1)) / (2.0 * k))
+    floor0, floor1 = channel_floors(k, a, table.delta0, table.delta1)
+    margin0 = dd0 - floor0
+    margin1 = dd1 - floor1
 
     violations: list[EigenphaseBoundViolation] = []
     for ch, margin in ((0, margin0), (1, margin1)):
@@ -241,17 +261,15 @@ def interior_norm(
     mu = k * k - g
     C, S1, _ = (float(x[0]) for x in _kernel.trig_triplet(np.array([mu]), d))
     two_over_h = 2.0 / consts.h
-    w = mu * d * d
     if parity == "even":
         num = a + 0.5 * S1
         den = 0.5 * (k * k * (1.0 + C) + mu * (1.0 - C))
         return two_over_h * k * k * num / den
-    if abs(w) < 1e-3:
-        # both num and den are O(mu); divide the series out
-        num_over_mu = (d**3 / 12.0) * (1.0 + w * (-1.0 / 20 + w * (1.0 / 840)))
-        one_minus_c_over_mu = d * d * (0.5 + w * (-1.0 / 24 + w * (1.0 / 720)))
-        den_over_mu = 0.5 * ((1.0 + C) + k * k * one_minus_c_over_mu)
-        return two_over_h * k * k * num_over_mu / den_over_mu
+    if abs(mu * d * d) < _kernel.W_CUT:
+        # both num and den are O(mu); with the half-width triplet (c, s1, s2)
+        # 1 + C = 2c^2, 1 - C = 2 mu s1^2 and a - S1/2 = mu (a s1^2 + c s2)
+        c, s1, s2 = (float(x[0]) for x in _kernel.trig_triplet(np.array([mu]), a))
+        return two_over_h * k * k * (a * s1 * s1 + c * s2) / (c * c + k * k * s1 * s1)
     num = a - 0.5 * S1
     den = 0.5 * (mu * (1.0 + C) + k * k * (1.0 - C))
     return two_over_h * k * k * num / den
@@ -280,8 +298,7 @@ def _boundary_values(pot, consts, k, parity, delta_ref=None):
     continuous eigenphase.
     """
     t, r, _, _, _ = _scatter_point(pot, consts, k)
-    s = (t + r) if parity == "even" else (t - r)
-    delta = 0.5 * math.atan2(s.imag, s.real)
+    delta = float(eigenphases(t, r)[_PARITIES.index(parity)])
     if delta_ref is not None:
         delta -= math.pi * round((delta - delta_ref) / math.pi)
     amp = math.sqrt(2.0 / consts.h)

@@ -3,8 +3,8 @@
 Each panel is integrated with a fixed Gauss-Legendre rule; its error is
 estimated by comparing against the sum of its two half-panel values, and the
 worst panel is bisected until the summed error estimate meets the tolerance.
-Integrands are called on whole node batches (one array per round), which is
-what keeps the compiled kernel effective.
+Integrands are called on whole node batches (one array per round), which
+amortizes the kernel's per-call overhead over many nodes.
 
 `integral_to_zero` extends a finite-interval result down to p = 0 by halving
 the lower cutoff until the added mass converges; non-shrinking increments
@@ -14,6 +14,7 @@ that does not vanish at p = 0) and raise ThresholdDivergenceError.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ def adaptive_quad(
 
     `breakpoints` seed panel edges at known kinks or sharp features (barrier
     momentum, resonances).  Raises ConvergenceError carrying the achieved
-    estimate if the panel budget is exhausted first.
+    estimate if the panel budget is exhausted first, or as soon as the
+    estimate or its error bound is not finite.
     """
     if not (b > a):
         raise ValueError(f"need b > a, got [{a}, {b}]")
@@ -97,7 +99,16 @@ def adaptive_quad(
         seq += 1
 
     n_panels = n0
-    while total_err > max(rel_tol * abs(total), abs_tol):
+    while True:
+        if not (math.isfinite(total) and math.isfinite(total_err)):
+            raise ConvergenceError(
+                f"quadrature estimate {total} with error bound {total_err} is not "
+                "finite (integrand returned NaN or inf)",
+                estimate=total,
+                error=total_err,
+            )
+        if total_err <= max(rel_tol * abs(total), abs_tol):
+            break
         if n_panels >= max_panels:
             raise ConvergenceError(
                 f"quadrature did not converge within {max_panels} panels "

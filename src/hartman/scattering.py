@@ -24,7 +24,6 @@ k for causality checks.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -69,6 +68,7 @@ class PhaseTable:
     pot: SquarePotential
     consts: PhysicalConstants
     k_grid: np.ndarray
+    t: np.ndarray  # transmission amplitude at each grid point
     phi_t: np.ndarray
     delta0: np.ndarray
     delta1: np.ndarray
@@ -95,23 +95,6 @@ class PhaseTable:
             )
 
 
-def _amplitudes_complex(g: float, d: float, k: complex) -> tuple[complex, complex]:
-    """Closed form at complex k (analytic continuation off the real axis)."""
-    mu = k * k - g
-    w = mu * d * d
-    if abs(w) < 1e-3:
-        c = 1.0 + w * (-0.5 + w * (1.0 / 24 + w * (-1.0 / 720)))
-        s1 = d * (1.0 + w * (-1.0 / 6 + w * (1.0 / 120 + w * (-1.0 / 5040))))
-    else:
-        q = cmath.sqrt(mu)  # branch immaterial: c, s1 even in q
-        c = cmath.cos(q * d)
-        s1 = cmath.sin(q * d) / q
-    den = c - 0.5j * s1 * (2.0 * k * k - g) / k
-    t = cmath.exp(-1j * k * d) / den
-    r = -0.5j * (g / k) * s1 * t
-    return t, r
-
-
 def amplitudes(pot: SquarePotential, consts: PhysicalConstants, k) -> Amplitudes:
     """T and R at one wavenumber, real or complex.
 
@@ -127,8 +110,14 @@ def amplitudes(pot: SquarePotential, consts: PhysicalConstants, k) -> Amplitudes
     if kc.imag == 0.0:
         t, r, _, _, _ = _kernel.scatter_grid(g, d, np.array([kc.real]))
         return Amplitudes(k=kc.real, t=complex(t[0]), r=complex(r[0]))
-    t, r = _amplitudes_complex(g, d, kc)
-    return Amplitudes(k=kc, t=t, r=r)
+    t, r = _kernel.complex_amplitudes(g, d, np.array([kc]))
+    return Amplitudes(k=kc, t=complex(t[0]), r=complex(r[0]))
+
+
+def eigenphases(t, r):
+    """Principal eigenphases delta_j = arg(S_j)/2 in (-pi/2, pi/2] of
+    S_0 = T + R and S_1 = T - R, elementwise."""
+    return 0.5 * np.angle(t + r), 0.5 * np.angle(t - r)
 
 
 def eigen_channels(amps: Amplitudes) -> EigenChannelValues:
@@ -136,13 +125,12 @@ def eigen_channels(amps: Amplitudes) -> EigenChannelValues:
     eigenphases delta_j = arg(S_j)/2 in (-pi/2, pi/2]."""
     if complex(amps.k).imag != 0.0:
         raise ValueError("eigen channels are defined for real-k amplitudes")
-    s0 = amps.t + amps.r
-    s1 = amps.t - amps.r
+    delta0, delta1 = eigenphases(amps.t, amps.r)
     return EigenChannelValues(
-        s0=s0,
-        s1=s1,
-        delta0=0.5 * math.atan2(s0.imag, s0.real),
-        delta1=0.5 * math.atan2(s1.imag, s1.real),
+        s0=amps.t + amps.r,
+        s1=amps.t - amps.r,
+        delta0=float(delta0),
+        delta1=float(delta1),
     )
 
 
@@ -190,9 +178,8 @@ def build_phase_table(
     ks = np.linspace(k_min, k_max, samples)
     t, r, dphi, dd0, dd1 = _kernel.scatter_grid(g, d, ks)
     pt = np.angle(t)
-    # principal eigenphases, defined mod pi, in (-pi/2, pi/2]
-    h0 = 0.5 * np.angle(t + r)
-    h1 = 0.5 * np.angle(t - r)
+    # principal eigenphases, defined mod pi
+    h0, h1 = eigenphases(t, r)
 
     if abs(pt[-1]) >= math.pi / 2:
         raise PhaseAnchorError(
@@ -221,10 +208,12 @@ def build_phase_table(
             )
         mids = 0.5 * (ks[idx] + ks[idx + 1])
         tm, rm, dpm, d0m, d1m = _kernel.scatter_grid(g, d, mids)
+        h0m, h1m = eigenphases(tm, rm)
         ks = np.insert(ks, idx + 1, mids)
+        t = np.insert(t, idx + 1, tm)
         pt = np.insert(pt, idx + 1, np.angle(tm))
-        h0 = np.insert(h0, idx + 1, 0.5 * np.angle(tm + rm))
-        h1 = np.insert(h1, idx + 1, 0.5 * np.angle(tm - rm))
+        h0 = np.insert(h0, idx + 1, h0m)
+        h1 = np.insert(h1, idx + 1, h1m)
         dphi = np.insert(dphi, idx + 1, dpm)
         dd0 = np.insert(dd0, idx + 1, d0m)
         dd1 = np.insert(dd1, idx + 1, d1m)
@@ -247,6 +236,7 @@ def build_phase_table(
         pot=pot,
         consts=consts,
         k_grid=ks,
+        t=t,
         phi_t=phi_t,
         delta0=delta0,
         delta1=delta1,
@@ -282,36 +272,31 @@ def van_kampen_check(
     """
     if pot.v0 < 0:
         raise ValueError("the causality bound requires no bound states (v0 >= 0)")
-    g = pot.strength(consts)
-    d = pot.width
-    out = []
-    for k in k_samples:
-        kc = complex(k)
+    ks = np.array([complex(k) for k in k_samples], dtype=complex)
+    for kc in ks:
         if kc.imag < 0:
             raise ValueError(f"sample {kc} lies in the lower half plane")
         if kc == 0:
             raise ValueError("k = 0 is not a valid sample")
-        t, r = _amplitudes_complex(g, d, kc)
-        e = cmath.exp(1j * kc * d)
-        sa0 = e * (t + r)
-        sa1 = e * (t - r)
-        # pole proximity: T = e^{-ikd}/D
-        dval = cmath.exp(-1j * kc * d) / t
-        near_pole = abs(dval) < 1e-8
-
-        tm, rm = _amplitudes_complex(g, d, -kc.conjugate())
-        sym = max(
-            abs((t + r).conjugate() - (tm + rm)),
-            abs((t - r).conjugate() - (tm - rm)),
+    g = pot.strength(consts)
+    d = pot.width
+    t, r = _kernel.complex_amplitudes(g, d, ks)
+    tm, rm = _kernel.complex_amplitudes(g, d, -ks.conj())
+    s0, s1 = t + r, t - r
+    e = np.exp(1j * ks * d)
+    sa0 = np.abs(e * s0)
+    sa1 = np.abs(e * s1)
+    # pole proximity: T = e^{-ikd}/D
+    near_pole = np.abs(np.exp(-1j * ks * d) / t) < 1e-8
+    sym = np.maximum(np.abs(s0.conj() - (tm + rm)), np.abs(s1.conj() - (tm - rm)))
+    return [
+        VanKampenSample(
+            k=complex(ks[i]),
+            s_a0_abs=float(sa0[i]),
+            s_a1_abs=float(sa1[i]),
+            passed=bool(max(sa0[i], sa1[i]) <= 1.0 + tol),
+            symmetry_error=float(sym[i]),
+            near_pole=bool(near_pole[i]),
         )
-        out.append(
-            VanKampenSample(
-                k=kc,
-                s_a0_abs=abs(sa0),
-                s_a1_abs=abs(sa1),
-                passed=max(abs(sa0), abs(sa1)) <= 1.0 + tol,
-                symmetry_error=sym,
-                near_pole=near_pole,
-            )
-        )
-    return out
+        for i in range(len(ks))
+    ]

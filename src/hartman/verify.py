@@ -17,9 +17,15 @@ import numpy as np
 
 from . import _kernel
 from .boundstates import count_bound_states, levinson_check, solve_bound_states
-from .delays import dwell_time, smith_identity_check, wigner_delay
-from .potential import ATOMIC, SquarePotential
-from .scattering import amplitudes, build_phase_table, van_kampen_check
+from .delays import (
+    channel_floors,
+    dwell_time,
+    oscillatory_delay_bound,
+    smith_identity_check,
+    wigner_delay,
+)
+from .potential import ATOMIC, PhysicalConstants, SquarePotential
+from .scattering import amplitudes, build_phase_table, eigenphases, van_kampen_check
 from .wavepacket import (
     GaussianPacketSpec,
     mean_exit_time,
@@ -274,18 +280,14 @@ def check_bound_chain(tolerance_scale: float = 1.0) -> CheckResult:
     for v0 in v0s:
         g = 2.0 * v0
         t, r, dphi, dd0, dd1 = _kernel.scatter_grid(g, d, ks)
-        d0 = 0.5 * np.angle(t + r)
-        d1 = 0.5 * np.angle(t - r)
+        d0, d1 = eigenphases(t, r)
         dt = dphi / ks
-        osc = (1.0 / ks) * (
-            -d - (np.sin(2 * ks * a + 2 * d0) - np.sin(2 * ks * a + 2 * d1)) / (2 * ks)
-        )
+        osc = oscillatory_delay_bound(ks, a, d0, d1, ATOMIC)
         weak = (1.0 / ks) * (-d - 1.0 / ks)
         worst_chain = min(worst_chain, float((dt - osc).min()))
         worst_order = min(worst_order, float((osc - weak).min()))
-        m0 = dd0 - (-a - np.sin(2 * (ks * a + d0)) / (2 * ks))
-        m1 = dd1 - (-a + np.sin(2 * (ks * a + d1)) / (2 * ks))
-        worst_ch = min(worst_ch, float(m0.min()), float(m1.min()))
+        floor0, floor1 = channel_floors(ks, a, d0, d1)
+        worst_ch = min(worst_ch, float((dd0 - floor0).min()), float((dd1 - floor1).min()))
         if v0 >= 0:
             worst_simple = min(worst_simple, float((dt - (-d / ks)).min()))
             worst_dd = min(worst_dd, float((dd0 + a).min()), float((dd1 + a).min()))
@@ -314,9 +316,7 @@ def check_simple_bound_violation(tolerance_scale: float = 1.0) -> CheckResult:
     k = 0.1
     d = 2.0
     v0s = np.linspace(-0.35, -0.25, 201)
-    dts = np.array(
-        [float(_kernel.scatter_grid(2 * v, d, np.array([k]))[2][0]) / k for v in v0s]
-    )
+    dts = _delay_at(v0s, k, d)
     margin = float((dts - (-d / k)).min())
     return CheckResult(
         "simple bound violated near first crossing",
@@ -325,8 +325,10 @@ def check_simple_bound_violation(tolerance_scale: float = 1.0) -> CheckResult:
     )
 
 
-def _delay_at(v0: float, k: float, d: float) -> float:
-    return float(_kernel.scatter_grid(2.0 * v0, d, np.array([k]))[2][0]) / k
+def _delay_at(v0, k: float, d: float):
+    """delta_t at momentum k (hbar = m = 1) for one v0 or an array of them."""
+    v0 = np.asarray(v0, dtype=float)
+    return _kernel.scatter_grid(2.0 * v0, d, np.full(v0.shape, k))[2] / k
 
 
 def find_simple_bound_crossings(
@@ -335,7 +337,7 @@ def find_simple_bound_crossings(
 ) -> list[float]:
     """Roots of delta_t(v0) + m d/p at fixed momentum, by scan + bisection."""
     v0s = np.arange(v_lo, v_hi, step)
-    vals = np.array([_delay_at(v, k, d) + d / k for v in v0s])
+    vals = _delay_at(v0s, k, d) + d / k
     out = []
     for i in np.nonzero(np.diff(np.sign(vals)))[0]:
         lo, hi = v0s[i], v0s[i + 1]

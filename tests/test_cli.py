@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hartman.cli import main
+import hartman.cli
+from hartman.cli import delay_rows, main
 from hartman.potential import ATOMIC, SquarePotential
 from hartman.verify import transfer_matrix_amplitudes
 
@@ -68,12 +69,10 @@ def test_csv_roundtrip_exact(tmp_path):
         "--out", str(out),
     ])
     header, rows = read_csv(out)
-    # default precision (17 significant digits) round-trips doubles exactly
-    from hartman.cli import _delay_row
-
+    # default precision (17 significant digits) round-trips doubles exactly,
+    # and a row does not depend on the rest of the v0 grid
     for r in rows:
-        v0 = float(r[0])
-        row = _delay_row((v0, 0.1, 2.0, 1.0, 1.0))
+        (row,) = delay_rows([float(r[0])], 0.1, 2.0, ATOMIC)
         for got, want in zip(r[1:4], row[1:4]):
             assert float(got) == want
 
@@ -85,10 +84,8 @@ def test_reduced_precision_roundtrip_within_one_ulp(tmp_path):
         "--precision", "12", "--out", str(out),
     ])
     _, rows = read_csv(out)
-    from hartman.cli import _delay_row
-
     for r in rows:
-        row = _delay_row((float(r[0]), 0.1, 2.0, 1.0, 1.0))
+        (row,) = delay_rows([float(r[0])], 0.1, 2.0, ATOMIC)
         for got, want in zip(r[1:4], row[1:4]):
             # one ulp at 12 emitted significant digits
             ulp = 10.0 ** (math.floor(math.log10(abs(want))) - 11)
@@ -201,14 +198,64 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert [float(r[0]) for r in rows] == [1.0, 2.0]  # step overridden to 1.0
 
 
+PACKET_ROWS_3 = [
+    "packet-sweep", "--preset", "fig3", "--v0-min", "-0.4", "--v0-max", "-0.2",
+    "--v0-step", "0.1",
+]
+
+
 def test_jobs_parallel_matches_serial(tmp_path):
-    args = [
-        "delay-sweep", "--v0-min", "-1.0", "--v0-max", "0.0", "--v0-step", "0.25",
-    ]
     a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    run_cli(args + ["--out", str(a)])
-    run_cli(args + ["--jobs", "3", "--out", str(b)])
+    assert run_cli(PACKET_ROWS_3 + ["--out", str(a)]) == 0
+    assert run_cli(PACKET_ROWS_3 + ["--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_rejected(jobs):
+    for args in (
+        ["delay-sweep", "--v0-min", "0", "--v0-max", "1", "--v0-step", "1"],
+        PACKET_ROWS_3,
+        ["amplitudes", "--v0", "5", "--width", "1", "--samples", "20"],
+    ):
+        assert run_cli(args + ["--jobs", jobs]) == 2
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the requested pool size
+    and maps serially in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus, jobs, want", [
+    (64, "1000000", 3),  # capped by the row count
+    (2, "1000000", 2),   # capped by the CPU count
+    (64, "2", 2),        # as asked
+    (64, "1", None),     # serial: no pool at all
+])
+def test_jobs_pool_capped(tmp_path, monkeypatch, cpus, jobs, want):
+    monkeypatch.setattr(hartman.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(hartman.cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    serial = tmp_path / "serial.csv"
+    out = tmp_path / "capped.csv"
+    assert run_cli(PACKET_ROWS_3 + ["--out", str(serial)]) == 0
+    assert run_cli(PACKET_ROWS_3 + ["--jobs", jobs, "--out", str(out)]) == 0
+    assert _RecordingPool.sizes == ([] if want is None else [want])
+    assert out.read_bytes() == serial.read_bytes()
 
 
 def test_invalid_input_exit_code():

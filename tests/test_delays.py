@@ -7,6 +7,7 @@ from scipy.integrate import quad as scipy_quad
 
 from hartman import (
     ATOMIC,
+    PhysicalConstants,
     SquarePotential,
     build_phase_table,
     causality_bounds,
@@ -20,6 +21,7 @@ from hartman import (
     solve_bound_states,
     wigner_delay,
 )
+from hartman.delays import channel_floors, oscillatory_delay_bound
 
 H = 2.0 * math.pi
 
@@ -121,6 +123,22 @@ class TestCausalityBounds:
                 assert rec.bound_bound_state == pytest.approx(floor)
 
 
+def test_oscillatory_bound_is_sum_of_channel_floors():
+    """dt = (m/(hbar k))(delta_0' + delta_1'), so the delay bound must be the
+    sum of the two channel floors in the same units."""
+    consts = PhysicalConstants(hbar=1.3, mass=0.7)
+    rng = np.random.default_rng(21)
+    k = rng.uniform(0.05, 10.0, 500)
+    a = rng.uniform(0.1, 3.0)
+    d0, d1 = rng.uniform(-math.pi / 2, math.pi / 2, (2, 500))
+    floor0, floor1 = channel_floors(k, a, d0, d1)
+    bound = oscillatory_delay_bound(k, a, d0, d1, consts)
+    want = consts.mass / (consts.hbar * k) * (floor0 + floor1)
+    assert np.abs(bound - want).max() < 1e-12 * np.abs(want).max()
+    # the weak bound (m/p)(-d - 1/k) lies below it
+    assert np.all(bound >= consts.mass / (consts.hbar * k) * (-2 * a - 1 / k) - 1e-12)
+
+
 class TestEigenphaseDerivativeBounds:
     def test_free_trivially_passes(self, free_table):
         rep = eigenphase_derivative_bounds(FREE, ATOMIC, free_table)
@@ -170,7 +188,9 @@ class TestDwellTime:
     @pytest.mark.parametrize(
         "v0,k,parity",
         [(-1.0, 0.5, "even"), (-1.0, 0.3, "odd"), (5.0, 1.0, "even"),
-         (5.0, 0.7, "odd"), (2.0, math.sqrt(4.0) , "even")],
+         (5.0, 0.7, "odd"), (2.0, math.sqrt(4.0) , "even"),
+         # |mu| d^2 inside the series window, above and below the barrier top
+         (2.0, math.sqrt(4.0 + 1e-4), "odd"), (2.0, math.sqrt(4.0 - 2e-4), "odd")],
     )
     def test_matches_quadrature_oracle(self, v0, k, parity):
         """Closed form vs direct numerical integration of psi^2."""

@@ -69,3 +69,25 @@ def test_integral_to_zero_detects_log_divergence():
     main = adaptive_quad(lambda p: 1.0 / p, 0.1, 1.0, rel_tol=1e-12).value
     with pytest.raises(ThresholdDivergenceError):
         integral_to_zero(lambda p: 1.0 / p, 0.1, rel_tol=1e-10, reference=main)
+
+
+def test_all_nan_integrand_raises():
+    f = lambda x: np.full_like(x, np.nan)
+    with pytest.raises(ConvergenceError, match="not finite") as err:
+        adaptive_quad(f, 0.0, 1.0)
+    assert math.isnan(err.value.estimate)
+
+
+def test_half_nan_integrand_raises():
+    f = lambda x: np.where(x < 0.5, 1.0, np.nan)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        adaptive_quad(f, 0.0, 1.0)
+    # also when the NaN half is its own panel from the start
+    with pytest.raises(ConvergenceError, match="not finite"):
+        adaptive_quad(f, 0.0, 1.0, breakpoints=[0.5])
+
+
+def test_infinite_integrand_raises():
+    f = lambda x: np.where(x < 0.5, 1.0, np.inf)
+    with pytest.raises(ConvergenceError, match="not finite"), np.errstate(invalid="ignore"):
+        adaptive_quad(f, 0.0, 1.0)

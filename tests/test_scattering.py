@@ -1,4 +1,4 @@
-"""Amplitudes, eigenphases, phase tables, and the causality samples."""
+"""Kernel, amplitudes, eigenphases, phase tables, and the causality samples."""
 import math
 
 import numpy as np
@@ -15,10 +15,58 @@ from hartman import (
     eigen_channels,
     van_kampen_check,
 )
+from hartman._kernel import W_CUT, scatter_grid, trig_triplet
 from hartman.verify import transfer_matrix_amplitudes
 
 BARRIER5_HALF = SquarePotential(5.0, 0.5)  # d = 1
 WELL1 = SquarePotential(-1.0, 1.0)
+# mirror -k* of a resonance pole of BARRIER5_HALF; T there, from plane-wave
+# matching, is 0.126 + 0.561i
+RESONANCE_MIRROR = complex(-3.7957, 0.9378)
+
+
+def _series_triplet(mu, d, terms=12):
+    """C, S1, S2 from their full Taylor series in w = mu d^2 (general term)."""
+    w = mu * d * d
+    c = sum((-w) ** n / math.factorial(2 * n) for n in range(terms))
+    s1 = d * sum((-w) ** n / math.factorial(2 * n + 1) for n in range(terms))
+    s2 = d**3 * sum(
+        (-1) ** (n + 1) * w**n * (2 * n + 2) / math.factorial(2 * n + 3)
+        for n in range(terms)
+    )
+    return c, s1, s2
+
+
+def test_kernel_continuous_across_series_switch():
+    """Values must be continuous through the |q d| series guard boundary."""
+    v0 = 2.0
+    d = 2.0
+    # mu = k^2 - 2 v0 crosses 0 at k = 2; straddle the series window densely
+    k = np.sqrt(2.0 * v0 + np.linspace(-5e-4, 5e-4, 20001) / d**2)
+    t, r, dphi, dd0, dd1 = scatter_grid(2.0 * v0, d, k)
+    for arr in (t, r, dphi, dd0, dd1):
+        steps = np.abs(np.diff(arr))
+        assert steps.max() < 1e-6
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.4, 1.3, math.pi / 2, 2.2, math.pi, -0.9])
+def test_trig_triplet_across_series_switch(angle):
+    """Real and complex mu on a ray through |mu| d^2 = W_CUT agree with the
+    full Taylor series on both sides of the switch."""
+    d = 1.5
+    w = np.linspace(0.5, 2.0, 601) * W_CUT * complex(math.cos(angle), math.sin(angle))
+    mu = w / d**2
+    if angle in (0.0, math.pi):
+        mu = mu.real
+    C, S1, S2 = trig_triplet(mu, d)
+    assert np.iscomplexobj(C) == np.iscomplexobj(mu)
+    ref = [np.array(x) for x in zip(*(_series_triplet(m, d) for m in mu))]
+    for got, want, tol in zip((C, S1, S2), ref, (2e-15, 2e-15, 1e-11)):
+        assert np.abs(got - want).max() < tol * np.abs(want).max()
+    # complex mu on the real axis takes the complex branch, same values
+    if angle in (0.0, math.pi):
+        for got, want in zip(trig_triplet(mu.astype(complex), d), (C, S1, S2)):
+            assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
 
 
 def test_free_particle_identity():
@@ -55,12 +103,30 @@ def test_oracle_equivalence_random_grid():
         assert abs(amp.r - r_o) / scale < 1e-10
 
 
+def test_complex_k_amplitudes_match_matching_oracle():
+    """Off the real axis, T = e^{-ikd}/D and R agree with plane-wave matching."""
+    rng = np.random.default_rng(17)
+    samples = [RESONANCE_MIRROR, -RESONANCE_MIRROR.conjugate()] + [
+        complex(rng.uniform(-6.0, 6.0), rng.uniform(0.01, 3.0)) for _ in range(60)
+    ]
+    for pot in (BARRIER5_HALF, SquarePotential(-3.0, 0.8)):
+        g = pot.strength(ATOMIC)
+        # points whose complex mu = k^2 - g falls inside the series window
+        near = [np.sqrt(complex(g) + W_CUT / pot.width**2 * complex(0.3, 0.4))]
+        for k in samples + near:
+            amp = amplitudes(pot, ATOMIC, k)
+            t_o, r_o = transfer_matrix_amplitudes(pot, ATOMIC, k)
+            scale = max(abs(t_o), abs(r_o))
+            assert abs(amp.t - t_o) / scale < 1e-10, k
+            assert abs(amp.r - r_o) / scale < 1e-10, k
+    amp = amplitudes(BARRIER5_HALF, ATOMIC, RESONANCE_MIRROR)
+    assert amp.t == pytest.approx(0.126 + 0.561j, abs=1e-3)
+
+
 def test_unitarity_property_grid():
     ks = np.linspace(1e-3, 50.0, 500)
     for v0 in np.linspace(-10, 10, 41):
         pot = SquarePotential(v0, 1.0) if v0 else SquarePotential(0.0, 1.0)
-        from hartman._kernel import scatter_grid
-
         t, r, _, _, _ = scatter_grid(pot.strength(ATOMIC), pot.width, ks)
         assert np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0).max() < 1e-12
 
@@ -193,8 +259,6 @@ class TestPhaseTable:
         build_phase_table(pot, ATOMIC, 1e-3)  # must not raise
 
     def test_derivative_consistency_with_finite_differences(self):
-        from hartman._kernel import scatter_grid
-
         pot = SquarePotential(-3.0, 1.0)
         g, d = pot.strength(ATOMIC), pot.width
         rng = np.random.default_rng(3)
