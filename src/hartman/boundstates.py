@@ -21,8 +21,10 @@ threshold depths where |T(0)| = 1, as for the free particle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
+from .errors import ConvergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 from .scattering import build_phase_table, default_k_max
 
@@ -94,8 +96,9 @@ def solve_bound_states(
 
     Levels come out sorted by ascending energy with parities alternating
     even, odd, even, ...; each satisfies its transcendental equation to
-    |residual| < tol and sits on the circle constraint exactly by
-    construction.
+    |residual| / max(z0, 1) < max(tol, 8 eps z0), the larger term being the
+    rounding floor of sin and cos at arguments near z0, and sits on the
+    circle constraint exactly by construction.
     """
     if pot.v0 >= 0:
         if pot.v0 > 0:
@@ -105,6 +108,7 @@ def solve_bound_states(
     z0 = a * math.sqrt(2.0 * consts.mass * abs(pot.v0)) / consts.hbar
     at_thr = is_at_threshold(pot, consts)
     n_b = count_bound_states(pot, consts)
+    tol = max(tol, 8.0 * sys.float_info.epsilon * z0)
 
     levels = []
     for n in range(1, n_b + 1):
@@ -122,7 +126,7 @@ def solve_bound_states(
 
         flo, fhi = func(lo), func(hi)
         if not (flo < 0.0 < fhi):
-            raise RuntimeError(
+            raise ConvergenceError(
                 f"bracketing failed for level {n}: f({lo})={flo}, f({hi})={fhi}"
             )
         for _ in range(200):
@@ -136,48 +140,52 @@ def solve_bound_states(
             else:
                 hi = mid
         z = 0.5 * (lo + hi)
-
-        # near z0 the circle relation makes chi = sqrt(z0^2 - z^2) the
-        # well-conditioned unknown; polish there by Newton in chi
         chi = math.sqrt(max(z0 * z0 - z * z, 0.0))
+        best_val = abs(func(z))
 
-        def f_chi(c: float) -> tuple[float, float]:
-            zz = math.sqrt(max(z0 * z0 - c * c, 0.0))
-            if even:
-                val = sign * (zz * math.sin(zz) - c * math.cos(zz))
-                dz = (math.sin(zz) + zz * math.cos(zz) + c * math.sin(zz))
-            else:
-                val = sign * (-zz * math.cos(zz) - c * math.sin(zz))
-                dz = (-math.cos(zz) + zz * math.sin(zz) - c * math.cos(zz))
-            dz_dc = -c / zz if zz > 0 else 0.0
-            if even:
-                deriv = sign * (dz * dz_dc - math.cos(zz))
-            else:
-                deriv = sign * (dz * dz_dc - math.sin(zz))
-            return val, deriv
+        # below chi = z the circle relation makes z the well-conditioned
+        # unknown and the bisection's root stands; above it chi is, so the
+        # root is polished there by Newton in chi
+        if z >= chi:
 
-        best_chi, best_val = chi, abs(f_chi(chi)[0])
-        for _ in range(6):
-            val, deriv = f_chi(chi)
-            if deriv == 0.0:
-                break
-            step = val / deriv
-            nxt = chi - step
-            if not (0.0 <= nxt <= z0):
-                break
-            chi = nxt
-            v = abs(f_chi(chi)[0])
-            if v < best_val:
-                best_chi, best_val = chi, v
-            if v == 0.0:
-                break
-        chi = best_chi
-        z = math.sqrt(max(z0 * z0 - chi * chi, 0.0))
+            def f_chi(c: float) -> tuple[float, float]:
+                zz = math.sqrt(max(z0 * z0 - c * c, 0.0))
+                if even:
+                    val = sign * (zz * math.sin(zz) - c * math.cos(zz))
+                    dz = (math.sin(zz) + zz * math.cos(zz) + c * math.sin(zz))
+                else:
+                    val = sign * (-zz * math.cos(zz) - c * math.sin(zz))
+                    dz = (-math.cos(zz) + zz * math.sin(zz) - c * math.cos(zz))
+                dz_dc = -c / zz if zz > 0 else 0.0
+                if even:
+                    deriv = sign * (dz * dz_dc - math.cos(zz))
+                else:
+                    deriv = sign * (dz * dz_dc - math.sin(zz))
+                return val, deriv
+
+            best_chi, best_val = chi, abs(f_chi(chi)[0])
+            for _ in range(6):
+                val, deriv = f_chi(chi)
+                if deriv == 0.0:
+                    break
+                step = val / deriv
+                nxt = chi - step
+                if not (0.0 <= nxt <= z0):
+                    break
+                chi = nxt
+                v = abs(f_chi(chi)[0])
+                if v < best_val:
+                    best_chi, best_val = chi, v
+                if v == 0.0:
+                    break
+            chi = best_chi
 
         residual = best_val / max(z0, 1.0)
         if residual > tol:
-            raise RuntimeError(
-                f"level {n} residual {residual:.3e} exceeds tol {tol:.1e}"
+            raise ConvergenceError(
+                f"level {n} residual {residual:.3e} exceeds tol {tol:.1e}",
+                estimate=chi / a,
+                error=residual,
             )
         k_b = chi / a
         levels.append(
@@ -190,7 +198,7 @@ def solve_bound_states(
         )
 
     if len(levels) != n_b:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"solver returned {len(levels)} levels, count formula says {n_b}"
         )
     return BoundStateSpectrum(n_b=n_b, levels=tuple(levels), at_threshold=at_thr)

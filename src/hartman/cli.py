@@ -109,32 +109,27 @@ def _resolve_out(out: str | None):
 
 def write_dataset(config: RunConfig, header: list[str], rows: list[tuple]) -> None:
     """Emit rows as CSV (UTF-8, LF, one header row) or JSON (metadata + rows)."""
-    path = _resolve_out(config.out)
     if config.format == "csv":
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_fmt_value(x, config.precision) for x in row))
         text = "\n".join(lines) + "\n"
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        return
-    meta = {k: v for k, v in asdict(config).items() if v is not None}
-    payload = {
-        "metadata": meta,
-        "rows": [
-            {
-                name: (bool(x) if isinstance(x, bool) else
-                       int(x) if isinstance(x, (int, np.integer)) else
-                       float(x))
-                for name, x in zip(header, row)
-            }
-            for row in rows
-        ],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        meta = {k: v for k, v in asdict(config).items() if v is not None}
+        payload = {
+            "metadata": meta,
+            "rows": [
+                {
+                    name: (bool(x) if isinstance(x, bool) else
+                           int(x) if isinstance(x, (int, np.integer)) else
+                           float(x))
+                    for name, x in zip(header, row)
+                }
+                for row in rows
+            ],
+        }
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path = _resolve_out(config.out)
     if path is None:
         sys.stdout.write(text)
     else:

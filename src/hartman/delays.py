@@ -92,9 +92,8 @@ def oscillatory_delay_bound(k, half_width: float, delta0, delta1,
     which is (m/(hbar k)) times the sum of the two `channel_floors`, since
     dt = (m/(hbar k)) (delta_0' + delta_1').
     """
-    a = half_width
-    osc = np.sin(2 * k * a + 2 * delta0) - np.sin(2 * k * a + 2 * delta1)
-    return (consts.mass / (consts.hbar * k)) * (-2.0 * a - osc / (2 * k))
+    floor0, floor1 = channel_floors(k, half_width, delta0, delta1)
+    return (consts.mass / (consts.hbar * k)) * (floor0 + floor1)
 
 
 def _check_table(table: PhaseTable, pot: SquarePotential) -> None:

@@ -18,10 +18,10 @@ class PhysicalConstants:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not (self.mass > 0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        if not (0 < self.hbar < math.inf):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        if not (0 < self.mass < math.inf):
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
     @property
     def h(self) -> float:
@@ -40,8 +40,10 @@ class SquarePotential:
     half_width: float
 
     def __post_init__(self):
-        if not (self.half_width > 0):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not (0 < self.half_width < math.inf):
+            raise ValueError(
+                f"half_width must be positive and finite, got {self.half_width}"
+            )
         if not math.isfinite(self.v0):
             raise ValueError(f"v0 must be finite, got {self.v0}")
 

@@ -25,6 +25,8 @@ _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
 _NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
 # one batched evaluation per panel covers both rules
 _NODES_ALL = np.concatenate([_NODES15, _NODES7])
+# `integral_to_zero` gives up after this many halvings of the cutoff
+_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,6 @@ def integral_to_zero(
     *,
     rel_tol: float = 1e-8,
     reference: float,
-    max_halvings: int = 60,
 ) -> float:
     """Sum of integrals of f over (0, eps], halving the cutoff to convergence.
 
@@ -158,7 +159,7 @@ def integral_to_zero(
     total = 0.0
     increments: list[float] = []
     lo = eps
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         scale = max(abs(reference + total), abs(reference), 1e-300)
         res = adaptive_quad(f, lo / 2.0, lo, rel_tol=1e-6, abs_tol=1e-14 * scale)
         total += res.value

@@ -33,11 +33,21 @@ from .boundstates import is_at_threshold
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 from .quadrature import adaptive_quad, integral_to_zero
-from .scattering import PhaseTable
 
 # packet momentum support: beyond p0 + _SUPPORT_SIGMAS * dp the Gaussian
 # mass is below 1e-16 of the total
 _SUPPORT_SIGMAS = 9.0
+# adaptive panels of a packet integral start at this fraction of min(p0, dp)
+_CUTOFF_FRACTION = 1e-3
+_REL_TOL = 1e-8  # P_T and the exit-time moment
+_SPLIT_REL_TOL = 1e-6  # crossover_width_empirical's split integrals
+_D_MAX = 1e4  # widest barrier crossover_width_empirical tries
+# flux oracle: window half-width in units of sqrt(2 pi / t), fine and coarse
+# time steps, and times per batch (bounds the times x nodes arrays)
+_W_MULT = 12.0
+_DT_FINE = 0.02
+_DT_COARSE = 0.25
+_CHUNK = 3000
 
 
 @dataclass(frozen=True)
@@ -49,10 +59,10 @@ class GaussianPacketSpec:
     x0: float  # packet center at t = 0
 
     def __post_init__(self):
-        if not (self.k0 > 0):
-            raise ValueError(f"k0 must be positive, got {self.k0}")
-        if not (self.delta_p > 0):
-            raise ValueError(f"delta_p must be positive, got {self.delta_p}")
+        if not (0 < self.k0 < math.inf):
+            raise ValueError(f"k0 must be positive and finite, got {self.k0}")
+        if not (0 < self.delta_p < math.inf):
+            raise ValueError(f"delta_p must be positive and finite, got {self.delta_p}")
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
 
@@ -130,38 +140,61 @@ def _resonance_breakpoints(pot, consts, p_lo, p_hi):
     for n in range(1, n_max + 1):
         mu = (n * math.pi / d) ** 2 + g
         if mu > 0:
-            p = consts.hbar * math.sqrt(mu)
-            if p_lo < p < p_hi:
-                pts.append(p)
+            pts.append(consts.hbar * math.sqrt(mu))
     return [p for p in pts if p_lo < p < p_hi]
 
 
-def _abs_t2(pot, consts, p):
-    t, _, _, _, _ = _kernel.scatter_grid(
-        pot.strength(consts), pot.width, np.asarray(p, dtype=float) / consts.hbar
-    )
-    return np.abs(t) ** 2
+def _transmitted_weight(spec, pot, consts, p):
+    """|phi_in|^2 |T|^2 and dPhi_T/dk at momenta p, from one kernel call."""
+    p = np.asarray(p, dtype=float)
+    k = p / consts.hbar
+    t, _, dphi, _, _ = _kernel.scatter_grid(pot.strength(consts), pot.width, k)
+    return packet_weight(spec, p, consts) * np.abs(t) ** 2, dphi
+
+
+def _integral_from_zero(f, spec, pot, consts, p_hi, rel_tol=_REL_TOL) -> float:
+    """Integral of f over (0, p_hi]: adaptive panels from the packet's low
+    cutoff up, seeded at the resonances of `pot`, and halvings below it."""
+    eps = min(spec.p0(consts), spec.delta_p) * _CUTOFF_FRACTION
+    main = adaptive_quad(
+        f, eps, p_hi, rel_tol=rel_tol,
+        breakpoints=_resonance_breakpoints(pot, consts, eps, p_hi),
+    ).value
+    return main + integral_to_zero(f, eps, rel_tol=rel_tol, reference=main)
+
+
+def _require_left_start(spec, pot) -> None:
+    edge = spec.x0 + pot.half_width
+    if edge >= 0:
+        raise ValueError(f"packet must start left of the potential: x0 + a = {edge}")
+
+
+def _require_below_barrier(spec, pot, consts) -> float:
+    """The barrier momentum p_b, which the packet momentum must not reach."""
+    p_b = pot.barrier_momentum(consts)  # raises for v0 <= 0
+    p0 = spec.p0(consts)
+    if p0 >= p_b:
+        raise ValueError(
+            f"packet momentum p0 = {p0} must lie below the barrier momentum {p_b}"
+        )
+    return p_b
+
+
+def _require_transmitted(p_t: float) -> None:
+    if not p_t > 0:
+        raise ValueError("transmitted weight vanishes; no flux to average")
 
 
 def transmission_probability(
     spec: GaussianPacketSpec,
     pot: SquarePotential,
     consts: PhysicalConstants = ATOMIC,
-    rel_tol: float = 1e-8,
 ) -> float:
     """P_T = integral |phi_in|^2 |T|^2 dp over (0, inf)."""
-
-    def w(p):
-        return packet_weight(spec, p, consts) * _abs_t2(pot, consts, p)
-
-    p_hi = spec.p_max(consts)
-    eps = min(spec.p0(consts), spec.delta_p) * 1e-3
-    main = adaptive_quad(
-        w, eps, p_hi, rel_tol=rel_tol,
-        breakpoints=_resonance_breakpoints(pot, consts, eps, p_hi),
+    return _integral_from_zero(
+        lambda p: _transmitted_weight(spec, pot, consts, p)[0],
+        spec, pot, consts, spec.p_max(consts),
     )
-    low = integral_to_zero(w, eps, rel_tol=rel_tol, reference=main.value)
-    return main.value + low
 
 
 def classical_reference_time(
@@ -187,65 +220,32 @@ def mean_exit_time(
     spec: GaussianPacketSpec,
     pot: SquarePotential,
     consts: PhysicalConstants = ATOMIC,
-    table: PhaseTable | None = None,
-    rel_tol: float = 1e-8,
 ) -> PassageTimeReport:
     """Flux-averaged exit time at x = a, by momentum-space quadrature.
 
-    The integrand uses the analytic dPhi_T/dk; the phase table, when given,
-    must cover the packet support (it fixes the k-range the caller intends).
+    The time integrand uses the analytic dPhi_T/dk; P_T comes from
+    `transmission_probability`.
     """
-    a = pot.half_width
-    if spec.x0 + a >= 0:
-        raise ValueError(
-            f"packet must start left of the potential: x0 + a = {spec.x0 + a}"
-        )
-    p_hi = spec.p_max(consts)
-    eps = min(spec.p0(consts), spec.delta_p) * 1e-3
-    if table is not None:
-        if table.pot != pot:
-            raise ValueError(f"phase table was built for {table.pot}, not {pot}")
-        table.require(p_hi / consts.hbar)
-        if table.k_min > eps / consts.hbar:
-            raise ValueError(
-                f"table k_min = {table.k_min} does not reach the packet's "
-                f"low-momentum support {eps / consts.hbar}"
-            )
-
+    _require_left_start(spec, pot)
+    # the cutoff halvings alone miss a packet whose weight at p = 0 is tiny
+    # but not zero, so an exact threshold is refused up front
     if pot.v0 < 0 and is_at_threshold(pot, consts):
-        w0 = float(packet_weight(spec, 1e-12, consts))
-        if w0 > 1e-280:
+        if packet_weight(spec, 1e-12, consts) > 1e-280:
             raise ThresholdDivergenceError(
                 "well is at a bound-state threshold and the packet does not "
                 "vanish at p = 0: the mean exit time diverges"
             )
 
-    g = pot.strength(consts)
-    d = pot.width
-    m = consts.mass
-    hbar = consts.hbar
-    x0 = spec.x0
-
-    def w_pt(p):
-        return packet_weight(spec, p, consts) * _abs_t2(pot, consts, p)
+    p_t = transmission_probability(spec, pot, consts)
+    _require_transmitted(p_t)
+    aprime = pot.half_width - spec.x0
 
     def w_time(p):
-        parr = np.asarray(p, dtype=float)
-        t, _, dphi, _, _ = _kernel.scatter_grid(g, d, parr / hbar)
-        wgt = packet_weight(spec, parr, consts) * np.abs(t) ** 2
-        return wgt * (a - x0 + dphi) / parr
+        wgt, dphi = _transmitted_weight(spec, pot, consts, p)
+        return wgt * (aprime + dphi) / p
 
-    breakpoints = _resonance_breakpoints(pot, consts, eps, p_hi)
-    pt_main = adaptive_quad(w_pt, eps, p_hi, rel_tol=rel_tol, breakpoints=breakpoints)
-    p_t = pt_main.value + integral_to_zero(
-        w_pt, eps, rel_tol=rel_tol, reference=pt_main.value
-    )
-    t_main = adaptive_quad(w_time, eps, p_hi, rel_tol=rel_tol, breakpoints=breakpoints)
-    t_int = t_main.value + integral_to_zero(
-        w_time, eps, rel_tol=rel_tol, reference=t_main.value
-    )
-
-    t_out = m * t_int / p_t
+    t_int = _integral_from_zero(w_time, spec, pot, consts, spec.p_max(consts))
+    t_out = consts.mass * t_int / p_t
     t_cl, defined = classical_reference_time(spec, pot, consts)
     return PassageTimeReport(
         p_t=p_t,
@@ -256,7 +256,7 @@ def mean_exit_time(
     )
 
 
-def _windowed_wave(cvals_fn, a, tc, aprime, p_hi, w_mult, nodes):
+def _windowed_wave(cvals_fn, a, tc, aprime, p_hi, nodes):
     """psi(a, t) and psi_x(a, t) on a batch of times by stationary-phase
     windowed Gauss-Legendre, with first-order endpoint corrections for the
     truncated oscillatory tails."""
@@ -265,7 +265,7 @@ def _windowed_wave(cvals_fn, a, tc, aprime, p_hi, w_mult, nodes):
     p1 = np.clip(aprime / tsafe, 1e-4, p_hi)
     _, dphi1 = cvals_fn(p1)
     pstar = np.clip((aprime + dphi1) / tsafe, 1e-4, p_hi)
-    width = w_mult * np.sqrt(2.0 * np.pi / np.maximum(tc, 1.0))
+    width = _W_MULT * np.sqrt(2.0 * np.pi / np.maximum(tc, 1.0))
     lo = np.clip(pstar - width, 0.0, p_hi)
     hi = np.clip(pstar + width, 0.0, p_hi)
 
@@ -292,12 +292,8 @@ def _windowed_wave(cvals_fn, a, tc, aprime, p_hi, w_mult, nodes):
         theta_p = aprime + dphie - pe * tc[interior]
         ok = np.abs(theta_p) > 1e-6
         corr = np.where(ok, sgn * fe / (1j * theta_p), 0.0)
-        psi_part = np.zeros_like(psi)
-        psix_part = np.zeros_like(psix)
-        psi_part[interior] = corr
-        psix_part[interior] = corr * 1j * pe
-        psi = psi + psi_part
-        psix = psix + psix_part
+        psi[interior] += corr
+        psix[interior] += corr * 1j * pe
     return psi, psix
 
 
@@ -307,10 +303,6 @@ def mean_exit_time_via_flux(
     consts: PhysicalConstants = ATOMIC,
     t_window: tuple[float, float] | None = None,
     tol: float = 1e-3,
-    *,
-    w_mult: float = 12.0,
-    dt_fine: float = 0.02,
-    dt_coarse: float = 0.25,
 ) -> float:
     """Mean exit time from the reconstructed transmitted flux J_T(a, t).
 
@@ -321,13 +313,8 @@ def mean_exit_time_via_flux(
     essentially all transmitted flux: |integral J_T dt - P_T| <= tol * P_T
     is enforced, and a deficit raises ConvergenceError.
     """
+    _require_left_start(spec, pot)
     a = pot.half_width
-    if spec.x0 + a >= 0:
-        raise ValueError(
-            f"packet must start left of the potential: x0 + a = {spec.x0 + a}"
-        )
-    g = pot.strength(consts)
-    d = pot.width
     hbar = consts.hbar
     m = consts.mass
     aprime = a - spec.x0
@@ -336,16 +323,16 @@ def mean_exit_time_via_flux(
 
     def cvals(p):
         """c(p) = phi_in T / sqrt(h) and dPhi_T/dk alongside."""
-        t, _, dphi, _, _ = _kernel.scatter_grid(g, d, np.asarray(p) / hbar)
+        k = np.asarray(p) / hbar
+        t, _, dphi, _, _ = _kernel.scatter_grid(pot.strength(consts), pot.width, k)
         return packet_amplitude(spec, p, consts) * t / sqrt_h, dphi
 
     # reference transmission probability on a dense fixed grid (trapezoid),
     # also used to pick the time window from the low-momentum weight
     pgrid = np.linspace(1e-7, p_hi, 200001)
-    wgt = packet_weight(spec, pgrid, consts) * _abs_t2(pot, consts, pgrid)
+    wgt = _transmitted_weight(spec, pot, consts, pgrid)[0]  # frees dPhi_T/dk at once
     p_t_ref = float(np.trapezoid(wgt, pgrid))
-    if p_t_ref <= 0:
-        raise ValueError("transmitted weight vanishes; no flux to average")
+    _require_transmitted(p_t_ref)
 
     if t_window is None:
         dp_grid = pgrid[1] - pgrid[0]
@@ -359,26 +346,17 @@ def mean_exit_time_via_flux(
         raise ValueError(f"invalid time window {t_window}")
 
     t_fine_end = min(t1, max(t0 + 80.0, 2.5 * aprime * m / spec.p0(consts)))
-    ts = np.arange(t0, t_fine_end, dt_fine)
+    ts = np.arange(t0, t_fine_end, _DT_FINE)
     if t1 > t_fine_end:
-        ts = np.concatenate([ts, np.arange(t_fine_end, t1, dt_coarse), [t1]])
+        ts = np.concatenate([ts, np.arange(t_fine_end, t1, _DT_COARSE), [t1]])
 
-    nodes = np.polynomial.legendre.leggauss(int(max(200, 4.0 * w_mult * w_mult)))
-    m0 = 0.0
-    m1 = 0.0
-    t_last = j_last = None
-    for s in range(0, len(ts), 3000):
-        tc = ts[s : s + 3000]
-        psi, psix = _windowed_wave(cvals, a, tc, aprime, p_hi, w_mult, nodes)
-        flux = (hbar / m) * (psi.conj() * psix).imag
-        if s == 0:
-            tcat, jcat = tc, flux
-        else:
-            tcat = np.concatenate([[t_last], tc])
-            jcat = np.concatenate([[j_last], flux])
-        m0 += float(np.trapezoid(jcat, tcat))
-        m1 += float(np.trapezoid(jcat * tcat, tcat))
-        t_last, j_last = tc[-1], flux[-1]
+    nodes = np.polynomial.legendre.leggauss(int(max(200, 4.0 * _W_MULT * _W_MULT)))
+    flux = np.empty(len(ts))
+    for s in range(0, len(ts), _CHUNK):
+        psi, psix = _windowed_wave(cvals, a, ts[s : s + _CHUNK], aprime, p_hi, nodes)
+        flux[s : s + _CHUNK] = (hbar / m) * (psi.conj() * psix).imag
+    m0 = float(np.trapezoid(flux, ts))
+    m1 = float(np.trapezoid(flux * ts, ts))
 
     deficit = abs(m0 - p_t_ref) / p_t_ref
     if deficit > tol:
@@ -401,12 +379,8 @@ def critical_width(
 
         d_c = hbar/(4 dp^2) * ((p_b - p0)^3 / (p_b + p0))^(1/2).
     """
-    p_b = pot.barrier_momentum(consts)  # raises for v0 <= 0
+    p_b = _require_below_barrier(spec, pot, consts)
     p0 = spec.p0(consts)
-    if p0 >= p_b:
-        raise ValueError(
-            f"packet momentum p0 = {p0} must lie below the barrier momentum {p_b}"
-        )
     return (consts.hbar / (4.0 * spec.delta_p**2)) * math.sqrt(
         (p_b - p0) ** 3 / (p_b + p0)
     )
@@ -417,7 +391,6 @@ def crossover_width_empirical(
     pot: SquarePotential,
     consts: PhysicalConstants = ATOMIC,
     tol: float = 1e-3,
-    d_max: float = 1e4,
 ) -> float:
     """Width at which below-barrier and above-barrier transmittance are equal.
 
@@ -425,12 +398,7 @@ def crossover_width_empirical(
     the below-barrier share decays exponentially with d, so f is decreasing
     and the root marks where over-the-barrier components take over.
     """
-    p_b = pot.barrier_momentum(consts)
-    p0 = spec.p0(consts)
-    if p0 >= p_b:
-        raise ValueError(
-            f"packet momentum p0 = {p0} must lie below the barrier momentum {p_b}"
-        )
+    p_b = _require_below_barrier(spec, pot, consts)
     # the packet tail beyond p_b carries the whole above-barrier share, so
     # the upper limit must extend past p_b even when that tail is tiny
     p_hi = max(spec.p_max(consts), p_b + 6.0 * spec.delta_p)
@@ -439,13 +407,12 @@ def crossover_width_empirical(
         trial = SquarePotential(v0=pot.v0, half_width=width / 2.0)
 
         def w(p):
-            return packet_weight(spec, p, consts) * _abs_t2(trial, consts, p)
+            return _transmitted_weight(spec, trial, consts, p)[0]
 
-        eps = min(p0, spec.delta_p) * 1e-3
-        below = adaptive_quad(w, eps, p_b, rel_tol=1e-6).value
-        below += integral_to_zero(w, eps, rel_tol=1e-6, reference=below)
+        # every resonance lies above p_b, so `below` gets no breakpoints
+        below = _integral_from_zero(w, spec, trial, consts, p_b, _SPLIT_REL_TOL)
         above = adaptive_quad(
-            w, p_b, p_hi, rel_tol=1e-6,
+            w, p_b, p_hi, rel_tol=_SPLIT_REL_TOL,
             breakpoints=_resonance_breakpoints(trial, consts, p_b, p_hi),
         ).value
         return below - above
@@ -462,9 +429,9 @@ def crossover_width_empirical(
     f_hi = split_transmittance(d_hi)
     while f_hi > 0:
         d_hi *= 2.0
-        if d_hi > d_max:
+        if d_hi > _D_MAX:
             raise ConvergenceError(
-                f"no sign change in the search bracket [{d_lo}, {d_max}]",
+                f"no sign change in the search bracket [{d_lo}, {_D_MAX}]",
                 estimate=d_hi,
             )
         f_hi = split_transmittance(d_hi)

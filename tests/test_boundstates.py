@@ -149,6 +149,18 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_bound_states(SquarePotential(2.0, 1.0), ATOMIC)
 
+    @pytest.mark.parametrize("v0", [-2.0e3, -2.0e4, -5.0e5])
+    def test_deep_well_level_count(self, v0):
+        """z0 = 632, 2000 and 10^4: every level is solved, in order."""
+        pot = SquarePotential(v0, 10.0)
+        spec = solve_bound_states(pot, ATOMIC)
+        z0 = 10.0 * math.sqrt(2.0 * abs(v0))
+        n_formula = math.floor(2.0 * z0 / math.pi) + 1
+        assert spec.n_b == len(spec.levels) == n_formula
+        energies = [lv.energy for lv in spec.levels]
+        assert energies == sorted(energies)
+        assert all(v0 < e < 0 for e in energies)
+
 
 class TestLevinson:
     def test_barrier_half_step(self):

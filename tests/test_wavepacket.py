@@ -8,6 +8,7 @@ from hartman import (
     ATOMIC,
     ConvergenceError,
     GaussianPacketSpec,
+    PhysicalConstants,
     SquarePotential,
     ThresholdDivergenceError,
     classical_reference_time,
@@ -25,6 +26,23 @@ from hartman.verify import transmission_probability_simpson
 
 FIG3_PACKET = GaussianPacketSpec(k0=math.pi / 8, delta_p=1.0, x0=-41.0)
 NARROW = GaussianPacketSpec(k0=2.0, delta_p=0.1, x0=-30.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SquarePotential(1.0, math.inf),
+        lambda: GaussianPacketSpec(math.inf, 1.0, -5.0),
+        lambda: GaussianPacketSpec(1.0, math.inf, -5.0),
+        lambda: PhysicalConstants(hbar=math.inf),
+        lambda: PhysicalConstants(mass=math.inf),
+    ],
+    ids=["half_width", "k0", "delta_p", "hbar", "mass"],
+)
+def test_infinite_inputs_rejected(build):
+    """An infinite width, momentum or constant would give NaN amplitudes."""
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestPacket:
@@ -177,6 +195,24 @@ class TestMeanExitTime:
         v_thr = threshold_depths(1.0, 1, ATOMIC)[0]
         with pytest.raises(ThresholdDivergenceError):
             mean_exit_time(FIG3_PACKET, SquarePotential(v_thr, 1.0))
+
+    def test_threshold_divergence_detected_for_narrow_packet(self):
+        """phi_in(0) is tiny but not zero: the cutoff halvings alone would
+        return a finite time, the threshold pre-check refuses it."""
+        v_thr = threshold_depths(1.0, 1, ATOMIC)[0]
+        with pytest.raises(ThresholdDivergenceError):
+            mean_exit_time(NARROW, SquarePotential(v_thr, 1.0))
+
+    def test_p_t_is_transmission_probability(self):
+        pot = SquarePotential(-0.30, 1.0)
+        rep = mean_exit_time(FIG3_PACKET, pot)
+        assert rep.p_t == transmission_probability(FIG3_PACKET, pot)
+
+    def test_vanishing_transmission_raises(self):
+        """P_T underflows to 0: no exit time rather than t_out = nan."""
+        spec = GaussianPacketSpec(0.5, 1e-9, -5.0)
+        with pytest.raises(ValueError, match="transmitted weight vanishes"):
+            mean_exit_time(spec, SquarePotential(1.0, 1.0))
 
     def test_free_divergence_detected_for_broad_packet(self):
         """v0 = 0 is the trivial threshold: T(0) = 1, so a packet with
