@@ -10,9 +10,15 @@ Each level solves, on the circle q^2 + K_b^2 = 2 m |v0|/hbar^2,
 
     even:  q tan(q a) = K_b        odd:  -q cot(q a) = K_b
 
-by bisection on the disjoint monotone branches z = q a in
-((n-1) pi/2, n pi/2), which orders levels by ascending energy and alternates
-parities starting from even.
+Writing the circle as z = q a = z0 cos(phi), chi = K_b a = z0 sin(phi) turns
+both into z0 sin(z - phi) = 0 and z0 cos(z - phi) = 0, i.e. into one equation
+
+    z0 cos(phi) - phi = (n - 1) pi/2,   n = 1, 2, ..., n_b,
+
+for level n (even for odd n), whose left side falls monotonically from z0 to
+-pi/2 on [0, pi/2].  It has exactly one root there while z0 > (n - 1) pi/2,
+which is the count formula, so each level is one bisection in phi; the
+levels come out by ascending energy with parities alternating from even.
 
 The unwrapped transmission phase at k -> 0 equals pi*(n_b - 1/2) whenever
 T(0) = 0 (every off-threshold potential) and pi*n_b at the exceptional
@@ -92,13 +98,16 @@ def solve_bound_states(
     consts: PhysicalConstants = ATOMIC,
     tol: float = 1e-12,
 ) -> BoundStateSpectrum:
-    """All bound levels of a well, by bisection on disjoint brackets.
+    """All bound levels of a well, one bisection in the angle phi per level.
 
-    Levels come out sorted by ascending energy with parities alternating
-    even, odd, even, ...; each satisfies its transcendental equation to
-    |residual| / max(z0, 1) < max(tol, 8 eps z0), the larger term being the
-    rounding floor of sin and cos at arguments near z0, and sits on the
-    circle constraint exactly by construction.
+    Level n solves z0 cos(phi) - phi = (n - 1) pi/2 on [0, pi/2], where the
+    left side falls monotonically, so its one root lies inside the bracket
+    whenever n <= n_b.  Levels come out sorted by ascending energy with
+    parities alternating even, odd, even, ...; each satisfies its
+    transcendental equation to |residual| / max(z0, 1) < max(tol, 8 eps z0),
+    the larger term being the rounding floor of sin and cos at arguments
+    near z0, and sits on the circle q^2 + K_b^2 = 2 m |v0|/hbar^2 by
+    construction.
     """
     if pot.v0 >= 0:
         if pot.v0 > 0:
@@ -113,74 +122,24 @@ def solve_bound_states(
     levels = []
     for n in range(1, n_b + 1):
         even = n % 2 == 1
-        m = (n - 1) // 2
-        lo = (n - 1) * math.pi / 2.0
-        hi = min(n * math.pi / 2.0, z0)
-        sign = -1.0 if m % 2 else 1.0
-
-        def func(z: float) -> float:
-            chi = math.sqrt(max(z0 * z0 - z * z, 0.0))
-            if even:
-                return sign * (z * math.sin(z) - chi * math.cos(z))
-            return sign * (-z * math.cos(z) - chi * math.sin(z))
-
-        flo, fhi = func(lo), func(hi)
-        if not (flo < 0.0 < fhi):
-            raise ConvergenceError(
-                f"bracketing failed for level {n}: f({lo})={flo}, f({hi})={fhi}"
-            )
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = func(mid)
-            if fm == 0.0 or (hi - lo) < 1e-16 * z0:
-                lo = hi = mid
-                break
-            if fm < 0.0:
-                lo = mid
+        target = (n - 1) * math.pi / 2.0
+        lo, hi = 0.0, math.pi / 2.0
+        phi = 0.5 * (lo + hi)
+        # z0 cos(phi) - phi - target, with z0 - target taken first: near a
+        # threshold phi is small and that difference is exact
+        while lo < phi < hi:
+            if (z0 - target) - phi - 2.0 * z0 * math.sin(0.5 * phi) ** 2 > 0.0:
+                lo = phi
             else:
-                hi = mid
-        z = 0.5 * (lo + hi)
-        chi = math.sqrt(max(z0 * z0 - z * z, 0.0))
-        best_val = abs(func(z))
+                hi = phi
+            phi = 0.5 * (lo + hi)
+        z, chi = z0 * math.cos(phi), z0 * math.sin(phi)
 
-        # below chi = z the circle relation makes z the well-conditioned
-        # unknown and the bisection's root stands; above it chi is, so the
-        # root is polished there by Newton in chi
-        if z >= chi:
-
-            def f_chi(c: float) -> tuple[float, float]:
-                zz = math.sqrt(max(z0 * z0 - c * c, 0.0))
-                if even:
-                    val = sign * (zz * math.sin(zz) - c * math.cos(zz))
-                    dz = (math.sin(zz) + zz * math.cos(zz) + c * math.sin(zz))
-                else:
-                    val = sign * (-zz * math.cos(zz) - c * math.sin(zz))
-                    dz = (-math.cos(zz) + zz * math.sin(zz) - c * math.cos(zz))
-                dz_dc = -c / zz if zz > 0 else 0.0
-                if even:
-                    deriv = sign * (dz * dz_dc - math.cos(zz))
-                else:
-                    deriv = sign * (dz * dz_dc - math.sin(zz))
-                return val, deriv
-
-            best_chi, best_val = chi, abs(f_chi(chi)[0])
-            for _ in range(6):
-                val, deriv = f_chi(chi)
-                if deriv == 0.0:
-                    break
-                step = val / deriv
-                nxt = chi - step
-                if not (0.0 <= nxt <= z0):
-                    break
-                chi = nxt
-                v = abs(f_chi(chi)[0])
-                if v < best_val:
-                    best_chi, best_val = chi, v
-                if v == 0.0:
-                    break
-            chi = best_chi
-
-        residual = best_val / max(z0, 1.0)
+        if even:
+            f = z * math.sin(z) - chi * math.cos(z)
+        else:
+            f = -z * math.cos(z) - chi * math.sin(z)
+        residual = abs(f) / max(z0, 1.0)
         if residual > tol:
             raise ConvergenceError(
                 f"level {n} residual {residual:.3e} exceeds tol {tol:.1e}",
@@ -197,10 +156,6 @@ def solve_bound_states(
             )
         )
 
-    if len(levels) != n_b:
-        raise ConvergenceError(
-            f"solver returned {len(levels)} levels, count formula says {n_b}"
-        )
     return BoundStateSpectrum(n_b=n_b, levels=tuple(levels), at_threshold=at_thr)
 
 

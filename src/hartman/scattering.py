@@ -60,9 +60,11 @@ class EigenChannelValues:
 class PhaseTable:
     """Continuously unwrapped phases and analytic derivatives on a k-grid.
 
-    The grid is strictly increasing; phases are anchored to their principal
-    values at k_max (where they must already be small) and unwrapped downward
-    by continuity, bisecting any interval whose phase jump exceeds `max_jump`.
+    The grid is strictly increasing; at k_max, which must lie above the
+    barrier momentum, Phi_T takes the 2 pi branch nearest (q - k) d and each
+    delta_j the pi branch nearest half of that, which is exact at any width;
+    phases are unwrapped downward from there by continuity, bisecting any
+    interval whose phase jump exceeds `max_jump`.
     """
 
     pot: SquarePotential
@@ -160,8 +162,10 @@ def build_phase_table(
 
     `tol` is the largest adjacent-point jump tolerated in Phi_T (and, halved,
     in each delta_j); intervals violating it are bisected adaptively.  The
-    anchor requires |arg T(k_max)| < pi/2 and additive consistency of the
-    principal phases there, otherwise a larger k_max is demanded.
+    phases are anchored at k_max on the branches nearest (q - k) d for Phi_T
+    and half of it for delta_j (see PhaseTable).  A k_max at or below the
+    barrier momentum, or anchored phases that are not additive there, raise
+    PhaseAnchorError.
     """
     if k_max is None:
         k_max = default_k_max(pot, consts)
@@ -181,12 +185,20 @@ def build_phase_table(
     # principal eigenphases, defined mod pi
     h0, h1 = eigenphases(t, r)
 
-    if abs(pt[-1]) >= math.pi / 2:
+    # above the barrier Phi_T = (q - k) d - arg(D e^{iqd}), and
+    # Re(D e^{iqd}) = cos^2(qd) + s sin^2(qd) >= 1 with s = (k/q + q/k)/2,
+    # so Phi_T(k_max) lies within pi/2 of (q - k) d = -g d/(q + k), and
+    # each delta_j within pi/4 of half of that
+    if k_max * k_max <= g:
         raise PhaseAnchorError(
-            f"|arg T| = {abs(pt[-1]):.3f} >= pi/2 at k_max = {k_max}; "
-            "increase k_max so the phases reach their asymptotic tail"
+            f"k_max = {k_max} is not above the barrier momentum "
+            f"{math.sqrt(g):.6g}; increase k_max"
         )
-    if abs(_wrap_pi(np.array([pt[-1] - h0[-1] - h1[-1]]))[0]) > 1e-9:
+    guide = -g * d / (math.sqrt(k_max * k_max - g) + k_max)
+    phi_end = pt[-1] + 2.0 * math.pi * round((guide - pt[-1]) / (2.0 * math.pi))
+    d0_end = h0[-1] + math.pi * round((0.5 * guide - h0[-1]) / math.pi)
+    d1_end = h1[-1] + math.pi * round((0.5 * guide - h1[-1]) / math.pi)
+    if abs(phi_end - d0_end - d1_end) > 1e-9:
         raise PhaseAnchorError(
             f"principal phases not additive at k_max = {k_max}; increase k_max"
         )
@@ -220,17 +232,17 @@ def build_phase_table(
     else:
         raise ConvergenceError("phase unwrap refinement did not terminate")
 
-    def unwrap_down(principal: np.ndarray, modulus: float) -> np.ndarray:
+    def unwrap_down(principal: np.ndarray, end: float, modulus: float) -> np.ndarray:
         scale = 2.0 * math.pi / modulus
         jumps = _wrap_pi(scale * np.diff(principal)) / scale
         out = np.empty_like(principal)
-        out[-1] = principal[-1]
-        out[:-1] = principal[-1] - np.cumsum(jumps[::-1])[::-1]
+        out[-1] = end
+        out[:-1] = end - np.cumsum(jumps[::-1])[::-1]
         return out
 
-    phi_t = unwrap_down(pt, modulus=2.0 * math.pi)
-    delta0 = unwrap_down(h0, modulus=math.pi)
-    delta1 = unwrap_down(h1, modulus=math.pi)
+    phi_t = unwrap_down(pt, phi_end, modulus=2.0 * math.pi)
+    delta0 = unwrap_down(h0, d0_end, modulus=math.pi)
+    delta1 = unwrap_down(h1, d1_end, modulus=math.pi)
 
     return PhaseTable(
         pot=pot,

@@ -186,7 +186,10 @@ class TestLevinson:
             levinson_check(SquarePotential(v_thr, 1.0), ATOMIC)
 
     def test_residuals_for_multi_level_wells(self):
-        for v0 in (-2.5, -5.0):
-            rep = levinson_check(SquarePotential(v0, 1.0), ATOMIC, k_min=1e-4)
-            assert rep.residual < 1e-2 * math.pi
-            assert rep.heuristic_consistent
+        """The wide a = 5 wells (21, 46 and 64 levels) need the exact phase
+        anchor: with the principal-value anchor they raised or read 2 pi low."""
+        wells = ((-2.5, 1.0), (-5.0, 1.0), (-20.0, 5.0), (-100.0, 5.0), (-200.0, 5.0))
+        for v0, a in wells:
+            rep = levinson_check(SquarePotential(v0, a), ATOMIC, k_min=1e-4)
+            assert rep.residual < 1e-2 * math.pi, (v0, a)
+            assert rep.heuristic_consistent, (v0, a)

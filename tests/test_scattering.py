@@ -250,8 +250,19 @@ class TestPhaseTable:
         assert slopes[3.0] > 3.0 * slopes[1.0]
 
     def test_anchor_error_when_k_max_too_small(self):
+        # k_max = 3 lies below the barrier momentum sqrt(10)
         with pytest.raises(PhaseAnchorError):
-            build_phase_table(SquarePotential(5.0, 6.0), ATOMIC, 0.1, 20.0)
+            build_phase_table(SquarePotential(5.0, 6.0), ATOMIC, 0.1, 3.0)
+
+    def test_anchor_exact_for_wide_barrier(self):
+        """A k_max above the barrier anchors on the right branch even where
+        Phi_T(k_max) is far from its k -> infinity limit."""
+        pot = SquarePotential(5.0, 6.0)
+        table = build_phase_table(pot, ATOMIC, 0.1, 20.0)
+        reference = build_phase_table(pot, ATOMIC, 0.1)
+        assert table.phi_t[0] == pytest.approx(reference.phi_t[0], abs=1e-12)
+        assert table.delta0[0] == pytest.approx(reference.delta0[0], abs=1e-12)
+        assert table.delta1[0] == pytest.approx(reference.delta1[0], abs=1e-12)
 
     def test_default_k_max_satisfies_anchor(self):
         pot = SquarePotential(5.0, 0.5)
