@@ -55,6 +55,21 @@ def trig_triplet(mu, width):
     return C, S1, S2
 
 
+def _real_denominator(g, d, k):
+    """S1, S2 and D's real-k parts A = Re D = C, B = Im D and den = |D|^2."""
+    A, S1, S2 = trig_triplet(k * k - g, d)
+    B = -S1 * (2.0 * k * k - g) / (2.0 * k)
+    return S1, S2, A, B, A * A + B * B
+
+
+def inverse_denominator(g, width, k):
+    """1/D = T e^{ikd} on a grid of real nonzero wavenumbers, without the
+    phase derivatives that `scatter_grid` also computes."""
+    k = np.asarray(k, dtype=float)
+    _, _, A, B, den = _real_denominator(g, float(width), k)
+    return (A - 1j * B) / den
+
+
 def scatter_grid(g, width, k):
     """Amplitudes and phase derivatives on a grid of real nonzero wavenumbers.
 
@@ -76,12 +91,7 @@ def scatter_grid(g, width, k):
     """
     k = np.asarray(k, dtype=float)
     d = float(width)
-    mu = k * k - g
-    C, S1, S2 = trig_triplet(mu, d)
-
-    A = C
-    B = -S1 * (2.0 * k * k - g) / (2.0 * k)
-    den = A * A + B * B
+    S1, S2, A, B, den = _real_denominator(g, d, k)
 
     ph = -k * d
     e = np.cos(ph) + 1j * np.sin(ph)

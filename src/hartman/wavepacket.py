@@ -14,7 +14,7 @@ time of the transmitted packet past the right edge x = a is the flux average
 where x0(p) = -hbar Im(phi'/phi) is constant (= x0) for this packet.  The
 same average can be formed directly in the time domain from the transmitted
 flux J_T(a, t); `mean_exit_time_via_flux` does that reconstruction on a time
-grid and serves as the slow independent cross-check.
+grid and serves as the independent cross-check.
 
 Both integrals are improper at p = 0.  Off the bound-state thresholds
 |T(p)| = O(p) keeps them finite; exactly at a threshold |T(0)| = 1 and the
@@ -42,8 +42,9 @@ _CUTOFF_FRACTION = 1e-3
 _REL_TOL = 1e-8  # P_T and the exit-time moment
 _SPLIT_REL_TOL = 1e-6  # crossover_width_empirical's split integrals
 _D_MAX = 1e4  # widest barrier crossover_width_empirical tries
-# flux oracle: window half-width in units of sqrt(2 pi / t), fine and coarse
-# time steps, and times per batch (bounds the times x nodes arrays)
+# flux oracle: window half-width in units of sqrt(2 pi hbar m / t), the
+# uniform fine time step, the first step of the geometric coarse grid, and
+# times per batch (bounds the times x nodes arrays)
 _W_MULT = 12.0
 _DT_FINE = 0.02
 _DT_COARSE = 0.25
@@ -256,44 +257,55 @@ def mean_exit_time(
     )
 
 
-def _windowed_wave(cvals_fn, a, tc, aprime, p_hi, nodes):
+def _bulk_wave(spec, pot, consts, p, t):
+    """c(p) e^{i(p a - p^2 t/2m)/hbar} with c = phi_in T / sqrt(h), at p > 0 and
+    times t broadcast against p, from one kernel entry for 1/D = T e^{ikd} and
+    one complex exp: N/sqrt(h) (1/D) e^{-(p - p0)^2/4dp^2 + i[p(a - x0 - d) - p^2 t/2m]/hbar}.
+    """
+    p = np.asarray(p, dtype=float)
+    inv_d = _kernel.inverse_denominator(pot.strength(consts), pot.width, p / consts.hbar)
+    phase = p * (pot.half_width - spec.x0 - pot.width) - p * p * (t / (2.0 * consts.mass))
+    envelope = -((p - spec.p0(consts)) ** 2) / (4.0 * spec.delta_p**2)
+    scale = spec.norm_constant(consts) / math.sqrt(consts.h)
+    return scale * inv_d * np.exp(envelope + (1j / consts.hbar) * phase)
+
+
+def _windowed_wave(spec, pot, consts, tc, p_hi, nodes):
     """psi(a, t) and psi_x(a, t) on a batch of times by stationary-phase
     windowed Gauss-Legendre, with first-order endpoint corrections for the
-    truncated oscillatory tails."""
+    truncated oscillatory tails.  The integrand's phase is
+    [p a' + hbar Phi_T(p/hbar) - p^2 t/2m]/hbar with a' = a - x0."""
     gl_x, gl_w = nodes
+    hbar, m, g, d = consts.hbar, consts.mass, pot.strength(consts), pot.width
+    aprime = pot.half_width - spec.x0
     tsafe = np.maximum(tc, 1e-12)
-    p1 = np.clip(aprime / tsafe, 1e-4, p_hi)
-    _, dphi1 = cvals_fn(p1)
-    pstar = np.clip((aprime + dphi1) / tsafe, 1e-4, p_hi)
-    width = _W_MULT * np.sqrt(2.0 * np.pi / np.maximum(tc, 1.0))
+    p1 = np.clip(m * aprime / tsafe, 1e-4, p_hi)
+    dphi1 = _kernel.scatter_grid(g, d, p1 / hbar)[2]
+    pstar = np.clip(m * (aprime + dphi1) / tsafe, 1e-4, p_hi)
+    width = _W_MULT * np.sqrt(2.0 * np.pi * hbar * m / np.maximum(tc, 1.0))
     lo = np.clip(pstar - width, 0.0, p_hi)
     hi = np.clip(pstar + width, 0.0, p_hi)
 
-    pm = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * gl_x[None, :]
-    ww = 0.5 * (hi - lo)[:, None] * gl_w[None, :]
-    flat = pm.ravel()
-    cv = np.zeros(flat.shape, dtype=complex)
-    pos = flat > 0
-    cv[pos], _ = cvals_fn(flat[pos])
-    c = cv.reshape(pm.shape)
-    phase = np.exp(1j * (pm * a - 0.5 * pm**2 * tc[:, None]))
-    f = c * phase
-    psi = np.sum(ww * f, axis=1)
-    psix = np.sum(ww * f * 1j * pm, axis=1)
+    # the nodes are interior to (lo, hi) with lo >= 0, so every p is positive
+    half = 0.5 * (hi - lo)
+    pm = 0.5 * (hi + lo)[:, None] + half[:, None] * gl_x[None, :]
+    f = _bulk_wave(spec, pot, consts, pm, tc[:, None])
+    psi = half * (f @ gl_w)
+    psix = (1j / hbar) * half * ((f * pm) @ gl_w)
 
     # truncated tails: integral beyond an interior edge ~ -+ f(edge)/(i theta')
     for edge, sgn in ((hi, -1.0), (lo, +1.0)):
         interior = (edge > 1e-9) & (edge < p_hi * (1.0 - 1e-12))
         if not np.any(interior):
             continue
-        pe = edge[interior]
-        ce, dphie = cvals_fn(pe)
-        fe = ce * np.exp(1j * (pe * a - 0.5 * pe**2 * tc[interior]))
-        theta_p = aprime + dphie - pe * tc[interior]
+        pe, te = edge[interior], tc[interior]
+        fe = _bulk_wave(spec, pot, consts, pe, te)
+        dphie = _kernel.scatter_grid(g, d, pe / hbar)[2]
+        theta_p = (aprime + dphie - pe * te / m) / hbar
         ok = np.abs(theta_p) > 1e-6
         corr = np.where(ok, sgn * fe / (1j * theta_p), 0.0)
         psi[interior] += corr
-        psix[interior] += corr * 1j * pe
+        psix[interior] += corr * 1j * pe / hbar
     return psi, psix
 
 
@@ -306,26 +318,19 @@ def mean_exit_time_via_flux(
 ) -> float:
     """Mean exit time from the reconstructed transmitted flux J_T(a, t).
 
-    This is the slow, independent cross-check of `mean_exit_time`: the
+    This is the independent time-domain cross-check of `mean_exit_time`: the
     transmitted wave and its x-derivative are rebuilt by direct momentum
-    integration on a time grid, J_T = (hbar/m) Im(psi* dpsi/dx), and the
-    first moment of J_T is returned.  The time window must capture
+    integration (T only; dPhi_T/dk merely places the windows) on a time
+    grid, uniform up to a few arrival times and geometric beyond, as the
+    flux tail varies on the scale of t.  J_T = (hbar/m) Im(psi* dpsi/dx),
+    and the first moment of J_T is returned.  The time window must capture
     essentially all transmitted flux: |integral J_T dt - P_T| <= tol * P_T
     is enforced, and a deficit raises ConvergenceError.
     """
     _require_left_start(spec, pot)
-    a = pot.half_width
-    hbar = consts.hbar
     m = consts.mass
-    aprime = a - spec.x0
+    aprime = pot.half_width - spec.x0
     p_hi = spec.p_max(consts)
-    sqrt_h = math.sqrt(consts.h)
-
-    def cvals(p):
-        """c(p) = phi_in T / sqrt(h) and dPhi_T/dk alongside."""
-        k = np.asarray(p) / hbar
-        t, _, dphi, _, _ = _kernel.scatter_grid(pot.strength(consts), pot.width, k)
-        return packet_amplitude(spec, p, consts) * t / sqrt_h, dphi
 
     # reference transmission probability on a dense fixed grid (trapezoid),
     # also used to pick the time window from the low-momentum weight
@@ -348,13 +353,16 @@ def mean_exit_time_via_flux(
     t_fine_end = min(t1, max(t0 + 80.0, 2.5 * aprime * m / spec.p0(consts)))
     ts = np.arange(t0, t_fine_end, _DT_FINE)
     if t1 > t_fine_end:
-        ts = np.concatenate([ts, np.arange(t_fine_end, t1, _DT_COARSE), [t1]])
+        # first step _DT_COARSE, each later one longer by the same ratio
+        ratio = 1.0 + _DT_COARSE / t_fine_end
+        coarse = t_fine_end * ratio ** np.arange(math.ceil(math.log(t1 / t_fine_end, ratio)))
+        ts = np.concatenate([ts, coarse[coarse < t1], [t1]])
 
     nodes = np.polynomial.legendre.leggauss(int(max(200, 4.0 * _W_MULT * _W_MULT)))
     flux = np.empty(len(ts))
     for s in range(0, len(ts), _CHUNK):
-        psi, psix = _windowed_wave(cvals, a, ts[s : s + _CHUNK], aprime, p_hi, nodes)
-        flux[s : s + _CHUNK] = (hbar / m) * (psi.conj() * psix).imag
+        psi, psix = _windowed_wave(spec, pot, consts, ts[s : s + _CHUNK], p_hi, nodes)
+        flux[s : s + _CHUNK] = (consts.hbar / m) * (psi.conj() * psix).imag
     m0 = float(np.trapezoid(flux, ts))
     m1 = float(np.trapezoid(flux * ts, ts))
 

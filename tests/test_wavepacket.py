@@ -21,8 +21,10 @@ from hartman import (
     transmission_probability,
     x0_of_p,
 )
+from hartman._kernel import W_CUT, scatter_grid
 from hartman.quadrature import adaptive_quad
 from hartman.verify import transmission_probability_simpson
+from hartman.wavepacket import _bulk_wave
 
 FIG3_PACKET = GaussianPacketSpec(k0=math.pi / 8, delta_p=1.0, x0=-41.0)
 NARROW = GaussianPacketSpec(k0=2.0, delta_p=0.1, x0=-30.0)
@@ -241,6 +243,43 @@ class TestFluxOracle:
         rep = mean_exit_time(spec, pot)
         t_flux = mean_exit_time_via_flux(spec, pot)
         assert t_flux == pytest.approx(rep.t_out, rel=1e-3)
+
+    @pytest.mark.parametrize("v0", [0.0, 0.4], ids=["free", "barrier"])
+    def test_non_unit_constants(self, v0):
+        """hbar and m enter the oracle's phase, stationary point, window and
+        psi_x; at hbar = 2, m = 3 it still matches the momentum route."""
+        consts = PhysicalConstants(hbar=2.0, mass=3.0)
+        spec = GaussianPacketSpec(1.0, 0.1, -60.0)
+        pot = SquarePotential(v0, 1.0)
+        rep = mean_exit_time(spec, pot, consts)
+        assert mean_exit_time_via_flux(spec, pot, consts) == pytest.approx(rep.t_out, rel=1e-3)
+
+    @pytest.mark.parametrize("v0", [5.0, -1.3, -1e-4, 0.0])
+    @pytest.mark.parametrize(
+        "consts", [ATOMIC, PhysicalConstants(hbar=2.0, mass=3.0)], ids=["atomic", "hbar2_m3"]
+    )
+    def test_bulk_wave_matches_separate_factors(self, v0, consts):
+        """The fused integrand N/sqrt(h) (1/D) e^{...} equals
+        phi_in T / sqrt(h) e^{i(p a - p^2 t/2m)/hbar} built from
+        `packet_amplitude` and `scatter_grid`, on both sides of the series
+        switch |mu| d^2 = W_CUT."""
+        pot = SquarePotential(v0, 0.7)
+        spec = GaussianPacketSpec(1.1, 0.4, -6.0)
+        g, d = pot.strength(consts), pot.width
+        mu = np.outer([-1.0, 1.0], [0.3, 0.9, 1.1, 3.0]).ravel() * W_CUT / d**2
+        k = np.concatenate([np.sqrt(g + mu[g + mu > 0]), np.linspace(0.02, 3.0, 40)])
+        if v0 in (0.0, -1e-4):
+            w = np.abs(k * k - g) * d * d
+            assert np.any(w < W_CUT) and np.any(w > W_CUT)
+        p = consts.hbar * k
+        for t in (0.0, 3.7, 25.0):
+            expected = (
+                packet_amplitude(spec, p, consts) * scatter_grid(g, d, k)[0]
+                / math.sqrt(consts.h)
+                * np.exp(1j * (p * pot.half_width - p * p * t / (2.0 * consts.mass)) / consts.hbar)
+            )
+            fused = _bulk_wave(spec, pot, consts, p, t)
+            np.testing.assert_allclose(fused, expected, rtol=1e-12, atol=0.0)
 
     def test_window_deficit_raises(self):
         with pytest.raises(ConvergenceError) as err:
