@@ -23,6 +23,13 @@ import numpy as np
 W_CUT = 1e-3
 
 
+def _branch(mask):
+    """Index of a branch: `...` for the whole grid (no gather; 0-d safe), None if empty."""
+    if mask.all():
+        return ...
+    return mask if mask.any() else None
+
+
 def trig_triplet(mu, width):
     """C, S1, S2 for an array of real or complex mu values at fixed width d."""
     mu = np.asarray(mu, dtype=complex if np.iscomplexobj(mu) else float)
@@ -33,11 +40,11 @@ def trig_triplet(mu, width):
     S2 = np.empty_like(mu)
 
     small = np.abs(w) < W_CUT
-    if np.any(small):
-        ws = w[small]
-        C[small] = 1.0 + ws * (-0.5 + ws * (1.0 / 24 + ws * (-1.0 / 720)))
-        S1[small] = d * (1.0 + ws * (-1.0 / 6 + ws * (1.0 / 120 + ws * (-1.0 / 5040))))
-        S2[small] = d**3 * (-1.0 / 3 + ws * (1.0 / 30 + ws * (-1.0 / 840 + ws * (1.0 / 45360))))
+    if (sel := _branch(small)) is not None:
+        ws = w[sel]
+        C[sel] = 1.0 + ws * (-0.5 + ws * (1.0 / 24 + ws * (-1.0 / 720)))
+        S1[sel] = d * (1.0 + ws * (-1.0 / 6 + ws * (1.0 / 120 + ws * (-1.0 / 5040))))
+        S2[sel] = d**3 * (-1.0 / 3 + ws * (1.0 / 30 + ws * (-1.0 / 840 + ws * (1.0 / 45360))))
 
     if np.iscomplexobj(mu):
         direct = ((~small, np.sqrt, np.cos, np.sin),)
@@ -46,8 +53,8 @@ def trig_triplet(mu, width):
             (~small & (mu > 0), np.sqrt, np.cos, np.sin),
             (~small & (mu < 0), lambda m: np.sqrt(-m), np.cosh, np.sinh),
         )
-    for sel, root, cos, sin in direct:
-        if np.any(sel):
+    for mask, root, cos, sin in direct:
+        if (sel := _branch(mask)) is not None:
             q = root(mu[sel])
             C[sel] = cos(q * d)
             S1[sel] = sin(q * d) / q
@@ -70,6 +77,20 @@ def inverse_denominator(g, width, k):
     return (A - 1j * B) / den
 
 
+def transmission_grid(g, width, k):
+    """T, dPhi_T/dk and the S1, S2 they are built from, on a grid of real nonzero
+    wavenumbers; `scatter_grid` goes on from these to R and the eigenphase slopes."""
+    k = np.asarray(k, dtype=float)
+    d = float(width)
+    S1, S2, A, B, den = _real_denominator(g, d, k)
+    ph = -k * d
+    t = (np.cos(ph) + 1j * np.sin(ph)) * (A - 1j * B) / den
+    Ap = -d * k * S1
+    Bp = -0.5 * (S2 * (2.0 * k * k - g) + S1 * (2.0 + g / (k * k)))
+    dphi = -d - (Bp * A - Ap * B) / den
+    return t, dphi, S1, S2
+
+
 def scatter_grid(g, width, k):
     """Amplitudes and phase derivatives on a grid of real nonzero wavenumbers.
 
@@ -90,18 +111,9 @@ def scatter_grid(g, width, k):
         d(arg T)/dk and the two eigenphase derivatives d(delta_j)/dk.
     """
     k = np.asarray(k, dtype=float)
-    d = float(width)
-    S1, S2, A, B, den = _real_denominator(g, d, k)
-
-    ph = -k * d
-    e = np.cos(ph) + 1j * np.sin(ph)
-    t = e * (A - 1j * B) / den
+    t, dphi, S1, S2 = transmission_grid(g, width, k)
     rr = g * S1 / (2.0 * k)
     r = -1j * rr * t
-
-    Ap = -d * k * S1
-    Bp = -0.5 * (S2 * (2.0 * k * k - g) + S1 * (2.0 + g / (k * k)))
-    dphi = -d - (Bp * A - Ap * B) / den
 
     # R/T = i*rho with rho = -g S1/(2k); arg(1 +- i*rho)' = +-rho'/(1+rho^2)
     rho = -rr

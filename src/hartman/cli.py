@@ -90,14 +90,6 @@ class RunConfig:
         return PhysicalConstants(hbar=self.hbar, mass=self.mass)
 
 
-def _fmt_value(x, precision: int) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), f".{precision}g")
-
-
 def _resolve_out(out: str | None):
     if out is None:
         return None
@@ -110,10 +102,10 @@ def _resolve_out(out: str | None):
 def write_dataset(config: RunConfig, header: list[str], rows: list[tuple]) -> None:
     """Emit rows as CSV (UTF-8, LF, one header row) or JSON (metadata + rows)."""
     if config.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt_value(x, config.precision) for x in row))
-        text = "\n".join(lines) + "\n"
+        # one %-format string per dataset, from the types of its first row
+        fmt = ",".join("%d" if isinstance(x, (bool, int, np.integer))
+                       else f"%.{config.precision}g" for x in next(iter(rows), ()))
+        text = "\n".join([",".join(header)] + [fmt % tuple(row) for row in rows]) + "\n"
     else:
         meta = {k: v for k, v in asdict(config).items() if v is not None}
         payload = {

@@ -23,6 +23,7 @@ detected and reported rather than silently truncated.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,7 +150,7 @@ def _transmitted_weight(spec, pot, consts, p):
     """|phi_in|^2 |T|^2 and dPhi_T/dk at momenta p, from one kernel call."""
     p = np.asarray(p, dtype=float)
     k = p / consts.hbar
-    t, _, dphi, _, _ = _kernel.scatter_grid(pot.strength(consts), pot.width, k)
+    t, dphi, _, _ = _kernel.transmission_grid(pot.strength(consts), pot.width, k)
     return packet_weight(spec, p, consts) * np.abs(t) ** 2, dphi
 
 
@@ -270,17 +271,23 @@ def _bulk_wave(spec, pot, consts, p, t):
     return scale * inv_d * np.exp(envelope + (1j / consts.hbar) * phase)
 
 
-def _windowed_wave(spec, pot, consts, tc, p_hi, nodes):
+@functools.cache
+def _oracle_nodes():
+    """The flux oracle's Gauss-Legendre rule, built on first use (about 50 ms)."""
+    return np.polynomial.legendre.leggauss(int(max(200, 4.0 * _W_MULT * _W_MULT)))
+
+
+def _windowed_wave(spec, pot, consts, tc, p_hi):
     """psi(a, t) and psi_x(a, t) on a batch of times by stationary-phase
     windowed Gauss-Legendre, with first-order endpoint corrections for the
     truncated oscillatory tails.  The integrand's phase is
     [p a' + hbar Phi_T(p/hbar) - p^2 t/2m]/hbar with a' = a - x0."""
-    gl_x, gl_w = nodes
+    gl_x, gl_w = _oracle_nodes()
     hbar, m, g, d = consts.hbar, consts.mass, pot.strength(consts), pot.width
     aprime = pot.half_width - spec.x0
     tsafe = np.maximum(tc, 1e-12)
     p1 = np.clip(m * aprime / tsafe, 1e-4, p_hi)
-    dphi1 = _kernel.scatter_grid(g, d, p1 / hbar)[2]
+    dphi1 = _kernel.transmission_grid(g, d, p1 / hbar)[1]
     pstar = np.clip(m * (aprime + dphi1) / tsafe, 1e-4, p_hi)
     width = _W_MULT * np.sqrt(2.0 * np.pi * hbar * m / np.maximum(tc, 1.0))
     lo = np.clip(pstar - width, 0.0, p_hi)
@@ -300,7 +307,7 @@ def _windowed_wave(spec, pot, consts, tc, p_hi, nodes):
             continue
         pe, te = edge[interior], tc[interior]
         fe = _bulk_wave(spec, pot, consts, pe, te)
-        dphie = _kernel.scatter_grid(g, d, pe / hbar)[2]
+        dphie = _kernel.transmission_grid(g, d, pe / hbar)[1]
         theta_p = (aprime + dphie - pe * te / m) / hbar
         ok = np.abs(theta_p) > 1e-6
         corr = np.where(ok, sgn * fe / (1j * theta_p), 0.0)
@@ -358,10 +365,9 @@ def mean_exit_time_via_flux(
         coarse = t_fine_end * ratio ** np.arange(math.ceil(math.log(t1 / t_fine_end, ratio)))
         ts = np.concatenate([ts, coarse[coarse < t1], [t1]])
 
-    nodes = np.polynomial.legendre.leggauss(int(max(200, 4.0 * _W_MULT * _W_MULT)))
     flux = np.empty(len(ts))
     for s in range(0, len(ts), _CHUNK):
-        psi, psix = _windowed_wave(spec, pot, consts, ts[s : s + _CHUNK], p_hi, nodes)
+        psi, psix = _windowed_wave(spec, pot, consts, ts[s : s + _CHUNK], p_hi)
         flux[s : s + _CHUNK] = (consts.hbar / m) * (psi.conj() * psix).imag
     m0 = float(np.trapezoid(flux, ts))
     m1 = float(np.trapezoid(flux * ts, ts))

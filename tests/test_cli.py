@@ -92,6 +92,32 @@ def test_reduced_precision_roundtrip_within_one_ulp(tmp_path):
             assert abs(float(got) - want) <= ulp
 
 
+def _fmt_reference(x, precision):
+    """One value as the CSV writer formats it, value by value."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), f".{precision}g")
+
+
+@pytest.mark.parametrize("precision", [17, 12, 6])
+def test_write_dataset_matches_per_value_format(precision, capsys):
+    rows = [
+        (True, 3, np.int64(-7), 0.1, np.float64(-2.5e-300), math.nan, np.float64(7.0)),
+        (False, -1, np.int64(0), -0.0, math.inf, -math.inf, np.float64(1 / 3)),
+    ]
+    header = list("abcdefg")
+    config = hartman.cli.RunConfig(command="x", precision=precision)
+    hartman.cli.write_dataset(config, header, rows)
+    want = [",".join(header)] + [
+        ",".join(_fmt_reference(x, precision) for x in row) for row in rows
+    ]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+    hartman.cli.write_dataset(config, header, [])
+    assert capsys.readouterr().out == "a,b,c,d,e,f,g\n"
+
+
 def test_delay_sweep_barrier_rows_obey_simple_bound(tmp_path):
     out = tmp_path / "d.csv"
     run_cli([

@@ -8,16 +8,57 @@ from hartman.errors import ConvergenceError, ThresholdDivergenceError
 from hartman.quadrature import adaptive_quad, integral_to_zero
 
 
+def _counting(f):
+    """f and the list of batch sizes it has been called with."""
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    return counted, calls
+
+
+def _halvings_reference(f, eps, *, rel_tol, reference):
+    """The per-halving algorithm `integral_to_zero` must reproduce bit for
+    bit: one `adaptive_quad` over [lo/2, lo] per halving of the cutoff, with
+    the same scale, tolerances and stop rules.  Returns (value, halvings)."""
+    total = 0.0
+    increments = []
+    lo = eps
+    for _ in range(60):
+        scale = max(abs(reference + total), abs(reference), 1e-300)
+        res = adaptive_quad(f, lo / 2.0, lo, rel_tol=1e-6, abs_tol=1e-14 * scale)
+        total += res.value
+        increments.append(abs(res.value))
+        stalled = len(increments) >= 4 and all(
+            increments[-j] >= 0.8 * increments[-j - 1] for j in (1, 2, 3)
+        )
+        if stalled and sum(increments[-4:]) > 1e-6 * scale:
+            raise ThresholdDivergenceError(
+                "diverges", estimate=reference + total, error=sum(increments[-4:])
+            )
+        if increments[-1] <= 0.5 * rel_tol * scale and (
+            len(increments) < 2 or increments[-2] <= rel_tol * scale
+        ):
+            return total, len(increments)
+        lo /= 2.0
+    raise ConvergenceError("no convergence", estimate=reference + total)
+
+
 def test_smooth_integrand_exact():
     res = adaptive_quad(np.sin, 0.0, math.pi, rel_tol=1e-12)
     assert res.value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_gaussian_with_breakpoint():
-    f = lambda x: np.exp(-((x - 3.0) ** 2))
+    f, calls = _counting(lambda x: np.exp(-((x - 3.0) ** 2)))
     exact = math.sqrt(math.pi) / 2.0 * (math.erf(3.0) + math.erf(7.0))
     res = adaptive_quad(f, 0.0, 10.0, rel_tol=1e-10, breakpoints=[3.0])
     assert res.value == pytest.approx(exact, rel=1e-10)
+    # one call for the 2 seed panels and their halves, then one per bisection
+    assert res.n_panels > 2
+    assert calls == [3 * 2 * 22] + [4 * 22] * (res.n_panels - 2)
 
 
 def test_kinked_integrand():
@@ -33,8 +74,11 @@ def test_oscillatory_integrand():
     # exact antiderivative evaluated on [0, 8]
     def F(x):
         return -math.exp(-x) * (math.sin(40 * x) + 40 * math.cos(40 * x)) / 1601.0
+    f, calls = _counting(f)
     res = adaptive_quad(f, 0.0, 8.0, rel_tol=1e-10)
     assert res.value == pytest.approx(F(8.0) - F(0.0), abs=1e-11)
+    # one call for the seed panel and its halves, then one per bisection
+    assert len(calls) == 1 + (res.n_panels - 1)
 
 
 def test_panel_budget_error_carries_estimate():
@@ -52,8 +96,28 @@ def test_invalid_interval():
 def test_integral_to_zero_linear_endpoint():
     # integrand ~ p near 0: integral over (0, eps] = eps^2/2
     main = adaptive_quad(lambda p: p, 0.1, 1.0, rel_tol=1e-12).value
-    low = integral_to_zero(lambda p: p, 0.1, rel_tol=1e-10, reference=main)
+    f, calls = _counting(lambda p: p)
+    low = integral_to_zero(f, 0.1, rel_tol=1e-10, reference=main)
     assert main + low == pytest.approx(0.5, rel=1e-9)
+    # more halvings than one seed batch, and bitwise the per-halving result
+    want, halvings = _halvings_reference(lambda p: p, 0.1, rel_tol=1e-10, reference=main)
+    assert halvings > 8
+    assert low == want
+    assert len(calls) == math.ceil(halvings / 8)
+
+
+def test_integral_to_zero_refines_inside_a_halving():
+    # a kink in the 11th halving's panel, so that one refines after a batch
+    kink = 0.1 * 2.0**-10 * 1.3
+    f = lambda p: np.abs(p - kink)
+    main = adaptive_quad(f, 0.1, 1.0, rel_tol=1e-12).value
+    counted, calls = _counting(f)
+    low = integral_to_zero(counted, 0.1, rel_tol=1e-12, reference=main)
+    want, halvings = _halvings_reference(f, 0.1, rel_tol=1e-12, reference=main)
+    assert halvings > 11
+    assert len(calls) > math.ceil(halvings / 8)
+    assert low == want
+    assert low == pytest.approx(0.005 - 0.1 * kink + kink * kink, rel=1e-9)
 
 
 def test_integral_to_zero_flat_endpoint_converges():
@@ -63,12 +127,30 @@ def test_integral_to_zero_flat_endpoint_converges():
         lambda p: np.ones_like(p), 0.25, rel_tol=1e-9, reference=main
     )
     assert main + low == pytest.approx(1.0, rel=1e-8)
+    want, _ = _halvings_reference(
+        lambda p: np.ones_like(p), 0.25, rel_tol=1e-9, reference=main
+    )
+    assert low == want
+
+
+def test_integral_to_zero_scale_follows_running_total():
+    # reference 0: each halving's tolerances scale with the total so far, so
+    # the tiny kinked tail below 0.125 converges and stops inside one batch
+    f = lambda p: np.where(p > 0.125, 1.0, 1e-10 * np.abs(p - 0.04))
+    counted, calls = _counting(f)
+    got = integral_to_zero(counted, 0.25, rel_tol=1e-9, reference=0.0)
+    want, halvings = _halvings_reference(f, 0.25, rel_tol=1e-9, reference=0.0)
+    assert got == want
+    assert halvings == 3 and len(calls) == 1
 
 
 def test_integral_to_zero_detects_log_divergence():
     main = adaptive_quad(lambda p: 1.0 / p, 0.1, 1.0, rel_tol=1e-12).value
-    with pytest.raises(ThresholdDivergenceError):
+    with pytest.raises(ThresholdDivergenceError) as err:
         integral_to_zero(lambda p: 1.0 / p, 0.1, rel_tol=1e-10, reference=main)
+    with pytest.raises(ThresholdDivergenceError) as want:
+        _halvings_reference(lambda p: 1.0 / p, 0.1, rel_tol=1e-10, reference=main)
+    assert (err.value.estimate, err.value.error) == (want.value.estimate, want.value.error)
 
 
 def test_all_nan_integrand_raises():

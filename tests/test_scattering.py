@@ -15,7 +15,7 @@ from hartman import (
     eigen_channels,
     van_kampen_check,
 )
-from hartman._kernel import W_CUT, scatter_grid, trig_triplet
+from hartman._kernel import W_CUT, scatter_grid, transmission_grid, trig_triplet
 from hartman.verify import transfer_matrix_amplitudes
 
 BARRIER5_HALF = SquarePotential(5.0, 0.5)  # d = 1
@@ -67,6 +67,53 @@ def test_trig_triplet_across_series_switch(angle):
     if angle in (0.0, math.pi):
         for got, want in zip(trig_triplet(mu.astype(complex), d), (C, S1, S2)):
             assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_kernel_grids_match_one_point_calls():
+    """Every point of a grid wholly in one branch of `trig_triplet` (tunneling,
+    propagating, series window) or spread over all three gets the bits of a
+    one-point call and of a 0-d call, in `trig_triplet` and `scatter_grid`.
+    On 0-d input NumPy multiplies complex scalars without the fused
+    multiply-add of its array loop, so there t and r may differ in the last
+    bit; the real outputs may not."""
+    g, d = 4.0, 1.5
+    window = np.sqrt(g + np.linspace(-0.9, 0.9, 7) * W_CUT / d**2)
+    grids = {
+        "tunneling": np.linspace(0.1, 1.9, 7),
+        "propagating": np.linspace(2.1, 6.0, 7),
+        "series": window,
+        "mixed": np.array([0.3, window[1], 4.0, window[5], 1.2, 2.5]),
+    }
+    for name, ks in grids.items():
+        mus = ks * ks - g
+        if name == "series":
+            assert np.all(np.abs(mus) * d * d < W_CUT)
+        triplet = trig_triplet(mus, d)
+        scatter = scatter_grid(g, d, ks)
+        for i, k in enumerate(ks):
+            for point in (np.array([k]), np.array(k)):
+                one = trig_triplet(point * point - g, d)
+                assert all(_same_bits(x[i], y.reshape(())) for x, y in zip(triplet, one)), name
+                one = [np.reshape(y, ()) for y in scatter_grid(g, d, point)]
+                assert all(_same_bits(x[i], y) for x, y in zip(scatter[2:], one[2:])), name
+                if point.ndim:
+                    assert _same_bits(scatter[0][i], one[0]) and _same_bits(scatter[1][i], one[1])
+                else:
+                    assert one[0] == pytest.approx(scatter[0][i], rel=1e-15, abs=0)
+                    assert one[1] == pytest.approx(scatter[1][i], rel=1e-15, abs=0)
+
+
+def test_transmission_grid_is_scatter_grid_t_and_dphi():
+    ks = np.concatenate([np.linspace(0.05, 8.0, 97), [2.0 + 1e-5]])
+    for g in (-6.0, 0.0, 4.0, np.linspace(-3.0, 3.0, 98)):
+        t, _, dphi, _, _ = scatter_grid(g, 1.5, ks)
+        lean = transmission_grid(g, 1.5, ks)
+        assert _same_bits(lean[0], t) and _same_bits(lean[1], dphi)
 
 
 def test_free_particle_identity():
