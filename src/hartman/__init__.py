@@ -24,7 +24,7 @@ from .delays import (
     smith_identity_check,
     wigner_delay,
 )
-from .errors import ConvergenceError, PhaseAnchorError, ThresholdDivergenceError
+from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 from .scattering import (
     Amplitudes,
@@ -63,7 +63,6 @@ __all__ = [
     "EigenChannelValues",
     "GaussianPacketSpec",
     "PassageTimeReport",
-    "PhaseAnchorError",
     "PhaseTable",
     "PhysicalConstants",
     "SquarePotential",

@@ -20,7 +20,7 @@ for level n (even for odd n), whose left side falls monotonically from z0 to
 which is the count formula, so each level is one bisection in phi; the
 levels come out by ascending energy with parities alternating from even.
 
-The unwrapped transmission phase at k -> 0 equals pi*(n_b - 1/2) whenever
+The continuous transmission phase at k -> 0 equals pi*(n_b - 1/2) whenever
 T(0) = 0 (every off-threshold potential) and pi*n_b at the exceptional
 threshold depths where |T(0)| = 1, as for the free particle.
 """
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
-from .scattering import build_phase_table, default_k_max
+from .scattering import _phases
 
 # relative distance (in 2*z0/pi) below which a well counts as at-threshold
 THRESHOLD_RTOL = 1e-8
@@ -174,10 +174,12 @@ def levinson_check(
     consts: PhysicalConstants = ATOMIC,
     k_min: float = 1e-4,
 ) -> LevinsonReport:
-    """Compare the unwrapped Phi_T(k_min) against the bound-state count.
+    """Compare the closed-form Phi_T(k_min) against the bound-state count.
 
-    Refuses wells at an exact threshold: there the k -> 0 branch changes and
-    the slow phase variation makes any finite k_min unrepresentative.
+    Phi_T and |T| at k_min come from one kernel call.  Refuses wells at an
+    exact threshold: there the k -> 0 branch changes and the slow phase
+    variation makes any finite k_min unrepresentative.  Opaque barriers whose
+    |D|^2 overflows at k_min raise ConvergenceError.
     """
     if pot.v0 < 0 and is_at_threshold(pot, consts):
         raise ValueError(
@@ -195,11 +197,9 @@ def levinson_check(
             heuristic_consistent=True,
         )
 
-    table = build_phase_table(
-        pot, consts, k_min, default_k_max(pot, consts), samples=2000
-    )
-    phi0 = float(table.phi_t[0])
-    t_abs = abs(complex(table.t[0]))
+    t, phi_t = _phases(pot.strength(consts), pot.width, [k_min])[:2]
+    phi0 = float(phi_t[0])
+    t_abs = abs(complex(t[0]))
 
     predicted = math.pi * (n_b - 0.5)
     return LevinsonReport(

@@ -34,7 +34,7 @@ from .boundstates import count_bound_states
 from .delays import oscillatory_delay_bound
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import PhysicalConstants, SquarePotential
-from .scattering import build_phase_table, default_k_max, eigenphases
+from .scattering import build_phase_table, eigenphases
 from .wavepacket import (
     GaussianPacketSpec,
     classical_reference_time,
@@ -130,10 +130,11 @@ def write_dataset(config: RunConfig, header: list[str], rows: list[tuple]) -> No
 
 
 def cmd_amplitudes(config: RunConfig, widths=None) -> list[tuple]:
-    """Amplitudes and unwrapped phases, one row per table grid point.
+    """Amplitudes and closed-form phases, one row per table grid point.
 
-    With the adaptive flag off, only the uniform base samples are emitted
-    (fixed-size datasets); unwrapping still refines internally either way.
+    The table starts from --samples uniform points on [k_min, k_max] and
+    bisects where the phases move fast; with the adaptive flag off, only the
+    uniform points are emitted (fixed-size datasets).
     """
     consts = config.consts()
     widths = widths or (config.width,)
@@ -141,20 +142,13 @@ def cmd_amplitudes(config: RunConfig, widths=None) -> list[tuple]:
         raise ValueError("amplitudes requires --width (or a preset)")
     k_min = config.k_min if config.k_min is not None else 0.01
     k_hi = config.k_max if config.k_max is not None else 6.0
+    samples = config.samples or 1200
     rows = []
     for w in widths:
         pot = SquarePotential(v0=config.v0 if config.v0 is not None else 0.0,
                               half_width=w / 2.0)
-        anchor = max(default_k_max(pot, consts), k_hi)
-        # the table extends to the anchor, but --samples is meant as the
-        # resolution of the requested [k_min, k_hi] slice
-        samples = config.samples or 1200
-        samples = min(int(samples * anchor / k_hi), 50 * samples)
-        table = build_phase_table(pot, consts, k_min, anchor, samples=samples)
-        keep = table.k_grid <= k_hi + 1e-15
-        if not config.adaptive:
-            base = np.linspace(k_min, anchor, samples)
-            keep &= np.isin(table.k_grid, base)
+        table = build_phase_table(pot, consts, k_min, k_hi, samples=samples)
+        keep = config.adaptive | np.isin(table.k_grid, np.linspace(k_min, k_hi, samples))
         for i in np.nonzero(keep)[0]:
             k = table.k_grid[i]
             tt = complex(table.t[i])

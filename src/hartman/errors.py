@@ -17,7 +17,3 @@ class ThresholdDivergenceError(ConvergenceError):
     """The passage-time integral grows without bound as the low-momentum
     cutoff shrinks (well at a bound-state threshold with a packet that does
     not vanish at p = 0)."""
-
-
-class PhaseAnchorError(ValueError):
-    """The phase table cannot be anchored at k_max; a larger k_max is needed."""

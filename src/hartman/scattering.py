@@ -10,8 +10,8 @@ into eigenvalues
 
 each unimodular on the real axis, S_j = e^{2 i delta_j}.  Phases obey
 Phi_T = delta_0 + delta_1 and vanish as k -> infinity; a PhaseTable carries
-the continuously unwrapped phases anchored to that convention, together with
-their analytic k-derivatives.
+the continuous phases on that branch, together with their analytic
+k-derivatives.
 
 Closed forms, with d = 2a, g = 2 m v0 / hbar^2 and q^2 = k^2 - g:
 
@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .errors import ConvergenceError, PhaseAnchorError
+from .errors import ConvergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 
-# relative interval floor for adaptive unwrap refinement
-_REFINE_FLOOR = 1e-12
+# largest Phi_T step between table neighbours (half of it for each delta_j)
+_MAX_JUMP = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,11 @@ class EigenChannelValues:
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """Continuously unwrapped phases and analytic derivatives on a k-grid.
+    """Continuous phases and analytic derivatives on a k-grid.
 
-    The grid is strictly increasing; at k_max, which must lie above the
-    barrier momentum, Phi_T takes the 2 pi branch nearest (q - k) d and each
-    delta_j the pi branch nearest half of that, which is exact at any width;
-    phases are unwrapped downward from there by continuity, bisecting any
-    interval whose phase jump exceeds `max_jump`.
+    The grid is strictly increasing.  Phi_T and delta_j are closed forms on
+    the branch where they vanish as k -> infinity, and neighbours that are
+    not adjacent floats differ by at most pi/2 in Phi_T, pi/4 in each delta_j.
     """
 
     pot: SquarePotential
@@ -77,7 +75,6 @@ class PhaseTable:
     dphi_t: np.ndarray
     ddelta0: np.ndarray
     ddelta1: np.ndarray
-    max_jump: float
 
     @property
     def k_min(self) -> float:
@@ -137,16 +134,36 @@ def eigen_channels(amps: Amplitudes) -> EigenChannelValues:
 
 
 def default_k_max(pot: SquarePotential, consts: PhysicalConstants = ATOMIC) -> float:
-    """Anchor wavenumber where phases are already in their asymptotic tail."""
+    """Default upper end of a phase table: the phases are already in their
+    asymptotic tail there."""
     return max(
         20.0 * math.sqrt(2.0 * consts.mass * abs(pot.v0)) / consts.hbar,
         40.0 / pot.half_width,
     )
 
 
-def _wrap_pi(x: np.ndarray) -> np.ndarray:
-    """Wrap into (-pi, pi]."""
-    return np.pi - np.mod(np.pi - x, 2.0 * np.pi)
+def _phases(g: float, d: float, k) -> tuple[np.ndarray, ...]:
+    """T, Phi_T, delta_0, delta_1 and their k-derivatives, in closed form.
+
+    With q = sqrt(max(k^2 - g, 0)), T e^{i(k-q)d} = 1/(D e^{iqd}), and
+    Re(D e^{iqd}) is cos^2 qd + (k/q + q/k) sin^2(qd)/2 >= 1 above the barrier
+    momentum and cosh(|q| d) >= 1 at and below it.  So the principal
+    Phi_T = (q - k) d + arg(T e^{i(k-q)d}) is continuous and vanishes as
+    k -> infinity; R/T = i rho gives delta_j = (Phi_T +- arctan rho)/2.
+    Opaque barriers, where |D|^2 overflows (kappa d > ~355), raise ConvergenceError.
+    """
+    k = np.asarray(k, dtype=float)
+    t, r, dphi, dd0, dd1 = _kernel.scatter_grid(g, d, k)
+    mu = k * k - g
+    theta = d * np.where(mu > 0, -g / (np.sqrt(np.maximum(mu, 0.0)) + k), -k)
+    with np.errstate(all="ignore"):
+        phi_t = theta + np.angle(t * np.exp(-1j * theta))
+        half = 0.5 * np.arctan((r / t).imag)
+    out = (t, phi_t, 0.5 * phi_t + half, 0.5 * phi_t - half, dphi, dd0, dd1)
+    if not (np.all(t != 0) and all(np.isfinite(x).all() for x in out + (r,))):
+        raise ConvergenceError("T underflows to 0 or is not finite: |D|^2 overflows "
+                               "above kappa d ~ 355 (opaque barrier)")
+    return out
 
 
 def build_phase_table(
@@ -154,109 +171,35 @@ def build_phase_table(
     consts: PhysicalConstants,
     k_min: float,
     k_max: float | None = None,
-    tol: float = math.pi / 2,
     *,
     samples: int = 1200,
 ) -> PhaseTable:
-    """Unwrapped phase table on [k_min, k_max].
+    """Closed-form phase table on [k_min, k_max] (default `default_k_max`).
 
-    `tol` is the largest adjacent-point jump tolerated in Phi_T (and, halved,
-    in each delta_j); intervals violating it are bisected adaptively.  The
-    phases are anchored at k_max on the branches nearest (q - k) d for Phi_T
-    and half of it for delta_j (see PhaseTable).  A k_max at or below the
-    barrier momentum, or anchored phases that are not additive there, raise
-    PhaseAnchorError.
+    Starts from `samples` uniform points and, for output density only,
+    bisects every interval over which Phi_T moves by more than pi/2 or a
+    delta_j by more than pi/4.  Opaque barriers raise ConvergenceError.
     """
     if k_max is None:
         k_max = default_k_max(pot, consts)
     if not (0 < k_min < k_max):
         raise ValueError(f"need 0 < k_min < k_max, got [{k_min}, {k_max}]")
-    if not (0 < tol <= math.pi / 2):
-        raise ValueError("tol must lie in (0, pi/2]")
     if samples < 2:
         raise ValueError("samples must be at least 2")
 
-    g = pot.strength(consts)
-    d = pot.width
-
+    g, d = pot.strength(consts), pot.width
     ks = np.linspace(k_min, k_max, samples)
-    t, r, dphi, dd0, dd1 = _kernel.scatter_grid(g, d, ks)
-    pt = np.angle(t)
-    # principal eigenphases, defined mod pi
-    h0, h1 = eigenphases(t, r)
-
-    # above the barrier Phi_T = (q - k) d - arg(D e^{iqd}), and
-    # Re(D e^{iqd}) = cos^2(qd) + s sin^2(qd) >= 1 with s = (k/q + q/k)/2,
-    # so Phi_T(k_max) lies within pi/2 of (q - k) d = -g d/(q + k), and
-    # each delta_j within pi/4 of half of that
-    if k_max * k_max <= g:
-        raise PhaseAnchorError(
-            f"k_max = {k_max} is not above the barrier momentum "
-            f"{math.sqrt(g):.6g}; increase k_max"
-        )
-    guide = -g * d / (math.sqrt(k_max * k_max - g) + k_max)
-    phi_end = pt[-1] + 2.0 * math.pi * round((guide - pt[-1]) / (2.0 * math.pi))
-    d0_end = h0[-1] + math.pi * round((0.5 * guide - h0[-1]) / math.pi)
-    d1_end = h1[-1] + math.pi * round((0.5 * guide - h1[-1]) / math.pi)
-    if abs(phi_end - d0_end - d1_end) > 1e-9:
-        raise PhaseAnchorError(
-            f"principal phases not additive at k_max = {k_max}; increase k_max"
-        )
-
-    # adaptive bisection until every interval's wrapped jumps are within tol
-    # (delta_j jumps wrap mod pi and must stay within tol/2 so that the
-    # unwrapped identity phi_t = delta0 + delta1 is preserved exactly)
-    for _ in range(200):
-        jt = np.abs(_wrap_pi(np.diff(pt)))
-        j0 = np.abs(_wrap_pi(2.0 * np.diff(h0)) / 2.0)
-        j1 = np.abs(_wrap_pi(2.0 * np.diff(h1)) / 2.0)
-        bad = (jt > tol) | (j0 > 0.5 * tol) | (j1 > 0.5 * tol)
-        if not np.any(bad):
-            break
-        idx = np.nonzero(bad)[0]
-        if np.any((ks[idx + 1] - ks[idx]) < _REFINE_FLOOR * ks[idx + 1]):
-            raise ConvergenceError(
-                "phase unwrap refinement hit the machine-precision step floor"
-            )
+    cols = _phases(g, d, ks)
+    while True:  # ends: the phases are continuous and adjacent floats are not split
+        jumps = np.abs(np.diff(cols[1:4], axis=1)) * [[1.0], [2.0], [2.0]]
+        idx = np.nonzero(jumps.max(axis=0) > _MAX_JUMP)[0]
         mids = 0.5 * (ks[idx] + ks[idx + 1])
-        tm, rm, dpm, d0m, d1m = _kernel.scatter_grid(g, d, mids)
-        h0m, h1m = eigenphases(tm, rm)
+        inside = (ks[idx] < mids) & (mids < ks[idx + 1])
+        if not inside.any():
+            return PhaseTable(pot, consts, ks, *cols)
+        idx, mids = idx[inside], mids[inside]
         ks = np.insert(ks, idx + 1, mids)
-        t = np.insert(t, idx + 1, tm)
-        pt = np.insert(pt, idx + 1, np.angle(tm))
-        h0 = np.insert(h0, idx + 1, h0m)
-        h1 = np.insert(h1, idx + 1, h1m)
-        dphi = np.insert(dphi, idx + 1, dpm)
-        dd0 = np.insert(dd0, idx + 1, d0m)
-        dd1 = np.insert(dd1, idx + 1, d1m)
-    else:
-        raise ConvergenceError("phase unwrap refinement did not terminate")
-
-    def unwrap_down(principal: np.ndarray, end: float, modulus: float) -> np.ndarray:
-        scale = 2.0 * math.pi / modulus
-        jumps = _wrap_pi(scale * np.diff(principal)) / scale
-        out = np.empty_like(principal)
-        out[-1] = end
-        out[:-1] = end - np.cumsum(jumps[::-1])[::-1]
-        return out
-
-    phi_t = unwrap_down(pt, phi_end, modulus=2.0 * math.pi)
-    delta0 = unwrap_down(h0, d0_end, modulus=math.pi)
-    delta1 = unwrap_down(h1, d1_end, modulus=math.pi)
-
-    return PhaseTable(
-        pot=pot,
-        consts=consts,
-        k_grid=ks,
-        t=t,
-        phi_t=phi_t,
-        delta0=delta0,
-        delta1=delta1,
-        dphi_t=dphi,
-        ddelta0=dd0,
-        ddelta1=dd1,
-        max_jump=tol,
-    )
+        cols = tuple(np.insert(c, idx + 1, m) for c, m in zip(cols, _phases(g, d, mids)))
 
 
 @dataclass(frozen=True)

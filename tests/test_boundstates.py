@@ -6,6 +6,7 @@ import pytest
 
 from hartman import (
     ATOMIC,
+    ConvergenceError,
     SquarePotential,
     count_bound_states,
     is_at_threshold,
@@ -174,6 +175,11 @@ class TestLevinson:
         assert rep.predicted == pytest.approx(math.pi / 2)
         assert rep.residual < 1e-2 * math.pi
 
+    def test_opaque_barrier_raises(self):
+        """kappa d ~ 632 at k_min: |D|^2 overflows, so a typed error, not NaN."""
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            levinson_check(SquarePotential(5.0, 100.0), ATOMIC)
+
     def test_free_trivial_branch(self):
         rep = levinson_check(SquarePotential(0.0, 1.0), ATOMIC)
         assert rep.predicted == 0.0
@@ -187,8 +193,11 @@ class TestLevinson:
 
     def test_residuals_for_multi_level_wells(self):
         """The wide a = 5 wells (21, 46 and 64 levels) need the exact phase
-        anchor: with the principal-value anchor they raised or read 2 pi low."""
-        wells = ((-2.5, 1.0), (-5.0, 1.0), (-20.0, 5.0), (-100.0, 5.0), (-200.0, 5.0))
+        anchor: with the principal-value anchor they raised or read 2 pi low.
+        The 403-level (-2000, 10) well read 264.5 pi through the sampling
+        unwrap."""
+        wells = ((-2.5, 1.0), (-5.0, 1.0), (-20.0, 5.0), (-100.0, 5.0), (-200.0, 5.0),
+                 (-2000.0, 10.0))
         for v0, a in wells:
             rep = levinson_check(SquarePotential(v0, a), ATOMIC, k_min=1e-4)
             assert rep.residual < 1e-2 * math.pi, (v0, a)

@@ -154,6 +154,7 @@ def test_no_adaptive_emits_exact_sample_count(tmp_path):
     ks = np.array([float(r[1]) for r in rows])
     # uniform base grid restricted to the requested range, no refinement rows
     assert np.allclose(np.diff(ks), ks[1] - ks[0], rtol=1e-12)
+    assert len(ks) == 64 and ks[0] == 0.05 and ks[-1] == 4.0
 
 
 def test_fig2_preset_overridable(tmp_path):

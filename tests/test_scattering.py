@@ -6,7 +6,7 @@ import pytest
 
 from hartman import (
     ATOMIC,
-    PhaseAnchorError,
+    ConvergenceError,
     PhysicalConstants,
     SquarePotential,
     amplitudes,
@@ -16,7 +16,7 @@ from hartman import (
     van_kampen_check,
 )
 from hartman._kernel import W_CUT, scatter_grid, transmission_grid, trig_triplet
-from hartman.verify import transfer_matrix_amplitudes
+from hartman.verify import dense_unwrap_phases, transfer_matrix_amplitudes
 
 BARRIER5_HALF = SquarePotential(5.0, 0.5)  # d = 1
 WELL1 = SquarePotential(-1.0, 1.0)
@@ -274,7 +274,7 @@ class TestPhaseTable:
     def test_grid_strictly_increasing_and_jump_bounded(self):
         table = build_phase_table(SquarePotential(5.0, 1.5), ATOMIC, 0.01)
         assert np.all(np.diff(table.k_grid) > 0)
-        assert np.abs(np.diff(table.phi_t)).max() <= table.max_jump + 1e-12
+        assert np.abs(np.diff(table.phi_t)).max() <= math.pi / 2 + 1e-12
 
     def test_tunneling_branch_and_resonance_jumps(self):
         """Monotone negative phase below the barrier momentum; above it the
@@ -296,10 +296,47 @@ class TestPhaseTable:
             slopes[d] = table.dphi_t[sel].max()
         assert slopes[3.0] > 3.0 * slopes[1.0]
 
-    def test_anchor_error_when_k_max_too_small(self):
-        # k_max = 3 lies below the barrier momentum sqrt(10)
-        with pytest.raises(PhaseAnchorError):
-            build_phase_table(SquarePotential(5.0, 6.0), ATOMIC, 0.1, 3.0)
+    def test_k_max_below_barrier_momentum(self):
+        """k_max = 3 lies below the barrier momentum sqrt(10); the phases
+        there equal those of default-range tables at the same k."""
+        pot = SquarePotential(5.0, 6.0)
+        table = build_phase_table(pot, ATOMIC, 0.1, 3.0)
+        for i in (0, 400, 800, -1):
+            reference = build_phase_table(pot, ATOMIC, table.k_grid[i])
+            assert table.phi_t[i] == pytest.approx(reference.phi_t[0], abs=1e-12)
+            assert table.delta0[i] == pytest.approx(reference.delta0[0], abs=1e-12)
+            assert table.delta1[i] == pytest.approx(reference.delta1[0], abs=1e-12)
+
+    def test_random_tables_match_dense_unwrap(self):
+        """The sampling unwrap lost a multiple of 2 pi on five of these 40
+        tables (seeded draws 1, 4, 15, 16 and 17)."""
+        rng = np.random.default_rng(12345)
+        for _ in range(40):
+            pot = SquarePotential(rng.uniform(-50.0, 50.0), rng.uniform(0.5, 5.0))
+            table = build_phase_table(pot, ATOMIC, 0.05, samples=400)
+            dense = dense_unwrap_phases(pot, ATOMIC, table.k_grid)
+            for phase, oracle in zip((table.phi_t, table.delta0, table.delta1), dense):
+                assert np.abs(phase - oracle).max() < 1e-9, (pot.v0, pot.half_width)
+
+    def test_resonance_narrower_than_float_spacing(self):
+        """Just above the barrier momentum of a tall, wide barrier the first
+        resonances are about 1e-17 wide, below the float spacing of k: the
+        bisection stops at adjacent floats instead of looping."""
+        pot = SquarePotential(1e6, 5000.0)
+        kb = math.sqrt(pot.strength(ATOMIC))
+        table = build_phase_table(pot, ATOMIC, kb - 1e-7, kb + 1e-9, samples=11)
+        k = table.k_grid
+        assert np.all(np.diff(k) > 0)
+        wide = np.abs(np.diff(table.phi_t)) > math.pi / 2
+        assert wide.any()
+        assert np.all(k[1:][wide] == np.nextafter(k[:-1][wide], np.inf))
+
+    def test_opaque_barrier_raises(self):
+        """|D|^2 overflows above kappa d ~ 355: a typed error, not NaN or a
+        wrong finite phase."""
+        for a in (100.0, 400.0):
+            with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+                build_phase_table(SquarePotential(5.0, a), ATOMIC, 0.01)
 
     def test_anchor_exact_for_wide_barrier(self):
         """A k_max above the barrier anchors on the right branch even where
