@@ -1,6 +1,7 @@
 """CLI behavior: datasets, determinism, presets, config files, exit codes."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,19 @@ def test_invalid_input_exit_code():
     assert run_cli(["packet-sweep", "--v0-min", "0", "--v0-max", "0",
                     "--v0-step", "1", "--k0", "1", "--delta-p", "0.1",
                     "--x0", "5"]) == 2  # packet starts right of the barrier
+
+
+def test_opaque_barrier_error_without_numpy_warnings(capsys):
+    """The kernel's overflow on an opaque barrier ends in the typed error
+    (exit 3) alone, with no NumPy RuntimeWarning ahead of it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["amplitudes", "--v0", "5", "--width", "200", "--k-min", "0.5",
+                        "--k-max", "1", "--samples", "10"])
+    assert code == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "RuntimeWarning" not in err
 
 
 def test_precision_floor_enforced():

@@ -23,7 +23,8 @@ from hartman import (
 )
 from hartman._kernel import W_CUT, scatter_grid
 from hartman.quadrature import adaptive_quad
-from hartman.verify import transmission_probability_simpson
+from hartman import wavepacket
+from hartman.verify import CROSS_VALIDATION_CONFIGS, transmission_probability_simpson
 from hartman.wavepacket import _bulk_wave
 
 FIG3_PACKET = GaussianPacketSpec(k0=math.pi / 8, delta_p=1.0, x0=-41.0)
@@ -287,6 +288,51 @@ class TestFluxOracle:
                 NARROW, SquarePotential(0.0, 1.0), t_window=(0.0, 8.0)
             )
         assert "deficit" in str(err.value)
+
+    def test_window_covers_packet_width(self):
+        """A packet wide in x (hbar/(2 dp) = 10) still arrives after
+        1.5 a'/p_cut; the default window reaches past its far side."""
+        spec = GaussianPacketSpec(2.0, 0.05, -45.0)
+        pot = SquarePotential(0.0, 1.0)
+        rep = mean_exit_time(spec, pot)
+        assert mean_exit_time_via_flux(spec, pot) == pytest.approx(rep.t_out, rel=1e-3)
+
+    def test_halved_step_moves_cross_validation_little(self, monkeypatch):
+        """The half-grid check's claim, checked directly: halving the time
+        step moves every cross-validation result by at most 1e-6."""
+        results = [mean_exit_time_via_flux(spec, pot) for pot, spec in CROSS_VALIDATION_CONFIGS]
+        monkeypatch.setattr(wavepacket, "_DT", wavepacket._DT / 2.0)
+        for (pot, spec), t in zip(CROSS_VALIDATION_CONFIGS, results):
+            assert mean_exit_time_via_flux(spec, pot) == pytest.approx(t, rel=1e-6, abs=0.0)
+
+    def test_coarse_step_raises_half_grid_error(self, monkeypatch):
+        """A time step far too coarse for the flux is caught by the half-grid
+        estimate before the window's deficit is judged."""
+        monkeypatch.setattr(wavepacket, "_DT", 4.0)
+        with pytest.raises(ConvergenceError, match="half-grid") as err:
+            mean_exit_time_via_flux(NARROW, SquarePotential(0.0, 1.0))
+        assert "deficit" not in str(err.value)
+        assert err.value.error > 1e-4
+
+    def test_cost_guard(self, monkeypatch):
+        """Times and kernel points on the coarse-grid cross-validation config
+        (v0 = 0.4): 4,302 times (2.48M points) with the one 0.25 step,
+        16,602 (9.56M) with a 0.02 step below the geometric grid; no batch
+        holds more than _CHUNK points."""
+        pot, spec = CROSS_VALIDATION_CONFIGS[4]
+        batches = []
+        inner = wavepacket._windowed_wave
+
+        def counting(spec, pot, consts, tc, p_hi):
+            batches.append(len(tc) * len(wavepacket._oracle_nodes()[0]))
+            return inner(spec, pot, consts, tc, p_hi)
+
+        monkeypatch.setattr(wavepacket, "_windowed_wave", counting)
+        mean_exit_time_via_flux(spec, pot)
+        nodes = len(wavepacket._oracle_nodes()[0])
+        assert sum(batches) // nodes <= 5000
+        assert sum(batches) <= 5000 * nodes
+        assert max(batches) <= wavepacket._CHUNK
 
 
 class TestCrossoverWidth:
