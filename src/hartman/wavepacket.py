@@ -44,7 +44,8 @@ _REL_TOL = 1e-8  # P_T and the exit-time moment
 _SPLIT_REL_TOL = 1e-6  # crossover_width_empirical's split integrals
 _D_MAX = 1e4  # widest barrier crossover_width_empirical tries
 # flux oracle: window half-width in units of sqrt(2 pi hbar m / t); the one
-# time step, uniform up to a few arrival times and the first step of the
+# time step and the span t0 + 80 over which it stays uniform, the step being
+# continuous, _DT max(1, t/(t0 + 80)), and proportional to t on the
 # geometric grid beyond; the share of tol the half-grid error estimate of the
 # time integrals may take; spatial widths hbar/(2 dp) of the packet's far side
 # the default window waits for; momentum points of the P_T reference; and
@@ -53,6 +54,7 @@ _D_MAX = 1e4  # widest barrier crossover_width_empirical tries
 # 2**18 points, on a 2-core Xeon with 2 MB of L2 per core)
 _W_MULT = 12.0
 _DT = 0.25
+_T_UNIFORM = 80.0
 _GRID_TOL_SHARE = 0.1
 _WINDOW_SIGMAS = 4.0
 _P_POINTS = 20001
@@ -336,9 +338,10 @@ def mean_exit_time_via_flux(
     This is the independent time-domain cross-check of `mean_exit_time`: the
     transmitted wave and its x-derivative are rebuilt by direct momentum
     integration (T only; dPhi_T/dk merely places the windows) on a time
-    grid with one step `_DT`, uniform up to a few arrival times and geometric
-    beyond (ratio 1 + _DT/t_fine_end), as the flux tail varies on the scale
-    of t; the kernel takes the times in batches of about `_CHUNK` points.
+    grid with one step `_DT`: uniform up to t0 + `_T_UNIFORM`, then
+    geometric with a continuous step proportional to t (ratio
+    1 + _DT/t_fine_end), as the flux tail varies on the scale of t; the
+    kernel takes the times in batches of about `_CHUNK` points.
     J_T = (hbar/m) Im(psi* dpsi/dx), and the first moment of J_T is
     returned.  Two checks raise ConvergenceError, in this order: the window
     must capture essentially all transmitted flux, |integral J_T dt - P_T|
@@ -373,7 +376,7 @@ def mean_exit_time_via_flux(
     if not (t1 > t0 >= 0):
         raise ValueError(f"invalid time window {t_window}")
 
-    t_fine_end = min(t1, max(t0 + 80.0, 2.5 * aprime * m / spec.p0(consts)))
+    t_fine_end = min(t1, t0 + _T_UNIFORM)
     ts = np.arange(t0, t_fine_end, _DT)
     if t1 > t_fine_end:
         # first step _DT, each later one longer by the same ratio

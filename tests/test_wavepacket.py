@@ -305,6 +305,35 @@ class TestFluxOracle:
         for (pot, spec), t in zip(CROSS_VALIDATION_CONFIGS, results):
             assert mean_exit_time_via_flux(spec, pot) == pytest.approx(t, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "spec, pot",
+        [
+            (GaussianPacketSpec(0.4, 0.02, -250.0), SquarePotential(0.5, 0.5)),
+            (GaussianPacketSpec(0.3, 0.03, -120.0), SquarePotential(-1.0, 1.0)),
+        ],
+        ids=["barrier", "well"],
+    )
+    def test_halved_step_moves_late_arrival_little(self, spec, pot, monkeypatch):
+        """Slow packets that arrive well after t0 + _T_UNIFORM: their main
+        pulse lies on the geometric grid, and halving the step still moves
+        the result by at most 1e-6."""
+        t = mean_exit_time_via_flux(spec, pot)
+        assert t == pytest.approx(mean_exit_time(spec, pot).t_out, rel=1e-3)
+        monkeypatch.setattr(wavepacket, "_DT", wavepacket._DT / 2.0)
+        assert mean_exit_time_via_flux(spec, pot) == pytest.approx(t, rel=1e-6, abs=0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="near-threshold flux tail outlasts the default window (ROADMAP item 5)",
+    )
+    def test_near_threshold_well_matches_momentum_route(self):
+        """v0 = -1.22 lies just below a new bound state of fig3's well: the
+        oracle passes both of its checks yet reads 143.39 against 142.64
+        (5.2e-3), and wider explicit windows keep moving its result."""
+        pot = SquarePotential(-1.22, 1.0)
+        rep = mean_exit_time(FIG3_PACKET, pot)
+        assert mean_exit_time_via_flux(FIG3_PACKET, pot) == pytest.approx(rep.t_out, rel=1e-3)
+
     def test_coarse_step_raises_half_grid_error(self, monkeypatch):
         """A time step far too coarse for the flux is caught by the half-grid
         estimate before the window's deficit is judged."""
@@ -316,9 +345,9 @@ class TestFluxOracle:
 
     def test_cost_guard(self, monkeypatch):
         """Times and kernel points on the coarse-grid cross-validation config
-        (v0 = 0.4): 4,302 times (2.48M points) with the one 0.25 step,
-        16,602 (9.56M) with a 0.02 step below the geometric grid; no batch
-        holds more than _CHUNK points."""
+        (v0 = 0.4): 1,676 times (0.97M points) with the geometric grid from
+        t0 + 80, 4,302 (2.48M) when it started at 2.5 arrival times; no
+        batch holds more than _CHUNK points."""
         pot, spec = CROSS_VALIDATION_CONFIGS[4]
         batches = []
         inner = wavepacket._windowed_wave
@@ -330,8 +359,8 @@ class TestFluxOracle:
         monkeypatch.setattr(wavepacket, "_windowed_wave", counting)
         mean_exit_time_via_flux(spec, pot)
         nodes = len(wavepacket._oracle_nodes()[0])
-        assert sum(batches) // nodes <= 5000
-        assert sum(batches) <= 5000 * nodes
+        assert sum(batches) // nodes <= 2000
+        assert sum(batches) <= 2000 * nodes
         assert max(batches) <= wavepacket._CHUNK
 
 
