@@ -240,7 +240,8 @@ def cmd_verify(args) -> int:
     )
     if args.format == "json":
         payload = [
-            {"name": r.name, "passed": bool(r.passed), "detail": r.detail}
+            {"name": r.name, "passed": bool(r.passed), "seconds": r.seconds,
+             "detail": r.detail}
             for r in results
         ]
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")

@@ -15,18 +15,23 @@ causality:
   * with a single bound state of decay constant K_b,
         dt >= -(m/p)(d + 1/K_b).
 
-The per-channel bounds trace back to the positivity of the interior norm
+The per-channel bounds are the positivity of the interior norm
 integral(psi_j^2) over [-a, a], which this module evaluates in closed form
-(`interior_norm`) and cross-checks against the boundary-derivative identity
+(`interior_norm`).  The boundary-derivative identity
 
     integral(psi_0^2) = (hbar^2/m) (psi_E(a) psi'(a) - psi(a) psi_E'(a))
 
-via central finite differences in energy (`smith_identity_check`).  The dwell
+takes, with theta_j = ka + delta_j, the closed form
+
+    integral(psi_j^2) = (2/h) (delta_j' - floor_j),
+
+floor_j being the `channel_floors` above (Wigner, Phys. Rev. 98, 145 (1955);
+the sin(2 theta_j)/(2k) term is Winful's self-interference delay, PRL 91,
+260401 (2003)); `smith_identity_check` compares the two sides.  The dwell
 time tau_D = (m/(hbar k)) * interior_norm is positive by construction.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +39,7 @@ import numpy as np
 from . import _kernel
 from .boundstates import solve_bound_states
 from .potential import PhysicalConstants, SquarePotential
-from .scattering import PhaseTable, eigenphases
+from .scattering import PhaseTable, eigenphases, require_finite
 
 _PARITIES = ("even", "odd")
 
@@ -199,27 +204,16 @@ def eigenphase_derivative_bounds(
     margin0 = dd0 - floor0
     margin1 = dd1 - floor1
 
-    violations: list[EigenphaseBoundViolation] = []
-    for ch, margin in ((0, margin0), (1, margin1)):
-        for i in np.nonzero(margin < -tol)[0]:
-            violations.append(
-                EigenphaseBoundViolation(
-                    k=float(k[i]), channel=ch, margin=float(margin[i]),
-                    bound="oscillatory",
-                )
-            )
-
     simple0 = dd0 + a
     simple1 = dd1 + a
-    if pot.v0 >= 0:
-        for ch, margin in ((0, simple0), (1, simple1)):
-            for i in np.nonzero(margin < -tol)[0]:
-                violations.append(
-                    EigenphaseBoundViolation(
-                        k=float(k[i]), channel=ch, margin=float(margin[i]),
-                        bound="no-bound-state",
-                    )
-                )
+    rows = (("oscillatory", (margin0, margin1), True),
+            ("no-bound-state", (simple0, simple1), pot.v0 >= 0))
+    violations = [
+        EigenphaseBoundViolation(k=float(k[i]), channel=ch, margin=float(margin[i]), bound=name)
+        for name, margins, asserted in rows if asserted
+        for ch, margin in enumerate(margins)
+        for i in np.nonzero(margin < -tol)[0]
+    ]
 
     return EigenphaseBoundReport(
         passed=not violations,
@@ -247,7 +241,8 @@ def interior_norm(
         even: (2/h) k^2 (a + S1/2) / { [k^2 (1+C) + mu (1-C)] / 2 }
         odd:  (2/h) k^2 (a - S1/2) / { [mu (1+C) + k^2 (1-C)] / 2 }
 
-    with C = cos(qd), S1 = sin(qd)/q, mu = q^2 = k^2 - g.
+    with C = cos(qd), S1 = sin(qd)/q, mu = q^2 = k^2 - g.  Opaque barriers,
+    where C overflows, raise ConvergenceError.
     """
     if parity not in _PARITIES:
         raise ValueError(f"parity must be one of {_PARITIES}, got {parity!r}")
@@ -263,15 +258,18 @@ def interior_norm(
     if parity == "even":
         num = a + 0.5 * S1
         den = 0.5 * (k * k * (1.0 + C) + mu * (1.0 - C))
-        return two_over_h * k * k * num / den
-    if abs(mu * d * d) < _kernel.W_CUT:
+    elif abs(mu * d * d) < _kernel.W_CUT:
         # both num and den are O(mu); with the half-width triplet (c, s1, s2)
         # 1 + C = 2c^2, 1 - C = 2 mu s1^2 and a - S1/2 = mu (a s1^2 + c s2)
         c, s1, s2 = (float(x[0]) for x in _kernel.trig_triplet(np.array([mu]), a))
-        return two_over_h * k * k * (a * s1 * s1 + c * s2) / (c * c + k * k * s1 * s1)
-    num = a - 0.5 * S1
-    den = 0.5 * (mu * (1.0 + C) + k * k * (1.0 - C))
-    return two_over_h * k * k * num / den
+        num = a * s1 * s1 + c * s2
+        den = c * c + k * k * s1 * s1
+    else:
+        num = a - 0.5 * S1
+        den = 0.5 * (mu * (1.0 + C) + k * k * (1.0 - C))
+    norm = two_over_h * k * k * num / den
+    require_finite(norm)
+    return norm
 
 
 def dwell_time(
@@ -290,32 +288,13 @@ def dwell_time(
     )
 
 
-def _boundary_values(pot, consts, k, parity, delta_ref=None):
-    """psi_j(a) and psi_j'(a) from the outside form, sqrt(2/h) amplitude.
-
-    delta_ref pins the mod-pi branch so finite differences in energy see a
-    continuous eigenphase.
-    """
-    t, r, _, _, _ = _scatter_point(pot, consts, k)
-    delta = float(eigenphases(t, r)[_PARITIES.index(parity)])
-    if delta_ref is not None:
-        delta -= math.pi * round((delta - delta_ref) / math.pi)
-    amp = math.sqrt(2.0 / consts.h)
-    a = pot.half_width
-    if parity == "even":
-        return amp * math.cos(k * a + delta), -amp * k * math.sin(k * a + delta), delta
-    return amp * math.sin(k * a + delta), amp * k * math.cos(k * a + delta), delta
-
-
 @dataclass(frozen=True)
 class SmithIdentityReport:
     k: float
     parity: str
     lhs: float  # closed-form interior norm
-    rhs: float  # boundary bilinear with finite-difference energy derivative
+    rhs: float  # (2/h)(delta_j' - floor_j)
     rel_error: float
-    dE: float
-    cancellation_warning: bool
 
 
 def smith_identity_check(
@@ -323,54 +302,26 @@ def smith_identity_check(
     consts: PhysicalConstants,
     k: float,
     parity: str,
-    dE: float | None = None,
 ) -> SmithIdentityReport:
-    """Verify the interior norm against the boundary-derivative identity.
+    """Verify the interior norm against the boundary-derivative identity
+    integral(psi_j^2) = (2/h)(delta_j' - floor_j).
 
-    The energy derivative is a central difference, Richardson-extrapolated
-    from steps dE and dE/2.  A warning is attached when halving the step
-    makes things worse (cancellation regime).
+    The right side takes delta_j and its analytic k-derivative from one
+    kernel call (S2 and D'), and floor_j from `channel_floors`; the left side,
+    `interior_norm`, uses only C and S1.  Opaque barriers raise
+    ConvergenceError.
     """
-    if parity not in _PARITIES:
-        raise ValueError(f"parity must be one of {_PARITIES}, got {parity!r}")
-    k = float(k)
-    if not (k > 0):
-        raise ValueError(f"k must be positive, got {k}")
-    m = consts.mass
-    hbar = consts.hbar
-    E = (hbar * k) ** 2 / (2.0 * m)
-    if dE is None:
-        dE = 1e-5 * E
-    if not (0 < dE < E):
-        raise ValueError(f"need 0 < dE < E = {E}, got {dE}")
-
     lhs = interior_norm(pot, consts, k, parity)
-    psi_c, dpsi_c, delta_c = _boundary_values(pot, consts, k, parity)
-
-    def bilinear(step: float) -> float:
-        k_p = math.sqrt(2.0 * m * (E + step)) / hbar
-        k_m = math.sqrt(2.0 * m * (E - step)) / hbar
-        psi_p, dpsi_p, _ = _boundary_values(pot, consts, k_p, parity, delta_c)
-        psi_m, dpsi_m, _ = _boundary_values(pot, consts, k_m, parity, delta_c)
-        psi_E = (psi_p - psi_m) / (2.0 * step)
-        dpsi_E = (dpsi_p - dpsi_m) / (2.0 * step)
-        return (hbar**2 / m) * (psi_E * dpsi_c - psi_c * dpsi_E)
-
-    r1 = bilinear(dE)
-    r2 = bilinear(dE / 2.0)
-    rhs = (4.0 * r2 - r1) / 3.0
-    scale = max(abs(lhs), 1e-300)
-    # below ~eps^(1/3) * E the central difference is rounding-dominated and
-    # halving the step makes the relative error grow
-    err1 = abs(r1 - lhs) / scale
-    err2 = abs(r2 - lhs) / scale
-    warn = dE < 3e-6 * E or (err2 > err1 and err2 > 1e-8)
+    k = float(k)
+    j = _PARITIES.index(parity)
+    t, r, _, dd0, dd1 = _scatter_point(pot, consts, k)
+    require_finite(dd0, dd1, t=t)
+    floor = channel_floors(k, pot.half_width, *eigenphases(t, r))[j]
+    rhs = (2.0 / consts.h) * ((dd0, dd1)[j] - float(floor))
     return SmithIdentityReport(
         k=k,
         parity=parity,
         lhs=lhs,
         rhs=rhs,
-        rel_error=abs(lhs - rhs) / scale,
-        dE=dE,
-        cancellation_warning=warn,
+        rel_error=abs(lhs - rhs) / max(abs(lhs), 1e-300),
     )

@@ -94,11 +94,21 @@ class PhaseTable:
             )
 
 
+def require_finite(*values, t=None) -> None:
+    """Raise ConvergenceError unless every value is finite and the
+    transmission amplitude `t`, if given, is finite and nonzero."""
+    checked = values if t is None else (*values, t)
+    if not (t is None or np.all(t != 0)) or not all(np.isfinite(v).all() for v in checked):
+        raise ConvergenceError("T underflows to 0 or a value is not finite: |D|^2 "
+                               "overflows above kappa d ~ 355 (opaque barrier)")
+
+
 def amplitudes(pot: SquarePotential, consts: PhysicalConstants, k) -> Amplitudes:
     """T and R at one wavenumber, real or complex.
 
     Valid in the tunneling (E < v0) and propagating (E > v0) regimes and at
-    E = v0 itself; complex k is evaluated by analytic continuation.
+    E = v0 itself; complex k is evaluated by analytic continuation.  Opaque
+    barriers, where the kernel overflows, raise ConvergenceError.
     """
     kc = complex(k)
     if kc == 0:
@@ -107,10 +117,13 @@ def amplitudes(pot: SquarePotential, consts: PhysicalConstants, k) -> Amplitudes
     g = pot.strength(consts)
     d = pot.width
     if kc.imag == 0.0:
-        t, r, _, _, _ = _kernel.scatter_grid(g, d, np.array([kc.real]))
-        return Amplitudes(k=kc.real, t=complex(t[0]), r=complex(r[0]))
-    t, r = _kernel.complex_amplitudes(g, d, np.array([kc]))
-    return Amplitudes(k=kc, t=complex(t[0]), r=complex(r[0]))
+        k = kc.real
+        t, r, _, _, _ = _kernel.scatter_grid(g, d, np.array([k]))
+    else:
+        k = kc
+        t, r = _kernel.complex_amplitudes(g, d, np.array([k]))
+    require_finite(r, t=t)
+    return Amplitudes(k=k, t=complex(t[0]), r=complex(r[0]))
 
 
 def eigenphases(t, r):
@@ -160,9 +173,7 @@ def _phases(g: float, d: float, k) -> tuple[np.ndarray, ...]:
         phi_t = theta + np.angle(t * np.exp(-1j * theta))
         half = 0.5 * np.arctan((r / t).imag)
     out = (t, phi_t, 0.5 * phi_t + half, 0.5 * phi_t - half, dphi, dd0, dd1)
-    if not (np.all(t != 0) and all(np.isfinite(x).all() for x in out + (r,))):
-        raise ConvergenceError("T underflows to 0 or is not finite: |D|^2 overflows "
-                               "above kappa d ~ 355 (opaque barrier)")
+    require_finite(*out, r, t=t)
     return out
 
 

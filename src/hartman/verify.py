@@ -6,13 +6,13 @@ The oracles here deliberately avoid the closed forms used by the library:
 `dense_unwrap_phases` finds the phase branches by a dense-sample unwrap.
 `run_all_checks` drives every invariant and is what `hartman verify`
 executes; each check returns a CheckResult with the measured extremes so
-failures are diagnosable.
+failures are diagnosable, and `run_all_checks` adds its wall time.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,6 +145,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: dict = field(default_factory=dict)
+    seconds: float | None = None  # wall time, set by `run_all_checks`
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -657,4 +658,9 @@ def run_all_checks(
     tolerance_scale: float = 1.0, include_slow: bool = True
 ) -> list[CheckResult]:
     checks = FAST_CHECKS + (SLOW_CHECKS if include_slow else ())
-    return [check(tolerance_scale=tolerance_scale) for check in checks]
+    results = []
+    for check in checks:
+        start = time.perf_counter()
+        result = check(tolerance_scale=tolerance_scale)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

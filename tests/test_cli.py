@@ -335,3 +335,5 @@ def test_verify_json_format(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert all(entry["passed"] for entry in payload)
     assert any("unitarity" in entry["name"] for entry in payload)
+    assert all(isinstance(entry["seconds"], float) and entry["seconds"] >= 0
+               for entry in payload)

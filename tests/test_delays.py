@@ -7,6 +7,7 @@ from scipy.integrate import quad as scipy_quad
 
 from hartman import (
     ATOMIC,
+    ConvergenceError,
     PhysicalConstants,
     SquarePotential,
     build_phase_table,
@@ -217,6 +218,38 @@ class TestDwellTime:
             dwell_time(FREE, ATOMIC, 1.0, "mixed")
 
 
+def _boundary_values(pot, k, parity, delta_ref=None):
+    """psi_j(a), psi_j'(a) and delta_j from the outside form (amplitude
+    sqrt(2/h)); delta_ref pins the mod-pi branch for differences in energy."""
+    ec = eigen_channels(amplitudes(pot, ATOMIC, k))
+    delta = ec.delta0 if parity == "even" else ec.delta1
+    if delta_ref is not None:
+        delta -= math.pi * round((delta - delta_ref) / math.pi)
+    amp = math.sqrt(2.0 / H)
+    theta = k * pot.half_width + delta
+    if parity == "even":
+        return amp * math.cos(theta), -amp * k * math.sin(theta), delta
+    return amp * math.sin(theta), amp * k * math.cos(theta), delta
+
+
+def finite_difference_identity(pot, k, parity):
+    """Oracle for the right side of the boundary identity (atomic units):
+    (hbar^2/m)(psi_E psi' - psi psi_E') at x = a, the energy derivative a
+    central difference Richardson-extrapolated from steps dE and dE/2."""
+    E = 0.5 * k * k
+    dE = 1e-5 * E
+    psi, dpsi, delta = _boundary_values(pot, k, parity)
+
+    def bilinear(step):
+        (psi_p, dpsi_p, _), (psi_m, dpsi_m, _) = (
+            _boundary_values(pot, math.sqrt(2.0 * (E + s)), parity, delta)
+            for s in (step, -step)
+        )
+        return ((psi_p - psi_m) * dpsi - psi * (dpsi_p - dpsi_m)) / (2.0 * step)
+
+    return (4.0 * bilinear(dE / 2.0) - bilinear(dE)) / 3.0
+
+
 class TestSmithIdentity:
     def test_free_particle_exact(self):
         rep = smith_identity_check(FREE, ATOMIC, 1.0, "even")
@@ -229,16 +262,35 @@ class TestSmithIdentity:
         assert r2.rel_error < 1e-6
 
     def test_random_sample(self):
+        """The closed-form right side agrees with the interior norm and with
+        the finite-difference oracle."""
         rng = np.random.default_rng(13)
-        worst = 0.0
+        worst = worst_oracle = 0.0
         for _ in range(50):
             pot = SquarePotential(rng.uniform(-10, 10), rng.uniform(0.2, 2.0))
-            rep = smith_identity_check(
-                pot, ATOMIC, rng.uniform(0.1, 5.0),
-                "even" if rng.integers(2) == 0 else "odd",
-            )
+            k = rng.uniform(0.1, 5.0)
+            parity = "even" if rng.integers(2) == 0 else "odd"
+            rep = smith_identity_check(pot, ATOMIC, k, parity)
+            oracle = finite_difference_identity(pot, k, parity)
             worst = max(worst, rep.rel_error)
+            worst_oracle = max(worst_oracle, abs(oracle - rep.rhs) / abs(rep.rhs))
         assert worst < 1e-6
+        assert worst_oracle < 1e-6
+
+    def test_exact_on_wide_random_sample(self):
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(1000):
+            pot = SquarePotential(rng.uniform(-10, 10), rng.uniform(0.2, 3.0))
+            k = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+            for parity in ("even", "odd"):
+                worst = max(worst, smith_identity_check(pot, ATOMIC, k, parity).rel_error)
+        assert worst < 1e-9
+
+    def test_low_momentum_barrier(self):
+        """Where central differences in energy cancel (6.7e-6 with them)."""
+        rep = smith_identity_check(SquarePotential(9.0, 1.2), ATOMIC, 0.1, "even")
+        assert rep.rel_error < 1e-9
 
     def test_lhs_is_interior_norm(self):
         rep = smith_identity_check(WELL1, ATOMIC, 0.7, "even")
@@ -246,14 +298,21 @@ class TestSmithIdentity:
             interior_norm(WELL1, ATOMIC, 0.7, "even"), rel=1e-14
         )
 
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            smith_identity_check(WELL1, ATOMIC, 1.0, "even", dE=10.0)
+    def test_signature_has_no_step(self):
+        with pytest.raises(TypeError):
+            smith_identity_check(WELL1, ATOMIC, 1.0, "even", 1e-5)
 
-    def test_cancellation_regime_warned(self):
-        pot = SquarePotential(5.0, 1.0)
-        E = 0.5
-        assert smith_identity_check(pot, ATOMIC, 1.0, "even",
-                                    dE=1e-12 * E).cancellation_warning
-        assert not smith_identity_check(pot, ATOMIC, 1.0, "even",
-                                        dE=1e-5 * E).cancellation_warning
+
+def test_opaque_barrier_raises_typed_error():
+    """kappa d ~ 2500: a ConvergenceError, not NaN or a bare ValueError."""
+    pot = SquarePotential(5.0, 400.0)
+    calls = [
+        lambda: amplitudes(pot, ATOMIC, 0.5),
+        lambda: amplitudes(pot, ATOMIC, 0.5 + 0.1j),
+        *(lambda p=p: interior_norm(pot, ATOMIC, 0.5, p) for p in ("even", "odd")),
+        *(lambda p=p: dwell_time(pot, ATOMIC, 0.5, p) for p in ("even", "odd")),
+        lambda: smith_identity_check(pot, ATOMIC, 0.5, "even"),
+    ]
+    for call in calls:
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="opaque"):
+            call()

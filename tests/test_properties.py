@@ -82,7 +82,7 @@ def test_kernel_unitary_and_real(v0, a, k):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="cosh/sinh overflow above kappa d ~ 710 (ROADMAP item 4)",
+    reason="cosh/sinh overflow above kappa d ~ 710 (ROADMAP item 2)",
 )
 def test_kernel_finite_for_opaque_barrier():
     pot = SquarePotential(5.0, 300.0)  # kappa d ~ 1900 at k = 0.5
