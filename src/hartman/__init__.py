@@ -46,7 +46,6 @@ from .wavepacket import (
     mean_exit_time_via_flux,
     packet_amplitude,
     transmission_probability,
-    x0_of_p,
 )
 
 __version__ = "0.1.0"
@@ -91,5 +90,4 @@ __all__ = [
     "transmission_probability",
     "van_kampen_check",
     "wigner_delay",
-    "x0_of_p",
 ]

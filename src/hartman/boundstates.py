@@ -43,7 +43,6 @@ class BoundLevel:
     parity: str  # "even" | "odd"
     k_b: float  # decay constant, psi ~ e^{-K_b |x|} outside
     energy: float  # -(hbar K_b)^2 / (2 m) < 0
-    near_threshold: bool = False
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ def solve_bound_states(
                 parity="even" if even else "odd",
                 k_b=k_b,
                 energy=-((consts.hbar * k_b) ** 2) / (2.0 * consts.mass),
-                near_threshold=k_b < 1e-12,
             )
         )
 
@@ -165,8 +163,6 @@ class LevinsonReport:
     predicted: float
     residual: float
     n_bound_states: int
-    t_zero_branch: bool  # True when T(k -> 0) -> 0 (generic case)
-    heuristic_consistent: bool  # |T(k_min)| < 0.5 agrees with the branch
 
 
 def levinson_check(
@@ -176,10 +172,10 @@ def levinson_check(
 ) -> LevinsonReport:
     """Compare the closed-form Phi_T(k_min) against the bound-state count.
 
-    Phi_T and |T| at k_min come from one kernel call.  Refuses wells at an
-    exact threshold: there the k -> 0 branch changes and the slow phase
-    variation makes any finite k_min unrepresentative.  Opaque barriers whose
-    |D|^2 overflows at k_min raise ConvergenceError.
+    Phi_T at k_min comes from one kernel call.  Refuses wells at an exact
+    threshold: there the k -> 0 branch changes and the slow phase variation
+    makes any finite k_min unrepresentative.  Opaque barriers whose |D|^2
+    overflows at k_min raise ConvergenceError.
     """
     if pot.v0 < 0 and is_at_threshold(pot, consts):
         raise ValueError(
@@ -193,20 +189,13 @@ def levinson_check(
             predicted=0.0,
             residual=0.0,
             n_bound_states=0,
-            t_zero_branch=False,
-            heuristic_consistent=True,
         )
 
-    t, phi_t = _phases(pot.strength(consts), pot.width, [k_min])[:2]
-    phi0 = float(phi_t[0])
-    t_abs = abs(complex(t[0]))
-
+    phi0 = float(_phases(pot.strength(consts), pot.width, [k_min])[1][0])
     predicted = math.pi * (n_b - 0.5)
     return LevinsonReport(
         phi_t_at_kmin=phi0,
         predicted=predicted,
         residual=abs(phi0 - predicted),
         n_bound_states=n_b,
-        t_zero_branch=True,
-        heuristic_consistent=t_abs < 0.5,
     )

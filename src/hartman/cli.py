@@ -7,8 +7,10 @@ delay-sweep   time delay and causality bounds versus potential strength
 packet-sweep  transmission probability and subtracted passage time per depth
 verify        run the cross-module invariant suite
 
-Every option has a long flag; defaults may also come from a key=value config
-file (--config), with command-line flags taking precedence.  Output goes to
+Every option has a long flag; values may also come from a key=value config
+file (--config), whose keys must be options of the subcommand other than
+--preset and --config.  Precedence is flag > config file > preset > default,
+resolved once into a RunConfig that JSON output echoes whole.  Output goes to
 --out (CSV or JSON; stdout when omitted), resolved against $HARTMAN_OUT_DIR
 for relative paths.  Identical configurations produce byte-identical files.
 `amplitudes` and `delay-sweep` are each a few vectorized kernel calls;
@@ -59,6 +61,15 @@ PRESETS = {
     },
 }
 
+# each subcommand's own defaults, below flag > config file > preset; the
+# options every subcommand shares (hbar, mass, output, jobs) default in RunConfig
+DEFAULTS = {
+    "amplitudes": {"v0": 0.0, "k_min": 0.01, "k_max": 6.0, "samples": 1200,
+                   "adaptive": True},
+    "delay-sweep": {"k": 0.1, "width": 2.0},
+    "packet-sweep": {"width": 2.0},
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -79,7 +90,7 @@ class RunConfig:
     k0: float | None = None
     delta_p: float | None = None
     x0: float | None = None
-    adaptive: bool = True
+    adaptive: bool | None = None
     preset: str | None = None
     out: str | None = None
     format: str = "csv"
@@ -140,13 +151,10 @@ def cmd_amplitudes(config: RunConfig, widths=None) -> list[tuple]:
     widths = widths or (config.width,)
     if any(w is None for w in widths):
         raise ValueError("amplitudes requires --width (or a preset)")
-    k_min = config.k_min if config.k_min is not None else 0.01
-    k_hi = config.k_max if config.k_max is not None else 6.0
-    samples = config.samples or 1200
+    k_min, k_hi, samples = config.k_min, config.k_max, config.samples
     rows = []
     for w in widths:
-        pot = SquarePotential(v0=config.v0 if config.v0 is not None else 0.0,
-                              half_width=w / 2.0)
+        pot = SquarePotential(v0=config.v0, half_width=w / 2.0)
         table = build_phase_table(pot, consts, k_min, k_hi, samples=samples)
         keep = config.adaptive | np.isin(table.k_grid, np.linspace(k_min, k_hi, samples))
         for i in np.nonzero(keep)[0]:
@@ -200,9 +208,14 @@ def _packet_row(task: tuple) -> tuple:
 def _v0_grid(config: RunConfig) -> list[float]:
     if None in (config.v0_min, config.v0_max, config.v0_step):
         raise ValueError("sweep requires --v0-min, --v0-max, --v0-step (or a preset)")
+    if not all(map(math.isfinite, (config.v0_min, config.v0_max, config.v0_step))):
+        raise ValueError("--v0-min, --v0-max and --v0-step must be finite")
     if config.v0_step <= 0:
         raise ValueError("--v0-step must be positive")
-    n = int(round((config.v0_max - config.v0_min) / config.v0_step))
+    if config.v0_max < config.v0_min:
+        raise ValueError("--v0-max must not be below --v0-min")
+    # the largest n with v0_min + n step <= v0_max, up to 1e-9 of a step of rounding
+    n = math.floor((config.v0_max - config.v0_min) / config.v0_step + 1e-9)
     return [config.v0_min + i * config.v0_step for i in range(n + 1)]
 
 
@@ -216,17 +229,14 @@ def _run_tasks(worker, tasks, jobs: int) -> list[tuple]:
 
 
 def cmd_delay_sweep(config: RunConfig) -> list[tuple]:
-    width = config.width if config.width is not None else 2.0
-    k = config.k if config.k is not None else 0.1
-    return delay_rows(_v0_grid(config), k, width, config.consts())
+    return delay_rows(_v0_grid(config), config.k, config.width, config.consts())
 
 
 def cmd_packet_sweep(config: RunConfig) -> list[tuple]:
-    width = config.width if config.width is not None else 2.0
     if None in (config.k0, config.delta_p, config.x0):
         raise ValueError("packet sweep requires --k0, --delta-p, --x0 (or a preset)")
     tasks = [
-        (v0, width, config.hbar, config.mass, config.k0, config.delta_p, config.x0)
+        (v0, config.width, config.hbar, config.mass, config.k0, config.delta_p, config.x0)
         for v0 in _v0_grid(config)
     ]
     return _run_tasks(_packet_row, tasks, config.jobs)
@@ -293,18 +303,21 @@ _BOOL_KEYS = {"adaptive"}
 
 
 def _resolve_config(args: argparse.Namespace, command: str):
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
+    """One RunConfig by precedence flag > config file > preset > default."""
+    options = set(vars(args)) - {"command", "config", "preset"}
+    file_values = _load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - options)
+    if unknown:
+        raise ValueError(f"{args.config}: {command} takes no config key "
+                         + ", ".join(unknown))
 
-    preset = dict(PRESETS.get(getattr(args, "preset", None) or "", {}))
+    preset = dict(PRESETS.get(args.preset or "", {}))
     preset.pop("command", None)
     widths = preset.pop("widths", None)
 
-    def pick(name, default=None):
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            return cli_val
+    def pick(name):
+        if getattr(args, name) is not None:
+            return getattr(args, name)
         if name in file_values:
             raw = file_values[name]
             if name in _FLOAT_KEYS:
@@ -314,33 +327,13 @@ def _resolve_config(args: argparse.Namespace, command: str):
             if name in _BOOL_KEYS:
                 return raw.strip().lower() not in ("0", "false", "no", "off")
             return raw
-        if name in preset:
-            return preset[name]
-        return default
+        return preset.get(name, DEFAULTS[command].get(name))
 
-    config = RunConfig(
-        command=command,
-        v0=pick("v0"),
-        width=pick("width"),
-        hbar=pick("hbar", 1.0),
-        mass=pick("mass", 1.0),
-        k_min=pick("k_min"),
-        k_max=pick("k_max"),
-        samples=pick("samples"),
-        k=pick("k"),
-        v0_min=pick("v0_min"),
-        v0_max=pick("v0_max"),
-        v0_step=pick("v0_step"),
-        k0=pick("k0"),
-        delta_p=pick("delta_p"),
-        x0=pick("x0"),
-        adaptive=pick("adaptive", True),
-        preset=getattr(args, "preset", None),
-        out=pick("out"),
-        format=pick("format", "csv"),
-        precision=pick("precision", 17),
-        jobs=pick("jobs", 1),
-    )
+    picked = {name: pick(name) for name in options}
+    config = RunConfig(command=command, preset=args.preset,
+                       **{k: v for k, v in picked.items() if v is not None})
+    if config.format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {config.format!r}")
     if config.precision < 12:
         raise ValueError("--precision must be at least 12 significant digits")
     if config.jobs < 1:
@@ -421,9 +414,6 @@ def main(argv=None) -> int:
             else:  # pragma: no cover
                 parser.error(f"unknown command {args.command}")
         return 0
-    except ThresholdDivergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -26,7 +26,7 @@ from .errors import ConvergenceError, ThresholdDivergenceError
 
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
 _NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
-# one batched evaluation per panel covers both rules
+# one batched evaluation per panel serves both rules
 _NODES_ALL = np.concatenate([_NODES15, _NODES7])
 # `integral_to_zero` gives up after this many halvings of the cutoff
 _MAX_HALVINGS = 60
@@ -169,7 +169,7 @@ def integral_to_zero(
     total = 0.0
     increments: list[float] = []
     for start in range(0, _MAX_HALVINGS, _HALVING_BATCH):
-        # halving n covers [eps/2^(n+1), eps/2^n]; dividing by 2^n is exact
+        # halving n spans [eps/2^(n+1), eps/2^n]; dividing by 2^n is exact
         his = eps / 2.0 ** np.arange(start, min(start + _HALVING_BATCH, _MAX_HALVINGS))
         los = his / 2.0
         s15, s7 = _seed_values(f, los, his)

@@ -84,11 +84,8 @@ class PhaseTable:
     def k_max(self) -> float:
         return float(self.k_grid[-1])
 
-    def covers(self, k: float) -> bool:
-        return self.k_min <= k <= self.k_max
-
     def require(self, k: float) -> None:
-        if not self.covers(k):
+        if not self.k_min <= k <= self.k_max:
             raise ValueError(
                 f"k={k} outside table range [{self.k_min}, {self.k_max}]"
             )
@@ -235,6 +232,7 @@ def van_kampen_check(
 
     Also verifies the reflection symmetry S_j(k)* = S_j(-k*) at each sample.
     Samples within 1e-8 of a pole (|D| underflow) are flagged, not fatal.
+    Opaque barriers, where the kernel overflows, raise ConvergenceError.
     """
     if pot.v0 < 0:
         raise ValueError("the causality bound requires no bound states (v0 >= 0)")
@@ -248,6 +246,7 @@ def van_kampen_check(
     d = pot.width
     t, r = _kernel.complex_amplitudes(g, d, ks)
     tm, rm = _kernel.complex_amplitudes(g, d, -ks.conj())
+    require_finite(r, tm, rm, t=t)
     s0, s1 = t + r, t - r
     e = np.exp(1j * ks * d)
     sa0 = np.abs(e * s0)

@@ -123,21 +123,6 @@ def packet_weight(spec, p, consts: PhysicalConstants = ATOMIC):
     return n * n * np.exp(-((arr - p0) ** 2) / (2.0 * spec.delta_p**2))
 
 
-def x0_of_p(
-    spec: GaussianPacketSpec, p: float, consts: PhysicalConstants = ATOMIC
-) -> float:
-    """-hbar Im(phi'/phi); the packet-center position, constant for a
-    Gaussian."""
-    p = float(p)
-    if p <= 0:
-        raise ValueError("x0(p) is defined for p > 0 only")
-    exponent = -((p - spec.p0(consts)) ** 2) / (4.0 * spec.delta_p**2)
-    if math.exp(exponent) == 0.0:
-        raise ValueError(f"phi_in({p}) underflows to zero; x0(p) undefined there")
-    dlog = -(p - spec.p0(consts)) / (2.0 * spec.delta_p**2) - 1j * spec.x0 / consts.hbar
-    return -consts.hbar * dlog.imag
-
-
 def _resonance_breakpoints(pot, consts, p_lo, p_hi):
     """Momenta of unit-transmission resonances q d = n pi, plus the barrier
     momentum where the tunneling/propagating kink sits."""

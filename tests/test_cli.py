@@ -226,6 +226,55 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert [float(r[0]) for r in rows] == [1.0, 2.0]  # step overridden to 1.0
 
 
+def test_config_file_unknown_key_rejected(tmp_path, capsys):
+    """Misspelt keys used to be dropped, running at the default k and d."""
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("kk=0.2\nwidht=5\n", encoding="utf-8")
+    code = run_cli([
+        "delay-sweep", "--config", str(cfg), "--v0-min", "0", "--v0-max", "1",
+        "--v0-step", "0.5", "--out", str(tmp_path / "c.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "kk" in err and "widht" in err
+    assert not (tmp_path / "c.csv").exists()
+    cfg.write_text("format=xml\n", encoding="utf-8")  # a known key, a bad value
+    assert run_cli(["delay-sweep", "--config", str(cfg), "--v0-min", "0",
+                    "--v0-max", "1", "--v0-step", "0.5"]) == 2
+
+
+def test_json_metadata_holds_defaults(tmp_path):
+    out = tmp_path / "d.json"
+    assert run_cli([
+        "delay-sweep", "--v0-min", "0", "--v0-max", "1", "--v0-step", "1",
+        "--format", "json", "--out", str(out),
+    ]) == 0
+    meta = json.loads(out.read_text(encoding="utf-8"))["metadata"]
+    assert meta["k"] == 0.1 and meta["width"] == 2.0
+    assert "adaptive" not in meta  # an amplitudes option
+
+
+def test_sweep_grid_stops_at_v0_max(tmp_path):
+    out = tmp_path / "d.csv"
+    assert run_cli([
+        "delay-sweep", "--v0-min", "0", "--v0-max", "1", "--v0-step", "0.6",
+        "--out", str(out),
+    ]) == 0
+    _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == [0.0, 0.6]
+
+
+@pytest.mark.parametrize("v0_min, v0_max", [("1", "0"), ("0", "inf")])
+def test_sweep_grid_rejects_bad_bounds(tmp_path, v0_min, v0_max):
+    """Reversed bounds gave a header-only file; an infinite one a traceback."""
+    out = tmp_path / "d.csv"
+    assert run_cli([
+        "delay-sweep", "--v0-min", v0_min, "--v0-max", v0_max, "--v0-step", "0.5",
+        "--out", str(out),
+    ]) == 2
+    assert not out.exists()
+
+
 PACKET_ROWS_3 = [
     "packet-sweep", "--preset", "fig3", "--v0-min", "-0.4", "--v0-max", "-0.2",
     "--v0-step", "0.1",

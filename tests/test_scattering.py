@@ -399,3 +399,9 @@ class TestVanKampen:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(ValueError):
             van_kampen_check(BARRIER5_HALF, ATOMIC, [1.0 - 0.1j])
+
+    def test_opaque_barrier_raises(self):
+        """kappa d ~ 2,500: the kernel overflows to NaN, which ends in a
+        typed error rather than in NaN moduli with passed=False."""
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            van_kampen_check(SquarePotential(5.0, 400.0), ATOMIC, [0.5 + 0.1j])

@@ -19,7 +19,6 @@ from hartman import (
     packet_amplitude,
     threshold_depths,
     transmission_probability,
-    x0_of_p,
 )
 from hartman._kernel import W_CUT, scatter_grid
 from hartman.quadrature import adaptive_quad
@@ -61,31 +60,21 @@ class TestPacket:
             norm = adaptive_quad(w, 1e-12, spec.p_max(), rel_tol=1e-12).value
             assert norm == pytest.approx(1.0, abs=1e-10)
 
-    def test_x0_of_p_constant(self):
-        for p in (0.05, FIG3_PACKET.k0, 1.0, 4.0):
-            assert x0_of_p(FIG3_PACKET, p) == pytest.approx(-41.0, abs=1e-12)
-
     def test_x0_of_p_matches_phase_derivative(self):
-        """-hbar d(arg phi)/dp by central differences."""
+        """x0(p) = -hbar d(arg phi)/dp, by central differences, is the spec's
+        x0 at every p: the packet's phase puts its center at x0."""
         h = 1e-6
-        for p in (0.3, 1.1):
-            args = np.unwrap(
-                [np.angle(packet_amplitude(FIG3_PACKET, pp)) for pp in (p - h, p + h)]
-            )
-            fd = -(args[1] - args[0]) / (2.0 * h)
-            assert fd == pytest.approx(x0_of_p(FIG3_PACKET, p), rel=1e-8)
-
-    def test_free_phase_packet_centered_at_origin(self):
-        spec = GaussianPacketSpec(k0=1.0, delta_p=0.2, x0=0.0)
-        assert x0_of_p(spec, 0.7) == 0.0
+        for spec in (FIG3_PACKET, NARROW):
+            for p in (0.3, 1.1, 2.0):
+                args = np.unwrap(
+                    [np.angle(packet_amplitude(spec, pp)) for pp in (p - h, p + h)]
+                )
+                fd = -(args[1] - args[0]) / (2.0 * h)
+                assert fd == pytest.approx(spec.x0, rel=1e-8)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             packet_amplitude(FIG3_PACKET, -0.5)
-        with pytest.raises(ValueError):
-            x0_of_p(FIG3_PACKET, 0.0)
-        with pytest.raises(ValueError):
-            x0_of_p(NARROW, 60.0)  # amplitude underflows to zero
         with pytest.raises(ValueError):
             GaussianPacketSpec(k0=-1.0, delta_p=1.0, x0=-5.0)
 
