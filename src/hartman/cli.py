@@ -13,8 +13,10 @@ file (--config), whose keys must be options of the subcommand other than
 resolved once into a RunConfig that JSON output echoes whole.  Output goes to
 --out (CSV or JSON; stdout when omitted), resolved against $HARTMAN_OUT_DIR
 for relative paths.  Identical configurations produce byte-identical files.
-`amplitudes` and `delay-sweep` are each a few vectorized kernel calls;
-`packet-sweep` runs its rows on up to --jobs worker processes.
+`amplitudes` and `delay-sweep` are a few vectorized kernel calls each.
+`packet-sweep` runs its rows in lockstep, one kernel call per block of each
+quadrature round over all open rows; --jobs N gives each of up to N worker
+processes one contiguous chunk of rows.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid input, 3 numerical
 non-convergence.
@@ -27,7 +29,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,12 +40,9 @@ from .delays import oscillatory_delay_bound
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import PhysicalConstants, SquarePotential
 from .scattering import build_phase_table, eigenphases
-from .wavepacket import (
-    GaussianPacketSpec,
-    classical_reference_time,
-    mean_exit_time,
-    transmission_probability,
-)
+from .quadrature import _first_error
+from .wavepacket import (GaussianPacketSpec, PassageTimeReport, _exit_times,
+                         classical_reference_time)
 
 PRESETS = {
     "fig1": {
@@ -190,19 +190,20 @@ def delay_rows(v0s, k: float, width: float, consts: PhysicalConstants) -> list[t
     ]
 
 
-def _packet_row(task: tuple) -> tuple:
-    v0, width, hbar, mass, k0, delta_p, x0 = task
-    consts = PhysicalConstants(hbar=hbar, mass=mass)
-    pot = SquarePotential(v0=v0, half_width=width / 2.0)
-    spec = GaussianPacketSpec(k0=k0, delta_p=delta_p, x0=x0)
-    try:
-        rep = mean_exit_time(spec, pot, consts)
-    except ThresholdDivergenceError:
-        p_t = transmission_probability(spec, pot, consts)
-        t_cl, defined = classical_reference_time(spec, pot, consts)
-        return (v0, p_t, math.nan, t_cl, math.nan, defined, True)
-    return (v0, rep.p_t, rep.t_out, rep.t_classical, rep.t_subtracted,
-            rep.classical_defined, False)
+def _packet_rows(config: RunConfig, v0s: list[float]) -> list[tuple]:
+    """Packet-sweep rows at depths v0s, in lockstep.  A row whose exit time
+    diverges is flagged with its P_T; the first other error is raised."""
+    consts = config.consts()
+    spec = GaussianPacketSpec(k0=config.k0, delta_p=config.delta_p, x0=config.x0)
+    pots = [SquarePotential(v0=v0, half_width=config.width / 2.0) for v0 in v0s]
+    rows = []
+    for v0, pot, (p_t, rep) in zip(v0s, pots, _exit_times(spec, pots, consts)):
+        diverged = isinstance(rep, ThresholdDivergenceError)
+        if diverged:
+            t_cl, defined = classical_reference_time(spec, pot, consts)
+            rep = PassageTimeReport(_first_error([p_t])[0], math.nan, t_cl, math.nan, defined)
+        rows.append((v0, *astuple(_first_error([rep])[0]), diverged))
+    return rows
 
 
 def _v0_grid(config: RunConfig) -> list[float]:
@@ -219,15 +220,6 @@ def _v0_grid(config: RunConfig) -> list[float]:
     return [config.v0_min + i * config.v0_step for i in range(n + 1)]
 
 
-def _run_tasks(worker, tasks, jobs: int) -> list[tuple]:
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(t) for t in tasks]
-    chunksize = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunksize))
-
-
 def cmd_delay_sweep(config: RunConfig) -> list[tuple]:
     return delay_rows(_v0_grid(config), config.k, config.width, config.consts())
 
@@ -235,11 +227,14 @@ def cmd_delay_sweep(config: RunConfig) -> list[tuple]:
 def cmd_packet_sweep(config: RunConfig) -> list[tuple]:
     if None in (config.k0, config.delta_p, config.x0):
         raise ValueError("packet sweep requires --k0, --delta-p, --x0 (or a preset)")
-    tasks = [
-        (v0, config.width, config.hbar, config.mass, config.k0, config.delta_p, config.x0)
-        for v0 in _v0_grid(config)
-    ]
-    return _run_tasks(_packet_row, tasks, config.jobs)
+    v0s = _v0_grid(config)
+    # one contiguous chunk of rows per worker process, each run in lockstep
+    workers = min(config.jobs, len(v0s), os.cpu_count() or 1)
+    if workers == 1:
+        return _packet_rows(config, v0s)
+    chunks = [chunk.tolist() for chunk in np.array_split(v0s, workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [row for rows in pool.map(partial(_packet_rows, config), chunks) for row in rows]
 
 
 def cmd_verify(args) -> int:
@@ -276,8 +271,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
                    help="key=value file with defaults; flags override")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for packet-sweep rows (default 1; "
-                   "at most one per row and per CPU)")
+                   help="worker processes for packet-sweep, each one chunk of "
+                   "rows (default 1; at most one per row and per CPU)")
 
 
 def _load_config_file(path: str) -> dict:

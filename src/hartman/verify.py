@@ -25,12 +25,13 @@ from .delays import (
     smith_identity_check,
     wigner_delay,
 )
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 from .scattering import (amplitudes, build_phase_table, default_k_max, eigenphases,
                          van_kampen_check)
 from .wavepacket import (
     GaussianPacketSpec,
+    _exit_times,
     mean_exit_time,
     mean_exit_time_via_flux,
     packet_amplitude,
@@ -554,25 +555,25 @@ def check_threshold_enhancement(
 ) -> CheckResult:
     """Windows with t_subtracted < 0 and P_T > 0.5 near the first two
     enhancement depths of the reference packet sweep."""
-    from .errors import ThresholdDivergenceError
-
     spec = GaussianPacketSpec(math.pi / 8, 1.0, -41.0)
     start = time.perf_counter()
     hits: dict[float, bool] = {t: False for t in CROSSING_TARGETS}
-    v0 = -1.6
+    v0s, v0 = [], -1.6
     while v0 <= 0.4 + 1e-12:
         if abs(v0) > 1e-12:
-            pot = SquarePotential(v0, 1.0)
-            try:
-                rep = mean_exit_time(spec, pot, ATOMIC)
-            except ThresholdDivergenceError:
-                v0 += step
-                continue
-            if rep.t_subtracted < 0 and rep.p_t > 0.5:
-                for target in hits:
-                    if abs(v0 - target) <= 0.25:
-                        hits[target] = True
+            v0s.append(v0)
         v0 += step
+    # one lockstep batch of all depths; rows whose exit time diverges are skipped
+    pots = [SquarePotential(v0, 1.0) for v0 in v0s]
+    for v0, (_, rep) in zip(v0s, _exit_times(spec, pots, ATOMIC)):
+        if isinstance(rep, ThresholdDivergenceError):
+            continue
+        if isinstance(rep, Exception):
+            raise rep
+        if rep.t_subtracted < 0 and rep.p_t > 0.5:
+            for target in hits:
+                if abs(v0 - target) <= 0.25:
+                    hits[target] = True
     elapsed = time.perf_counter() - start
     return CheckResult(
         "threshold-enhanced advancement windows (reference sweep)",

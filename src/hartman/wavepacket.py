@@ -33,7 +33,7 @@ from . import _kernel
 from .boundstates import is_at_threshold
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
-from .quadrature import adaptive_quad, integral_to_zero
+from .quadrature import _adaptive, _first_error, _lockstep, _to_zero
 
 # packet momentum support: beyond p0 + _SUPPORT_SIGMAS * dp the Gaussian
 # mass is below 1e-16 of the total
@@ -140,23 +140,35 @@ def _resonance_breakpoints(pot, consts, p_lo, p_hi):
     return [p for p in pts if p_lo < p < p_hi]
 
 
-def _transmitted_weight(spec, pot, consts, p):
+def _transmitted_weight(spec, consts, g, width, p):
     """|phi_in|^2 |T|^2 and dPhi_T/dk at momenta p, from one kernel call."""
     p = np.asarray(p, dtype=float)
-    k = p / consts.hbar
-    t, dphi, _, _ = _kernel.transmission_grid(pot.strength(consts), pot.width, k)
+    t, dphi, _, _ = _kernel.transmission_grid(g, width, p / consts.hbar)
     return packet_weight(spec, p, consts) * np.abs(t) ** 2, dphi
 
 
-def _integral_from_zero(f, spec, pot, consts, p_hi, rel_tol=_REL_TOL) -> float:
-    """Integral of f over (0, p_hi]: adaptive panels from the packet's low
+def _from_zero(spec, pot, consts, p_hi, rel_tol=_REL_TOL):
+    """Lockstep integral over (0, p_hi]: adaptive panels from the packet's low
     cutoff up, seeded at the resonances of `pot`, and halvings below it."""
     eps = min(spec.p0(consts), spec.delta_p) * _CUTOFF_FRACTION
-    main = adaptive_quad(
-        f, eps, p_hi, rel_tol=rel_tol,
-        breakpoints=_resonance_breakpoints(pot, consts, eps, p_hi),
-    ).value
-    return main + integral_to_zero(f, eps, rel_tol=rel_tol, reference=main)
+    breaks = _resonance_breakpoints(pot, consts, eps, p_hi)
+    main = (yield from _adaptive(eps, p_hi, rel_tol=rel_tol, breakpoints=breaks)).value
+    return main + (yield from _to_zero(eps, rel_tol=rel_tol, reference=main))
+
+
+def _packet_integrals(spec, consts, pots, integrals, timed=None) -> list:
+    """Lockstep results (or exceptions) of `integrals` over `pots`, all of one
+    width, one kernel call per block of nodes: integral i integrates |phi_in|^2
+    |T|^2 over pots[i], times (a - x0 + dPhi_T/dk)/p once it sets timed[i]."""
+    g, width = np.array([pot.strength(consts) for pot in pots]), pots[0].width
+    timed = np.zeros(len(pots), dtype=bool) if timed is None else timed
+    aprime = width / 2.0 - spec.x0
+
+    def f(p, owner):
+        wgt, dphi = _transmitted_weight(spec, consts, g[owner], width, p)
+        return np.where(timed[owner], wgt * (aprime + dphi) / p, wgt)
+
+    return _lockstep(f, integrals)
 
 
 def _require_left_start(spec, pot) -> None:
@@ -187,10 +199,8 @@ def transmission_probability(
     consts: PhysicalConstants = ATOMIC,
 ) -> float:
     """P_T = integral |phi_in|^2 |T|^2 dp over (0, inf)."""
-    return _integral_from_zero(
-        lambda p: _transmitted_weight(spec, pot, consts, p)[0],
-        spec, pot, consts, spec.p_max(consts),
-    )
+    integral = _from_zero(spec, pot, consts, spec.p_max(consts))
+    return _first_error(_packet_integrals(spec, consts, [pot], [integral]))[0]
 
 
 def classical_reference_time(
@@ -219,37 +229,43 @@ def mean_exit_time(
 ) -> PassageTimeReport:
     """Flux-averaged exit time at x = a, by momentum-space quadrature.
 
-    The time integrand uses the analytic dPhi_T/dk; P_T comes from
-    `transmission_probability`.
+    The time integrand uses the analytic dPhi_T/dk; P_T comes first, as
+    `transmission_probability` computes it.
     """
-    _require_left_start(spec, pot)
-    # the cutoff halvings alone miss a packet whose weight at p = 0 is tiny
-    # but not zero, so an exact threshold is refused up front
-    if pot.v0 < 0 and is_at_threshold(pot, consts):
-        if packet_weight(spec, 1e-12, consts) > 1e-280:
+    return _first_error([_exit_times(spec, [pot], consts)[0][1]])[0]
+
+
+def _exit_times(spec, pots, consts) -> list[tuple]:
+    """(P_T, `mean_exit_time` report) per potential of one width, in lockstep;
+    either may be the exception a serial run raises, and a refused row has P_T."""
+    _require_left_start(spec, pots[0])
+    timed = np.zeros(len(pots), dtype=bool)
+    rows = [_exit_time_row(spec, pot, consts, timed, i) for i, pot in enumerate(pots)]
+    return _packet_integrals(spec, consts, pots, rows, timed)
+
+
+def _exit_time_row(spec, pot, consts, timed, i):
+    """One row of `_exit_times`: P_T, then the time moment with timed[i] set."""
+    try:
+        p_t = yield from _from_zero(spec, pot, consts, spec.p_max(consts))
+    except (ConvergenceError, ValueError) as exc:
+        p_t = exc
+    try:
+        # the cutoff halvings alone miss a packet whose weight at p = 0 is tiny
+        # but not zero, so an exact threshold is refused before the time moment
+        if pot.v0 < 0 and is_at_threshold(pot, consts) and (
+                packet_weight(spec, 1e-12, consts) > 1e-280):
             raise ThresholdDivergenceError(
-                "well is at a bound-state threshold and the packet does not "
-                "vanish at p = 0: the mean exit time diverges"
-            )
-
-    p_t = transmission_probability(spec, pot, consts)
-    _require_transmitted(p_t)
-    aprime = pot.half_width - spec.x0
-
-    def w_time(p):
-        wgt, dphi = _transmitted_weight(spec, pot, consts, p)
-        return wgt * (aprime + dphi) / p
-
-    t_int = _integral_from_zero(w_time, spec, pot, consts, spec.p_max(consts))
+                "well is at a bound-state threshold and the packet does not vanish "
+                "at p = 0: the mean exit time diverges")
+        _require_transmitted(_first_error([p_t])[0])
+        timed[i] = True
+        t_int = yield from _from_zero(spec, pot, consts, spec.p_max(consts))
+    except (ConvergenceError, ValueError) as exc:
+        return p_t, exc
     t_out = consts.mass * t_int / p_t
     t_cl, defined = classical_reference_time(spec, pot, consts)
-    return PassageTimeReport(
-        p_t=p_t,
-        t_out=t_out,
-        t_classical=t_cl,
-        t_subtracted=t_out - t_cl,
-        classical_defined=defined,
-    )
+    return p_t, PassageTimeReport(p_t, t_out, t_cl, t_out - t_cl, defined)
 
 
 def _bulk_wave(spec, pot, consts, p, t):
@@ -343,7 +359,8 @@ def mean_exit_time_via_flux(
     # reference transmission probability on a fixed grid (trapezoid), also
     # used to pick the time window from the low-momentum weight
     pgrid = np.linspace(1e-7, p_hi, _P_POINTS)
-    wgt = _transmitted_weight(spec, pot, consts, pgrid)[0]  # frees dPhi_T/dk at once
+    # [0] frees dPhi_T/dk at once
+    wgt = _transmitted_weight(spec, consts, pot.strength(consts), pot.width, pgrid)[0]
     p_t_ref = float(np.trapezoid(wgt, pgrid))
     _require_transmitted(p_t_ref)
 
@@ -439,17 +456,12 @@ def crossover_width_empirical(
 
     def split_transmittance(width: float) -> float:
         trial = SquarePotential(v0=pot.v0, half_width=width / 2.0)
-
-        def w(p):
-            return _transmitted_weight(spec, trial, consts, p)[0]
-
+        breaks = _resonance_breakpoints(trial, consts, p_b, p_hi)
         # every resonance lies above p_b, so `below` gets no breakpoints
-        below = _integral_from_zero(w, spec, trial, consts, p_b, _SPLIT_REL_TOL)
-        above = adaptive_quad(
-            w, p_b, p_hi, rel_tol=_SPLIT_REL_TOL,
-            breakpoints=_resonance_breakpoints(trial, consts, p_b, p_hi),
-        ).value
-        return below - above
+        below, above = _first_error(_packet_integrals(spec, consts, [trial] * 2, [
+            _from_zero(spec, trial, consts, p_b, _SPLIT_REL_TOL),
+            _adaptive(p_b, p_hi, rel_tol=_SPLIT_REL_TOL, breakpoints=breaks)]))
+        return below - above.value
 
     d_lo = 1e-3
     f_lo = split_transmittance(d_lo)

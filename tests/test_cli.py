@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import hartman.cli
+from hartman import (GaussianPacketSpec, mean_exit_time, threshold_depths,
+                     transmission_probability)
 from hartman.cli import delay_rows, main
 from hartman.potential import ATOMIC, SquarePotential
 from hartman.verify import transfer_matrix_amplitudes
@@ -190,6 +192,58 @@ def test_packet_sweep_flags_divergent_row(tmp_path):
     assert float(by_v0[-0.05][4]) < 0  # advancement window
 
 
+def test_packet_sweep_free_and_threshold_rows_diverge(tmp_path):
+    """The free row (v0 = 0) and a well exactly at its first bound-state
+    threshold are both flagged, each with its own P_T."""
+    v_thr = threshold_depths(1.0, 1, ATOMIC)[0]
+    out = tmp_path / "p.csv"
+    assert run_cli([
+        "packet-sweep", "--preset", "fig3", "--v0-min", repr(v_thr),
+        "--v0-max", "0", "--v0-step", repr(-v_thr), "--out", str(out),
+    ]) == 0
+    _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == [v_thr, 0.0]
+    spec = GaussianPacketSpec(math.pi / 8, 1.0, -41.0)
+    for r in rows:
+        assert r[6] == "1"
+        assert math.isnan(float(r[2])) and math.isnan(float(r[4]))
+        assert float(r[1]) == transmission_probability(spec, SquarePotential(float(r[0]), 1.0))
+
+
+def test_fig3_kernel_call_budget(tmp_path, monkeypatch):
+    """fig3's 201 rows run in lockstep: one kernel call per block of each
+    quadrature round, 135 calls in all (1,712 with one row at a time), and
+    no call over 4,096 points."""
+    sizes = []
+    inner = hartman._kernel.transmission_grid
+
+    def counting(g, width, k):
+        sizes.append(np.size(k))
+        return inner(g, width, k)
+
+    monkeypatch.setattr(hartman._kernel, "transmission_grid", counting)
+    assert run_cli(["packet-sweep", "--preset", "fig3", "--out", str(tmp_path / "f.csv")]) == 0
+    assert len(sizes) <= 200
+    assert max(sizes) <= 4096
+
+
+def test_fig3_rows_match_single_rows(tmp_path):
+    """Every fig3 row from the lockstep sweep equals, bit for bit, what its
+    own `mean_exit_time` call gives (a BLAS row sum can depend on the row's
+    place in a product, which shows in a few of these 201 rows)."""
+    out = tmp_path / "f.csv"
+    assert run_cli(["packet-sweep", "--preset", "fig3", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 201
+    spec = GaussianPacketSpec(math.pi / 8, 1.0, -41.0)
+    for r in rows:
+        if r[6] == "1":
+            continue
+        rep = mean_exit_time(spec, SquarePotential(float(r[0]), 1.0))
+        assert [float(x) for x in r[1:5]] == [rep.p_t, rep.t_out, rep.t_classical,
+                                              rep.t_subtracted]
+
+
 def test_json_output_with_metadata(tmp_path):
     out = tmp_path / "p.json"
     run_cli([
@@ -333,6 +387,33 @@ def test_jobs_pool_capped(tmp_path, monkeypatch, cpus, jobs, want):
     assert run_cli(PACKET_ROWS_3 + ["--jobs", jobs, "--out", str(out)]) == 0
     assert _RecordingPool.sizes == ([] if want is None else [want])
     assert out.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_packet_sweep_right_start_exits_2(tmp_path, capsys, jobs):
+    """A packet that starts right of the potential fails every row: exit 2
+    with the first row's message, and no output file."""
+    out = tmp_path / "p.csv"
+    assert run_cli(PACKET_ROWS_3 + ["--x0", "0.5", "--jobs", jobs, "--out", str(out)]) == 2
+    assert "packet must start left of the potential" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_packet_sweep_raises_first_row_error(tmp_path, monkeypatch, capsys):
+    """Row -0.3 fails to converge (NaN T) and row -0.2 transmits nothing
+    (T = 0): the sweep exits as a serial one would, with the first of them."""
+    inner = hartman._kernel.transmission_grid
+
+    def poisoned(g, width, k):
+        t, dphi, s1, s2 = inner(g, width, k)
+        bad, dark = np.isclose(g, -0.6, atol=1e-9), np.isclose(g, -0.4, atol=1e-9)
+        return np.where(bad, np.nan, np.where(dark, 0.0, t)), dphi, s1, s2
+
+    monkeypatch.setattr(hartman._kernel, "transmission_grid", poisoned)
+    out = tmp_path / "p.csv"
+    assert run_cli(PACKET_ROWS_3 + ["--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_input_exit_code():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hartman.errors import ConvergenceError, ThresholdDivergenceError
-from hartman.quadrature import adaptive_quad, integral_to_zero
+from hartman.quadrature import _adaptive, _lockstep, _to_zero, adaptive_quad, integral_to_zero
 
 
 def _counting(f):
@@ -173,3 +173,32 @@ def test_infinite_integrand_raises():
     f = lambda x: np.where(x < 0.5, 1.0, np.inf)
     with pytest.raises(ConvergenceError, match="not finite"), np.errstate(invalid="ignore"):
         adaptive_quad(f, 0.0, 1.0)
+
+
+def test_lockstep_matches_integrals_run_alone():
+    """Integrals run in lockstep give bitwise what each gives alone, an
+    integral that raises gets its exception in its place, and every
+    integrand call stays within one block of nodes."""
+    centers = np.linspace(0.5, 9.5, 60)
+    sizes = []
+
+    def f(x, owner):
+        sizes.append(len(x))
+        return np.exp(-3.0 * (x - centers[owner % 60]) ** 2)
+
+    integrals = [_adaptive(0.0, 10.0, rel_tol=1e-10, breakpoints=[c]) for c in centers]
+    integrals += [_to_zero(0.25, rel_tol=1e-9, reference=1.0) for _ in range(10)]
+    integrals[7] = _adaptive(1.0, 1.0)
+    got = _lockstep(f, integrals)
+    assert isinstance(got[7], ValueError)
+    for i, c in enumerate(centers):
+        if i != 7:
+            want = adaptive_quad(lambda x: np.exp(-3.0 * (x - c) ** 2), 0.0, 10.0,
+                                 rel_tol=1e-10, breakpoints=[c])
+            assert got[i] == want
+    for i, c in enumerate(centers[:10]):
+        want = integral_to_zero(lambda x: np.exp(-3.0 * (x - c) ** 2), 0.25,
+                                rel_tol=1e-9, reference=1.0)
+        assert got[60 + i] == want
+    assert max(sizes) <= 4096
+    assert len(sizes) < 100

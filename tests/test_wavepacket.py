@@ -22,7 +22,7 @@ from hartman import (
 )
 from hartman._kernel import W_CUT, scatter_grid
 from hartman.quadrature import adaptive_quad
-from hartman import wavepacket
+from hartman import _kernel, wavepacket
 from hartman.verify import CROSS_VALIDATION_CONFIGS, transmission_probability_simpson
 from hartman.wavepacket import _bulk_wave
 
@@ -217,6 +217,53 @@ class TestMeanExitTime:
         assert rep.p_t > 0.5
         assert rep.t_subtracted < 0.0
         assert rep.classical_defined
+
+
+class TestExitTimeBatch:
+    """`wavepacket._exit_times` runs the rows of a packet sweep in lockstep;
+    each row must come out as its own `mean_exit_time` call gives it."""
+
+    @staticmethod
+    def _single(pot):
+        try:
+            return mean_exit_time(FIG3_PACKET, pot)
+        except (ConvergenceError, ValueError) as exc:
+            return exc
+
+    def test_matches_single_rows_bitwise(self):
+        v_thr = threshold_depths(1.0, 1, ATOMIC)[0]
+        v0s = (0.4, 0.35, 0.1, 0.02, 0.0, -0.05, -0.3, -0.9, -1.2, -1.22, -1.233,
+               v_thr, -1.234, -1.24, -1.3, -1.6, -2.5, -4.9, v_thr * 4 - 1e-3, -5.0)
+        pots = [SquarePotential(v0, 1.0) for v0 in v0s]
+        rows = wavepacket._exit_times(FIG3_PACKET, pots, ATOMIC)
+        assert len(rows) == len(pots)
+        diverged = 0
+        for pot, (p_t, rep) in zip(pots, rows):
+            assert p_t == transmission_probability(FIG3_PACKET, pot)
+            want = self._single(pot)
+            if isinstance(want, Exception):
+                assert type(rep) is type(want) and rep.args == want.args
+                diverged += isinstance(rep, ThresholdDivergenceError)
+            else:
+                assert rep == want
+        assert diverged >= 2  # the free row and the exact threshold
+
+    def test_row_error_stays_in_its_row(self, monkeypatch):
+        """A row whose integrand is NaN gets its own ConvergenceError; the
+        rows beside it are unchanged."""
+        pots = [SquarePotential(v0, 1.0) for v0 in (-0.3, 0.2, -0.9)]
+        want = [mean_exit_time(FIG3_PACKET, pot) for pot in pots]
+        bad_g = pots[1].strength(ATOMIC)
+        inner = _kernel.transmission_grid
+
+        def poisoned(g, width, k):
+            t, dphi, s1, s2 = inner(g, width, k)
+            return np.where(g == bad_g, np.nan, t), dphi, s1, s2
+
+        monkeypatch.setattr(_kernel, "transmission_grid", poisoned)
+        rows = wavepacket._exit_times(FIG3_PACKET, pots, ATOMIC)
+        assert isinstance(rows[1][0], ConvergenceError) and rows[1][1] is rows[1][0]
+        assert [rows[0][1], rows[2][1]] == [want[0], want[2]]
 
 
 class TestFluxOracle:
