@@ -240,9 +240,7 @@ def cmd_packet_sweep(config: RunConfig) -> list[tuple]:
 def cmd_verify(args) -> int:
     from .verify import run_all_checks
 
-    results = run_all_checks(
-        tolerance_scale=args.tolerance_scale, include_slow=not args.skip_slow
-    )
+    results = run_all_checks(include_slow=not args.skip_slow)
     if args.format == "json":
         payload = [
             {"name": r.name, "passed": bool(r.passed), "seconds": r.seconds,
@@ -379,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_pkt)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
-    p_ver.add_argument("--tolerance-scale", dest="tolerance_scale", type=float,
-                       default=1.0, help="scale all tolerances (testing hook)")
     p_ver.add_argument("--skip-slow", action="store_true",
                        help="skip the packet-integral checks")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")

@@ -234,15 +234,18 @@ def interior_norm(
     """integral over [-a, a] of psi_j(x)^2 for the real scattering
     eigenfunction normalized to amplitude sqrt(2/h) outside.
 
-    Written as a single guarded ratio (matching condition substituted), so
+    Written as a single ratio (matching condition substituted) in the
+    half-width triplet c = cos(qa), s1 = sin(qa)/q, s2 = (a c - s1)/mu of
+    `_kernel.trig_triplet`, mu = q^2 = k^2 - g:
+
+        even: (2/h) k^2 (a + c s1) / (k^2 c^2 + mu^2 s1^2)
+        odd:  (2/h) k^2 (a s1^2 + c s2) / (c^2 + k^2 s1^2)
+
+    from 1 + cos(qd) = 2c^2, 1 - cos(qd) = 2 mu s1^2, sin(qd)/q = 2 c s1 and
+    a - c s1 = mu (a s1^2 + c s2).  Both denominators are sums of squares, so
     the interior-amplitude resonances cos(qa) -> 0 / sin(qa) -> 0 and the
-    q -> 0 point are all removable:
-
-        even: (2/h) k^2 (a + S1/2) / { [k^2 (1+C) + mu (1-C)] / 2 }
-        odd:  (2/h) k^2 (a - S1/2) / { [mu (1+C) + k^2 (1-C)] / 2 }
-
-    with C = cos(qd), S1 = sin(qd)/q, mu = q^2 = k^2 - g.  Opaque barriers,
-    where C overflows, raise ConvergenceError.
+    q -> 0 point are all regular.  Opaque barriers, where c overflows, raise
+    ConvergenceError.
     """
     if parity not in _PARITIES:
         raise ValueError(f"parity must be one of {_PARITIES}, got {parity!r}")
@@ -250,25 +253,16 @@ def interior_norm(
         raise ValueError(f"k must be positive, got {k}")
     k = float(k)
     a = pot.half_width
-    d = pot.width
-    g = pot.strength(consts)
-    mu = k * k - g
-    C, S1, _ = (float(x[0]) for x in _kernel.trig_triplet(np.array([mu]), d))
-    two_over_h = 2.0 / consts.h
+    mu = k * k - pot.strength(consts)
+    c, s1, s2 = (float(x[0]) for x in _kernel.trig_triplet(np.array([mu]), a))
     if parity == "even":
-        num = a + 0.5 * S1
-        den = 0.5 * (k * k * (1.0 + C) + mu * (1.0 - C))
-    elif abs(mu * d * d) < _kernel.W_CUT:
-        # both num and den are O(mu); with the half-width triplet (c, s1, s2)
-        # 1 + C = 2c^2, 1 - C = 2 mu s1^2 and a - S1/2 = mu (a s1^2 + c s2)
-        c, s1, s2 = (float(x[0]) for x in _kernel.trig_triplet(np.array([mu]), a))
+        num = a + c * s1
+        den = k * k * c * c + mu * mu * s1 * s1
+    else:
         num = a * s1 * s1 + c * s2
         den = c * c + k * k * s1 * s1
-    else:
-        num = a - 0.5 * S1
-        den = 0.5 * (mu * (1.0 + C) + k * k * (1.0 - C))
-    norm = two_over_h * k * k * num / den
-    require_finite(norm)
+    norm = (2.0 / consts.h) * k * k * num / den
+    require_finite(norm, den)
     return norm
 
 
@@ -308,7 +302,7 @@ def smith_identity_check(
 
     The right side takes delta_j and its analytic k-derivative from one
     kernel call (S2 and D'), and floor_j from `channel_floors`; the left side,
-    `interior_norm`, uses only C and S1.  Opaque barriers raise
+    `interior_norm`, uses no phase or derivative.  Opaque barriers raise
     ConvergenceError.
     """
     lhs = interior_norm(pot, consts, k, parity)

@@ -15,5 +15,5 @@ class ConvergenceError(RuntimeError):
 
 class ThresholdDivergenceError(ConvergenceError):
     """The passage-time integral grows without bound as the low-momentum
-    cutoff shrinks (well at a bound-state threshold with a packet that does
-    not vanish at p = 0)."""
+    cutoff shrinks: |T(0)| = 1, as for the free case or a well at a
+    bound-state threshold, with a packet that does not vanish at p = 0."""

@@ -10,11 +10,12 @@ integrand call per block of panels; an integral's panels and sums do not depend
 on what runs beside it, and `adaptive_quad` and `integral_to_zero` run one.
 
 `integral_to_zero` extends a finite-interval result down to p = 0 by halving
-the lower cutoff until the added mass converges; non-shrinking increments
-signal a genuinely divergent integral (bound-state threshold with a packet
-that does not vanish at p = 0) and raise ThresholdDivergenceError.  One
-request seeds the next `_HALVING_BATCH` halvings; each then refines and is
-tested in order, as a separate `adaptive_quad` over [lo/2, lo] would.
+the lower cutoff until the added mass converges; a tail that has not
+converged after `_MAX_HALVINGS` halvings is taken as divergent (a packet
+that does not vanish at p = 0 with |T(0)| = 1: the free case or a
+bound-state threshold) and raises ThresholdDivergenceError.  One request
+seeds the next `_HALVING_BATCH` halvings; each then refines and is tested in
+order, as a separate `adaptive_quad` over [lo/2, lo] would.
 """
 from __future__ import annotations
 
@@ -32,11 +33,12 @@ _NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
 # one batched evaluation per panel serves both rules; the order-7 rule keeps
 # chance agreement on under-resolved integrands from fooling the estimate
 _NODES_ALL = np.concatenate([_NODES15, _NODES7])
-# `integral_to_zero` gives up after this many halvings of the cutoff
+# a tail still growing after this many halvings of the cutoff (eps 2^-60) diverges
 _MAX_HALVINGS = 60
 _MAX_PANELS = 4000  # default panel budget of one integral
-# halvings seeded per request; of the 403 packet integrals of the fig3
-# sweep, 186 stop after 1 halving, 119 after 5 and none after more than 16
+# halvings seeded per request; of the 402 packet integrals of the fig3
+# sweep, 186 stop after 1 halving, 119 after 5 and one after 16, and the
+# free row's divergent time moment runs all 60
 _HALVING_BATCH = 8
 # panels (4,092 nodes) per integrand call, however many integrals are open
 _BLOCK_PANELS = 4096 // len(_NODES_ALL)
@@ -202,8 +204,7 @@ def adaptive_quad(
 
 def _to_zero(eps, *, rel_tol=1e-8, reference):
     """`integral_to_zero` as a lockstep integral."""
-    total = 0.0
-    increments: list[float] = []
+    total = prev = 0.0
     for start in range(0, _MAX_HALVINGS, _HALVING_BATCH):
         # halving n spans [eps/2^(n+1), eps/2^n]; dividing by 2^n is exact
         his = eps / 2.0 ** np.arange(start, min(start + _HALVING_BATCH, _MAX_HALVINGS))
@@ -214,28 +215,18 @@ def _to_zero(eps, *, rel_tol=1e-8, reference):
             res = yield from _refine(los[i : i + 1], his[i : i + 1], s15[:, i : i + 1],
                                      s7[:, i : i + 1], 1e-6, 1e-14 * scale, _MAX_PANELS)
             total += res.value
-            increments.append(abs(res.value))
-            stalled = len(increments) >= 4 and all(
-                increments[-j] >= 0.8 * increments[-j - 1] for j in (1, 2, 3)
-            )
-            if stalled and sum(increments[-4:]) > 1e-6 * scale:
-                raise ThresholdDivergenceError(
-                    "integral grows without bound as the lower cutoff shrinks "
-                    f"(latest increments {increments[-4:]}, "
-                    f"estimate {reference + total:.6e})",
-                    estimate=reference + total,
-                    error=sum(increments[-4:]),
-                )
-            # off-threshold the integrand vanishes at 0 at least linearly, so the
-            # remaining tail is bounded by a fraction of the last increment
-            if increments[-1] <= 0.5 * rel_tol * scale and (
-                len(increments) < 2 or increments[-2] <= rel_tol * scale
-            ):
+            # once the integrand vanishes at 0 at least linearly (below the momentum
+            # where |T| rises, near a threshold), the remaining tail is bounded by a
+            # fraction of the last increment
+            if abs(res.value) <= 0.5 * rel_tol * scale and prev <= rel_tol * scale:
                 return total
-    raise ConvergenceError(
-        "lower-cutoff refinement did not converge",
+            prev = abs(res.value)
+    raise ThresholdDivergenceError(
+        f"integral has not converged after {_MAX_HALVINGS} halvings of the lower "
+        f"cutoff (last increment {prev:.3e}, estimate {reference + total:.6e}): "
+        "it grows without bound as the cutoff shrinks",
         estimate=reference + total,
-        error=increments[-1] if increments else None,
+        error=prev,
     )
 
 
@@ -250,9 +241,10 @@ def integral_to_zero(
 
     `reference` sets the scale against which the discarded tail must be
     negligible (typically the integral over [eps, p_max] computed already).
-    An integrable endpoint has increments shrinking at least geometrically;
-    four successive halvings with ratio above 0.8 mean the cutoff limit does
-    not exist and raise ThresholdDivergenceError.
+    An integrable endpoint has increments that eventually shrink at least
+    geometrically; increments still above the tolerance after `_MAX_HALVINGS`
+    halvings (eps 2^-60) mean the cutoff limit does not exist and raise
+    ThresholdDivergenceError.
     """
     gen = _to_zero(eps, rel_tol=rel_tol, reference=reference)
     return _first_error(_lockstep(lambda x, _: f(x), [gen]))[0]

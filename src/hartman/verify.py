@@ -169,9 +169,9 @@ def _min(*values) -> float:
     return float(np.min(values))
 
 
-def check_unitarity_and_symmetry(tolerance_scale: float = 1.0) -> CheckResult:
+def check_unitarity_and_symmetry() -> CheckResult:
     """|T|^2+|R|^2 = 1, |S_j| = 1, and T(-k) = T(k)* on a 10^4 grid."""
-    tol = 1e-12 * tolerance_scale
+    tol = 1e-12
     v0s = np.linspace(-10.0, 10.0, 100)
     ks = np.linspace(1e-3, 50.0, 100)
     start = time.perf_counter()
@@ -204,11 +204,9 @@ def check_unitarity_and_symmetry(tolerance_scale: float = 1.0) -> CheckResult:
     )
 
 
-def check_oracle_equivalence(
-    n: int = 100, seed: int = DEFAULT_SEED, tolerance_scale: float = 1.0
-) -> CheckResult:
+def check_oracle_equivalence(n: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form amplitudes vs the plane-wave matching solve."""
-    tol = 1e-10 * tolerance_scale
+    tol = 1e-10
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
@@ -225,11 +223,11 @@ def check_oracle_equivalence(
     )
 
 
-def check_removable_singularity(tolerance_scale: float = 1.0) -> CheckResult:
+def check_removable_singularity() -> CheckResult:
     """E = v0 is a regular point: symmetric second differences stay below
     1e-8 at eps = 1e-6 (no jump from the q -> 0 handling) and the first
     differences shrink linearly with eps."""
-    tol = 1e-8 * tolerance_scale
+    tol = 1e-8
     worst_jump = 0.0
     worst_ratio = 0.0
     for v0, a in ((5.0, 0.5), (2.0, 1.5), (7.5, 1.0)):
@@ -254,10 +252,10 @@ def check_removable_singularity(tolerance_scale: float = 1.0) -> CheckResult:
     )
 
 
-def check_phases_and_derivatives(tolerance_scale: float = 1.0) -> CheckResult:
+def check_phases_and_derivatives() -> CheckResult:
     """Table phases vs a dense-sample unwrap; analytic d/dk vs 5-point FD."""
-    dense_tol = 1e-9 * tolerance_scale
-    fd_tol = 1e-6 * tolerance_scale
+    dense_tol = 1e-9
+    fd_tol = 1e-6
     worst_dense = 0.0
     worst_fd = 0.0
     rng = np.random.default_rng(DEFAULT_SEED)
@@ -287,14 +285,14 @@ def check_phases_and_derivatives(tolerance_scale: float = 1.0) -> CheckResult:
     )
 
 
-def check_bound_chain(tolerance_scale: float = 1.0) -> CheckResult:
+def check_bound_chain() -> CheckResult:
     """Delay bounds on a dense (v0, k) grid.
 
     - chain: delta_t >= oscillatory bound >= (m/p)(-d - 1/k), slack >= -1e-9;
     - channel bounds delta_j' above their oscillatory floors for all v0;
     - delta_t >= -m d/p and delta_j' >= -a whenever v0 >= 0.
     """
-    slack = -1e-9 * tolerance_scale
+    slack = -1e-9
     a = 1.0
     d = 2.0
     ks = np.linspace(0.02, 20.0, 140)
@@ -334,7 +332,7 @@ def check_bound_chain(tolerance_scale: float = 1.0) -> CheckResult:
     )
 
 
-def check_simple_bound_violation(tolerance_scale: float = 1.0) -> CheckResult:
+def check_simple_bound_violation() -> CheckResult:
     """A well in (-0.35, -0.25) beats -m d/p at k = 0.1 (d = 2, m = 1)."""
     k = 0.1
     d = 2.0
@@ -376,9 +374,9 @@ def find_simple_bound_crossings(
     return out
 
 
-def check_crossings_near_thresholds(tolerance_scale: float = 1.0) -> CheckResult:
+def check_crossings_near_thresholds() -> CheckResult:
     """Crossings of delta_t with -m d/p sit within 0.02 of the expected depths."""
-    tol = 0.02 * tolerance_scale
+    tol = 0.02
     crossings = find_simple_bound_crossings()
     dists = []
     for target in CROSSING_TARGETS:
@@ -396,7 +394,7 @@ def check_crossings_near_thresholds(tolerance_scale: float = 1.0) -> CheckResult
     )
 
 
-def check_hartman_plateau(tolerance_scale: float = 1.0) -> CheckResult:
+def check_hartman_plateau() -> CheckResult:
     """Extrapolated phase time is width-independent for opaque barriers and
     sits near 2 m hbar/(p_b p0)."""
     start = time.perf_counter()
@@ -412,7 +410,7 @@ def check_hartman_plateau(tolerance_scale: float = 1.0) -> CheckResult:
     rel = abs(taus[8.0] - asymptote) / asymptote
     return CheckResult(
         "Hartman plateau (v0=5, p0=0.5)",
-        drift < 1e-6 * tolerance_scale and rel < 0.10 * tolerance_scale and elapsed < 1.0,
+        drift < 1e-6 and rel < 0.10 and elapsed < 1.0,
         {
             "tau(8)": f"{taus[8.0]:.8f}",
             "|tau(8)-tau(12)|": _fmt(drift),
@@ -422,9 +420,9 @@ def check_hartman_plateau(tolerance_scale: float = 1.0) -> CheckResult:
     )
 
 
-def check_levinson(tolerance_scale: float = 1.0) -> CheckResult:
+def check_levinson() -> CheckResult:
     """Unwrapped Phi_T(k_min) vs pi(n_b - 1/2) for one-, two-, three-level wells."""
-    tol = 1e-2 * math.pi * tolerance_scale
+    tol = 1e-2 * math.pi
     rows = {}
     worst = 0.0
     for v0 in (-1.0, -2.5, -5.0):
@@ -438,11 +436,9 @@ def check_levinson(tolerance_scale: float = 1.0) -> CheckResult:
     )
 
 
-def check_smith_identity_and_dwell(
-    n: int = 50, seed: int = DEFAULT_SEED, tolerance_scale: float = 1.0
-) -> CheckResult:
+def check_smith_identity_and_dwell(n: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
     """Boundary-derivative identity within 1e-6 and dwell times positive."""
-    tol = 1e-6 * tolerance_scale
+    tol = 1e-6
     rng = np.random.default_rng(seed)
     worst = 0.0
     min_dwell = math.inf
@@ -460,9 +456,7 @@ def check_smith_identity_and_dwell(
     )
 
 
-def check_bound_state_count_consistency(
-    n: int = 200, seed: int = DEFAULT_SEED, tolerance_scale: float = 1.0
-) -> CheckResult:
+def check_bound_state_count_consistency(n: int = 200, seed: int = DEFAULT_SEED) -> CheckResult:
     """Solver level count equals the threshold formula; residuals tiny."""
     rng = np.random.default_rng(seed)
     checked = 0
@@ -486,11 +480,9 @@ def check_bound_state_count_consistency(
     )
 
 
-def check_van_kampen(
-    n: int = 100, seed: int = DEFAULT_SEED, tolerance_scale: float = 1.0
-) -> CheckResult:
+def check_van_kampen(n: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
     """|e^{ikd} S_j| <= 1 on upper-half-plane samples for a barrier."""
-    tol = 1e-10 * tolerance_scale
+    tol = 1e-10
     rng = np.random.default_rng(seed)
     samples = [
         complex(rng.uniform(-6.0, 6.0), rng.uniform(0.0, 4.0)) for _ in range(n)
@@ -502,16 +494,16 @@ def check_van_kampen(
     worst_sym = _max([r.symmetry_error for r in reports])
     return CheckResult(
         f"van Kampen causality bound ({n} upper-half-plane samples)",
-        all(r.passed for r in reports) and worst_sym < 1e-12 * tolerance_scale,
+        all(r.passed for r in reports) and worst_sym < 1e-12,
         {"max |e^(ikd) S_j|": f"{worst:.12f}", "max symmetry defect": _fmt(worst_sym)},
     )
 
 
-def check_packet_normalization(tolerance_scale: float = 1.0) -> CheckResult:
+def check_packet_normalization() -> CheckResult:
     """Unit norm of the truncated packet; P_T <= 1."""
     from .quadrature import adaptive_quad
 
-    tol = 1e-10 * tolerance_scale
+    tol = 1e-10
     worst_norm = 0.0
     worst_pt = 0.0
     for spec in (
@@ -532,9 +524,9 @@ def check_packet_normalization(tolerance_scale: float = 1.0) -> CheckResult:
     )
 
 
-def check_exit_time_cross_validation(tolerance_scale: float = 1.0) -> CheckResult:
+def check_exit_time_cross_validation() -> CheckResult:
     """Momentum-space mean exit time vs the time-domain flux oracle."""
-    tol = 1e-3 * tolerance_scale
+    tol = 1e-3
     worst = 0.0
     slowest = 0.0
     for pot, spec in CROSS_VALIDATION_CONFIGS:
@@ -550,9 +542,7 @@ def check_exit_time_cross_validation(tolerance_scale: float = 1.0) -> CheckResul
     )
 
 
-def check_threshold_enhancement(
-    step: float = 0.01, tolerance_scale: float = 1.0
-) -> CheckResult:
+def check_threshold_enhancement(step: float = 0.01) -> CheckResult:
     """Windows with t_subtracted < 0 and P_T > 0.5 near the first two
     enhancement depths of the reference packet sweep."""
     spec = GaussianPacketSpec(math.pi / 8, 1.0, -41.0)
@@ -585,7 +575,7 @@ def check_threshold_enhancement(
     )
 
 
-def check_crossover_width(tolerance_scale: float = 1.0) -> CheckResult:
+def check_crossover_width() -> CheckResult:
     """Empirical tunneling/classical crossover within a factor 2 of the
     estimate (v0 = 5, p0 = 1, dp = 0.1)."""
     pot = SquarePotential(5.0, 0.5)
@@ -595,12 +585,12 @@ def check_crossover_width(tolerance_scale: float = 1.0) -> CheckResult:
     ratio = d_emp / d_est
     return CheckResult(
         "empirical crossover width vs estimate",
-        0.5 / tolerance_scale <= ratio <= 2.0 * tolerance_scale,
+        0.5 <= ratio <= 2.0,
         {"estimate": f"{d_est:.3f}", "empirical": f"{d_emp:.3f}", "ratio": f"{ratio:.3f}"},
     )
 
 
-def check_monotone_filtering(tolerance_scale: float = 1.0) -> CheckResult:
+def check_monotone_filtering() -> CheckResult:
     """P_T strictly decreasing in width for a fixed packet and barrier."""
     spec = GaussianPacketSpec(1.0, 0.2, -30.0)
     values = [
@@ -639,13 +629,11 @@ SLOW_CHECKS = (
 )
 
 
-def run_all_checks(
-    tolerance_scale: float = 1.0, include_slow: bool = True
-) -> list[CheckResult]:
+def run_all_checks(include_slow: bool = True) -> list[CheckResult]:
     checks = FAST_CHECKS + (SLOW_CHECKS if include_slow else ())
     results = []
     for check in checks:
         start = time.perf_counter()
-        result = check(tolerance_scale=tolerance_scale)
+        result = check()
         results.append(replace(result, seconds=time.perf_counter() - start))
     return results

@@ -147,11 +147,16 @@ def _transmitted_weight(spec, consts, g, width, p):
     return packet_weight(spec, p, consts) * np.abs(t) ** 2, dphi
 
 
-def _from_zero(spec, pot, consts, p_hi, rel_tol=_REL_TOL):
-    """Lockstep integral over (0, p_hi]: adaptive panels from the packet's low
-    cutoff up, seeded at the resonances of `pot`, and halvings below it."""
+def _span(spec, pot, consts, p_hi):
+    """(eps, p_hi, breakpoints) of a packet integral over (0, p_hi]: the
+    packet's low cutoff eps and the resonances of `pot` between."""
     eps = min(spec.p0(consts), spec.delta_p) * _CUTOFF_FRACTION
-    breaks = _resonance_breakpoints(pot, consts, eps, p_hi)
+    return eps, p_hi, _resonance_breakpoints(pot, consts, eps, p_hi)
+
+
+def _from_zero(eps, p_hi, breaks, rel_tol=_REL_TOL):
+    """Lockstep integral over (0, p_hi]: adaptive panels from eps up, seeded
+    at `breaks`, and halvings below eps."""
     main = (yield from _adaptive(eps, p_hi, rel_tol=rel_tol, breakpoints=breaks)).value
     return main + (yield from _to_zero(eps, rel_tol=rel_tol, reference=main))
 
@@ -199,7 +204,7 @@ def transmission_probability(
     consts: PhysicalConstants = ATOMIC,
 ) -> float:
     """P_T = integral |phi_in|^2 |T|^2 dp over (0, inf)."""
-    integral = _from_zero(spec, pot, consts, spec.p_max(consts))
+    integral = _from_zero(*_span(spec, pot, consts, spec.p_max(consts)))
     return _first_error(_packet_integrals(spec, consts, [pot], [integral]))[0]
 
 
@@ -245,9 +250,11 @@ def _exit_times(spec, pots, consts) -> list[tuple]:
 
 
 def _exit_time_row(spec, pot, consts, timed, i):
-    """One row of `_exit_times`: P_T, then the time moment with timed[i] set."""
+    """One row of `_exit_times`: P_T, then the time moment with timed[i] set,
+    over the same span."""
+    span = _span(spec, pot, consts, spec.p_max(consts))
     try:
-        p_t = yield from _from_zero(spec, pot, consts, spec.p_max(consts))
+        p_t = yield from _from_zero(*span)
     except (ConvergenceError, ValueError) as exc:
         p_t = exc
     try:
@@ -260,7 +267,7 @@ def _exit_time_row(spec, pot, consts, timed, i):
                 "at p = 0: the mean exit time diverges")
         _require_transmitted(_first_error([p_t])[0])
         timed[i] = True
-        t_int = yield from _from_zero(spec, pot, consts, spec.p_max(consts))
+        t_int = yield from _from_zero(*span)
     except (ConvergenceError, ValueError) as exc:
         return p_t, exc
     t_out = consts.mass * t_int / p_t
@@ -459,7 +466,7 @@ def crossover_width_empirical(
         breaks = _resonance_breakpoints(trial, consts, p_b, p_hi)
         # every resonance lies above p_b, so `below` gets no breakpoints
         below, above = _first_error(_packet_integrals(spec, consts, [trial] * 2, [
-            _from_zero(spec, trial, consts, p_b, _SPLIT_REL_TOL),
+            _from_zero(*_span(spec, trial, consts, p_b), _SPLIT_REL_TOL),
             _adaptive(p_b, p_hi, rel_tol=_SPLIT_REL_TOL, breakpoints=breaks)]))
         return below - above.value
 

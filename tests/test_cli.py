@@ -8,7 +8,7 @@ import pytest
 
 import hartman.cli
 from hartman import (GaussianPacketSpec, mean_exit_time, threshold_depths,
-                     transmission_probability)
+                     transmission_probability, verify)
 from hartman.cli import delay_rows, main
 from hartman.potential import ATOMIC, SquarePotential
 from hartman.verify import transfer_matrix_amplitudes
@@ -452,11 +452,26 @@ def test_verify_fast_suite_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_corrupted_tolerance_fails(capsys):
-    code = run_cli(["verify", "--skip-slow", "--tolerance-scale", "1e-9"])
+def test_verify_broken_kernel_fails(capsys, monkeypatch):
+    """A NaN from the kernel fails a check: exit code 1 and FAIL lines.  The
+    suite is cut to the two checks that read the kernel only through their
+    running extremes; the others reach the NaN through `require_finite` and
+    raise instead."""
+    scatter_grid = hartman._kernel.scatter_grid
+
+    def one_nan(g, d, k):
+        out = tuple(np.array(x) for x in scatter_grid(g, d, k))
+        for x in out:
+            x.flat[x.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(hartman._kernel, "scatter_grid", one_nan)
+    monkeypatch.setattr(verify, "FAST_CHECKS",
+                        (verify.check_unitarity_and_symmetry, verify.check_bound_chain))
+    code = run_cli(["verify", "--skip-slow"])
     assert code == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert out.count("FAIL") == 2
 
 
 def test_verify_json_format(capsys):

@@ -213,6 +213,29 @@ class TestDwellTime:
             oracle, rel=1e-10
         )
 
+    def test_matches_mpmath_around_series_switch(self):
+        """Both parities against 40-digit arithmetic on the full-width
+        closed forms, over |mu| d^2 in [1e-4, 0.3] of either sign: at the
+        half width a that `interior_norm` uses, the kernel's series switch
+        |mu| a^2 = 1e-3 lies at |mu| d^2 = 4e-3."""
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(13)
+        for _ in range(150):
+            a, k = rng.uniform(0.1, 3.0), rng.uniform(0.01, 5.0)
+            w = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-4.0, math.log10(0.3))
+            mu = w / (2.0 * a) ** 2
+            pot = SquarePotential((k * k - mu) / 2.0, a)
+            with mp.workdps(40):
+                kk, aa, mm = mp.mpf(k), mp.mpf(a), mp.mpf(mu)
+                q = mp.sqrt(abs(mm))
+                C = mp.cos(2 * q * aa) if mu > 0 else mp.cosh(2 * q * aa)
+                S1 = (mp.sin(2 * q * aa) if mu > 0 else mp.sinh(2 * q * aa)) / q
+                even = (aa + S1 / 2) / ((kk * kk * (1 + C) + mm * (1 - C)) / 2)
+                odd = (aa - S1 / 2) / ((mm * (1 + C) + kk * kk * (1 - C)) / 2)
+                wants = {p: float(kk * kk * x / mp.pi) for p, x in (("even", even), ("odd", odd))}
+            for parity, want in wants.items():
+                assert interior_norm(pot, ATOMIC, k, parity) == pytest.approx(want, rel=1e-12)
+
     def test_parity_validated(self):
         with pytest.raises(ValueError):
             dwell_time(FREE, ATOMIC, 1.0, "mixed")

@@ -22,28 +22,18 @@ def _counting(f):
 def _halvings_reference(f, eps, *, rel_tol, reference):
     """The per-halving algorithm `integral_to_zero` must reproduce bit for
     bit: one `adaptive_quad` over [lo/2, lo] per halving of the cutoff, with
-    the same scale, tolerances and stop rules.  Returns (value, halvings)."""
-    total = 0.0
-    increments = []
+    the same scale, tolerances and end rule.  Returns (value, halvings)."""
+    total = prev = 0.0
     lo = eps
-    for _ in range(60):
+    for halvings in range(1, 61):
         scale = max(abs(reference + total), abs(reference), 1e-300)
         res = adaptive_quad(f, lo / 2.0, lo, rel_tol=1e-6, abs_tol=1e-14 * scale)
         total += res.value
-        increments.append(abs(res.value))
-        stalled = len(increments) >= 4 and all(
-            increments[-j] >= 0.8 * increments[-j - 1] for j in (1, 2, 3)
-        )
-        if stalled and sum(increments[-4:]) > 1e-6 * scale:
-            raise ThresholdDivergenceError(
-                "diverges", estimate=reference + total, error=sum(increments[-4:])
-            )
-        if increments[-1] <= 0.5 * rel_tol * scale and (
-            len(increments) < 2 or increments[-2] <= rel_tol * scale
-        ):
-            return total, len(increments)
+        if abs(res.value) <= 0.5 * rel_tol * scale and prev <= rel_tol * scale:
+            return total, halvings
+        prev = abs(res.value)
         lo /= 2.0
-    raise ConvergenceError("no convergence", estimate=reference + total)
+    raise ThresholdDivergenceError("diverges", estimate=reference + total, error=prev)
 
 
 def test_smooth_integrand_exact():
@@ -151,6 +141,21 @@ def test_integral_to_zero_detects_log_divergence():
     with pytest.raises(ThresholdDivergenceError) as want:
         _halvings_reference(lambda p: 1.0 / p, 0.1, rel_tol=1e-10, reference=main)
     assert (err.value.estimate, err.value.error) == (want.value.estimate, want.value.error)
+
+
+def test_integral_to_zero_converges_below_a_narrow_peak():
+    """p/(p^2 + e^2) grows like 1/p down to e = eps 2^-10, as the time moment
+    of a well close to a bound-state threshold does, and then vanishes
+    linearly: ten halvings of nearly equal increments, then convergence."""
+    eps = 0.1
+    e2 = (eps * 2.0**-10) ** 2
+    f = lambda p: p / (p * p + e2)
+    got = integral_to_zero(f, eps, rel_tol=1e-10, reference=0.0)
+    # not bitwise: a seeded batch's rows reduce in another place of the BLAS product
+    want, halvings = _halvings_reference(f, eps, rel_tol=1e-10, reference=0.0)
+    assert got == pytest.approx(want, rel=1e-14)
+    assert halvings > 20
+    assert got == pytest.approx(0.5 * math.log1p(eps * eps / e2), rel=1e-9)
 
 
 def test_all_nan_integrand_raises():

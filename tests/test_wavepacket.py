@@ -218,6 +218,29 @@ class TestMeanExitTime:
         assert rep.t_subtracted < 0.0
         assert rep.classical_defined
 
+    def test_wells_close_to_threshold_are_finite(self):
+        """Depths -pi^2/8 (1 + delta) next to the first threshold: the time
+        moment grows like 1/|delta| but converges.  Oracle: composite Simpson
+        over u = ln p in [ln 1e-14, ln p_max], where |T|^2 rising over
+        p ~ |delta| is as smooth as the packet's top."""
+        deltas = (1e-5, -1e-5, 1e-6, -1e-6, 3e-8, -3e-8)
+        v0s = np.array([-math.pi**2 / 8.0 * (1.0 + d) for d in deltas])
+        u = np.linspace(math.log(1e-14), math.log(FIG3_PACKET.p_max()), 20001)
+        p = np.exp(u)
+        t, dphi, _, _ = _kernel.transmission_grid(2.0 * v0s[:, None], 2.0, p)
+        w = wavepacket.packet_weight(FIG3_PACKET, p) * np.abs(t) ** 2
+        simpson = np.ones_like(u)
+        simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+        simpson *= (u[1] - u[0]) / 3.0
+        p_t = (w * p) @ simpson
+        t_out = (w * (1.0 - FIG3_PACKET.x0 + dphi)) @ simpson / p_t
+        for v0, want_p_t, want_t, delta in zip(v0s, p_t, t_out, deltas):
+            rep = mean_exit_time(FIG3_PACKET, SquarePotential(v0, 1.0))
+            assert rep.p_t == pytest.approx(want_p_t, rel=1e-7)
+            assert rep.t_out == pytest.approx(want_t, rel=1e-7)
+            assert math.copysign(1.0, rep.t_out) == -math.copysign(1.0, delta)
+            assert abs(rep.t_out) > 0.2 / abs(delta)
+
 
 class TestExitTimeBatch:
     """`wavepacket._exit_times` runs the rows of a packet sweep in lockstep;
