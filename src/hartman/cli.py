@@ -9,8 +9,9 @@ verify        run the cross-module invariant suite
 
 Every option has a long flag; values may also come from a key=value config
 file (--config), whose keys must be options of the subcommand other than
---preset and --config.  Precedence is flag > config file > preset > default,
-resolved once into a RunConfig that JSON output echoes whole.  Output goes to
+--preset and --config.  Precedence is flag > config file > preset > default;
+each option's type and default live in its add_argument call, and JSON output
+echoes every resolved value.  Output goes to
 --out (CSV or JSON; stdout when omitted), resolved against $HARTMAN_OUT_DIR
 for relative paths.  Identical configurations produce byte-identical files.
 `amplitudes` and `delay-sweep` are a few vectorized kernel calls each.
@@ -29,7 +30,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -39,66 +40,24 @@ from .boundstates import count_bound_states
 from .delays import oscillatory_delay_bound
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import PhysicalConstants, SquarePotential
-from .scattering import build_phase_table, eigenphases
+from .scattering import build_phase_table, eigenphases, require_finite
 from .quadrature import _first_error
 from .wavepacket import (GaussianPacketSpec, PassageTimeReport, _exit_times,
                          classical_reference_time)
 
 PRESETS = {
     "fig1": {
-        "command": "amplitudes",
         "v0": 5.0, "widths": (1.0, 3.0), "k_min": 0.01, "k_max": 6.0,
         "samples": 1200,
     },
     "fig2": {
-        "command": "delay-sweep",
         "v0_min": -2.0, "v0_max": 1.0, "v0_step": 0.005, "k": 0.1, "width": 2.0,
     },
     "fig3": {
-        "command": "packet-sweep",
         "v0_min": -1.6, "v0_max": 0.4, "v0_step": 0.01,
         "k0": math.pi / 8.0, "delta_p": 1.0, "x0": -41.0, "width": 2.0,
     },
 }
-
-# each subcommand's own defaults, below flag > config file > preset; the
-# options every subcommand shares (hbar, mass, output, jobs) default in RunConfig
-DEFAULTS = {
-    "amplitudes": {"v0": 0.0, "k_min": 0.01, "k_max": 6.0, "samples": 1200,
-                   "adaptive": True},
-    "delay-sweep": {"k": 0.1, "width": 2.0},
-    "packet-sweep": {"width": 2.0},
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one CLI invocation (echoed into JSON output)."""
-
-    command: str
-    v0: float | None = None
-    width: float | None = None
-    hbar: float = 1.0
-    mass: float = 1.0
-    k_min: float | None = None
-    k_max: float | None = None
-    samples: int | None = None
-    k: float | None = None
-    v0_min: float | None = None
-    v0_max: float | None = None
-    v0_step: float | None = None
-    k0: float | None = None
-    delta_p: float | None = None
-    x0: float | None = None
-    adaptive: bool | None = None
-    preset: str | None = None
-    out: str | None = None
-    format: str = "csv"
-    precision: int = 17
-    jobs: int = 1
-
-    def consts(self) -> PhysicalConstants:
-        return PhysicalConstants(hbar=self.hbar, mass=self.mass)
 
 
 def _resolve_out(out: str | None):
@@ -110,15 +69,15 @@ def _resolve_out(out: str | None):
     return out
 
 
-def write_dataset(config: RunConfig, header: list[str], rows: list[tuple]) -> None:
+def write_dataset(args: argparse.Namespace, header: list[str], rows: list[tuple]) -> None:
     """Emit rows as CSV (UTF-8, LF, one header row) or JSON (metadata + rows)."""
-    if config.format == "csv":
+    if args.format == "csv":
         # one %-format string per dataset, from the types of its first row
         fmt = ",".join("%d" if isinstance(x, (bool, int, np.integer))
-                       else f"%.{config.precision}g" for x in next(iter(rows), ()))
+                       else f"%.{args.precision}g" for x in next(iter(rows), ()))
         text = "\n".join([",".join(header)] + [fmt % tuple(row) for row in rows]) + "\n"
     else:
-        meta = {k: v for k, v in asdict(config).items() if v is not None}
+        meta = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
         payload = {
             "metadata": meta,
             "rows": [
@@ -132,7 +91,7 @@ def write_dataset(config: RunConfig, header: list[str], rows: list[tuple]) -> No
             ],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path = _resolve_out(config.out)
+    path = _resolve_out(args.out)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -140,23 +99,23 @@ def write_dataset(config: RunConfig, header: list[str], rows: list[tuple]) -> No
             fh.write(text)
 
 
-def cmd_amplitudes(config: RunConfig, widths=None) -> list[tuple]:
+def cmd_amplitudes(args: argparse.Namespace, consts: PhysicalConstants,
+                   widths=None) -> list[tuple]:
     """Amplitudes and closed-form phases, one row per table grid point.
 
     The table starts from --samples uniform points on [k_min, k_max] and
     bisects where the phases move fast; with the adaptive flag off, only the
     uniform points are emitted (fixed-size datasets).
     """
-    consts = config.consts()
-    widths = widths or (config.width,)
+    widths = widths or (args.width,)
     if any(w is None for w in widths):
         raise ValueError("amplitudes requires --width (or a preset)")
-    k_min, k_hi, samples = config.k_min, config.k_max, config.samples
+    k_min, k_hi, samples = args.k_min, args.k_max, args.samples
     rows = []
     for w in widths:
-        pot = SquarePotential(v0=config.v0, half_width=w / 2.0)
+        pot = SquarePotential(v0=args.v0, half_width=w / 2.0)
         table = build_phase_table(pot, consts, k_min, k_hi, samples=samples)
-        keep = config.adaptive | np.isin(table.k_grid, np.linspace(k_min, k_hi, samples))
+        keep = args.adaptive | np.isin(table.k_grid, np.linspace(k_min, k_hi, samples))
         for i in np.nonzero(keep)[0]:
             k = table.k_grid[i]
             tt = complex(table.t[i])
@@ -177,12 +136,15 @@ PACKET_HEADER = ["v0", "p_t", "t_out", "t_classical", "t_subtracted",
 def delay_rows(v0s, k: float, width: float, consts: PhysicalConstants) -> list[tuple]:
     """(v0, delta_t, bound_osc, bound_simple, n_b) per well depth or barrier
     height, from one kernel call over the whole v0 grid."""
+    if not 0 < k < math.inf:
+        raise ValueError(f"--k must be positive and finite, got {k}")
     pots = [SquarePotential(v0=v0, half_width=width / 2.0) for v0 in v0s]
     g = np.array([pot.strength(consts) for pot in pots])
     t, r, dphi, _, _ = _kernel.scatter_grid(g, width, np.full(len(g), k))
     m, hbar = consts.mass, consts.hbar
     delta_t = m * dphi / (hbar * k)
     osc = oscillatory_delay_bound(k, width / 2.0, *eigenphases(t, r), consts)
+    require_finite(delta_t, osc, t=t)
     simple = -m * width / (hbar * k)
     return [
         (pot.v0, dt, bound, simple, count_bound_states(pot, consts))
@@ -190,12 +152,12 @@ def delay_rows(v0s, k: float, width: float, consts: PhysicalConstants) -> list[t
     ]
 
 
-def _packet_rows(config: RunConfig, v0s: list[float]) -> list[tuple]:
+def _packet_rows(args: argparse.Namespace, consts: PhysicalConstants,
+                 v0s: list[float]) -> list[tuple]:
     """Packet-sweep rows at depths v0s, in lockstep.  A row whose exit time
     diverges is flagged with its P_T; the first other error is raised."""
-    consts = config.consts()
-    spec = GaussianPacketSpec(k0=config.k0, delta_p=config.delta_p, x0=config.x0)
-    pots = [SquarePotential(v0=v0, half_width=config.width / 2.0) for v0 in v0s]
+    spec = GaussianPacketSpec(k0=args.k0, delta_p=args.delta_p, x0=args.x0)
+    pots = [SquarePotential(v0=v0, half_width=args.width / 2.0) for v0 in v0s]
     rows = []
     for v0, pot, (p_t, rep) in zip(v0s, pots, _exit_times(spec, pots, consts)):
         diverged = isinstance(rep, ThresholdDivergenceError)
@@ -206,35 +168,36 @@ def _packet_rows(config: RunConfig, v0s: list[float]) -> list[tuple]:
     return rows
 
 
-def _v0_grid(config: RunConfig) -> list[float]:
-    if None in (config.v0_min, config.v0_max, config.v0_step):
+def _v0_grid(args: argparse.Namespace) -> list[float]:
+    if None in (args.v0_min, args.v0_max, args.v0_step):
         raise ValueError("sweep requires --v0-min, --v0-max, --v0-step (or a preset)")
-    if not all(map(math.isfinite, (config.v0_min, config.v0_max, config.v0_step))):
+    if not all(map(math.isfinite, (args.v0_min, args.v0_max, args.v0_step))):
         raise ValueError("--v0-min, --v0-max and --v0-step must be finite")
-    if config.v0_step <= 0:
+    if args.v0_step <= 0:
         raise ValueError("--v0-step must be positive")
-    if config.v0_max < config.v0_min:
+    if args.v0_max < args.v0_min:
         raise ValueError("--v0-max must not be below --v0-min")
     # the largest n with v0_min + n step <= v0_max, up to 1e-9 of a step of rounding
-    n = math.floor((config.v0_max - config.v0_min) / config.v0_step + 1e-9)
-    return [config.v0_min + i * config.v0_step for i in range(n + 1)]
+    n = math.floor((args.v0_max - args.v0_min) / args.v0_step + 1e-9)
+    return [args.v0_min + i * args.v0_step for i in range(n + 1)]
 
 
-def cmd_delay_sweep(config: RunConfig) -> list[tuple]:
-    return delay_rows(_v0_grid(config), config.k, config.width, config.consts())
+def cmd_delay_sweep(args: argparse.Namespace, consts: PhysicalConstants) -> list[tuple]:
+    return delay_rows(_v0_grid(args), args.k, args.width, consts)
 
 
-def cmd_packet_sweep(config: RunConfig) -> list[tuple]:
-    if None in (config.k0, config.delta_p, config.x0):
+def cmd_packet_sweep(args: argparse.Namespace, consts: PhysicalConstants) -> list[tuple]:
+    if None in (args.k0, args.delta_p, args.x0):
         raise ValueError("packet sweep requires --k0, --delta-p, --x0 (or a preset)")
-    v0s = _v0_grid(config)
+    v0s = _v0_grid(args)
     # one contiguous chunk of rows per worker process, each run in lockstep
-    workers = min(config.jobs, len(v0s), os.cpu_count() or 1)
+    workers = min(args.jobs, len(v0s), os.cpu_count() or 1)
     if workers == 1:
-        return _packet_rows(config, v0s)
+        return _packet_rows(args, consts, v0s)
     chunks = [chunk.tolist() for chunk in np.array_split(v0s, workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(partial(_packet_rows, config), chunks) for row in rows]
+        rows = pool.map(partial(_packet_rows, args, consts), chunks)
+        return [row for chunk in rows for row in chunk]
 
 
 def cmd_verify(args) -> int:
@@ -259,23 +222,24 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--out", default=None, help="output path (stdout if omitted); "
+    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--mass", type=float, default=1.0)
+    p.add_argument("--out", help="output path (stdout if omitted); "
                    "relative paths resolve against $HARTMAN_OUT_DIR")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--precision", type=int, default=None,
-                   help="significant digits for CSV numbers (default 17)")
-    p.add_argument("--config", default=None,
-                   help="key=value file with defaults; flags override")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--precision", type=int, default=17,
+                   help="significant digits for CSV numbers (default %(default)s)")
+    p.add_argument("--config", help="key=value file with defaults; flags override")
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for packet-sweep, each one chunk of "
-                   "rows (default 1; at most one per row and per CPU)")
+                   "rows (default %(default)s; at most one per row and per CPU)")
 
 
-def _load_config_file(path: str) -> dict:
+def _file_defaults(args: argparse.Namespace) -> dict:
+    """The --config file's key=value pairs, checked against the subcommand's
+    options; argparse converts each string with its option's own type."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(args.config, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -284,58 +248,17 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"bad config line (need key=value): {line!r}")
             key, val = line.split("=", 1)
             values[key.strip().replace("-", "_")] = val.strip()
+    unknown = sorted(set(values) - (set(vars(args)) - {"command", "config", "preset"}))
+    if unknown:
+        raise ValueError(f"{args.config}: {args.command} takes no config key "
+                         + ", ".join(unknown))
+    if "adaptive" in values:  # a store_false flag, which has no type
+        values["adaptive"] = values["adaptive"].lower() not in ("0", "false", "no", "off")
     return values
 
 
-_FLOAT_KEYS = {
-    "v0", "width", "hbar", "mass", "k_min", "k_max", "k", "v0_min", "v0_max",
-    "v0_step", "k0", "delta_p", "x0",
-}
-_INT_KEYS = {"samples", "precision", "jobs"}
-_BOOL_KEYS = {"adaptive"}
-
-
-def _resolve_config(args: argparse.Namespace, command: str):
-    """One RunConfig by precedence flag > config file > preset > default."""
-    options = set(vars(args)) - {"command", "config", "preset"}
-    file_values = _load_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - options)
-    if unknown:
-        raise ValueError(f"{args.config}: {command} takes no config key "
-                         + ", ".join(unknown))
-
-    preset = dict(PRESETS.get(args.preset or "", {}))
-    preset.pop("command", None)
-    widths = preset.pop("widths", None)
-
-    def pick(name):
-        if getattr(args, name) is not None:
-            return getattr(args, name)
-        if name in file_values:
-            raw = file_values[name]
-            if name in _FLOAT_KEYS:
-                return float(raw)
-            if name in _INT_KEYS:
-                return int(raw)
-            if name in _BOOL_KEYS:
-                return raw.strip().lower() not in ("0", "false", "no", "off")
-            return raw
-        return preset.get(name, DEFAULTS[command].get(name))
-
-    picked = {name: pick(name) for name in options}
-    config = RunConfig(command=command, preset=args.preset,
-                       **{k: v for k, v in picked.items() if v is not None})
-    if config.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {config.format!r}")
-    if config.precision < 12:
-        raise ValueError("--precision must be at least 12 significant digits")
-    if config.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    config.consts()  # validates hbar, mass
-    return config, widths
-
-
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The hartman parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="hartman",
         description="Square-barrier/well scattering, causality bounds, and "
@@ -344,64 +267,82 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_amp = sub.add_parser("amplitudes", help="amplitude/phase table over k")
-    p_amp.add_argument("--v0", type=float, default=None)
-    p_amp.add_argument("--width", type=float, default=None)
-    p_amp.add_argument("--k-min", dest="k_min", type=float, default=None)
-    p_amp.add_argument("--k-max", dest="k_max", type=float, default=None)
-    p_amp.add_argument("--samples", type=int, default=None)
+    p_amp.add_argument("--v0", type=float, default=0.0)
+    p_amp.add_argument("--width", type=float)
+    p_amp.add_argument("--k-min", dest="k_min", type=float, default=0.01)
+    p_amp.add_argument("--k-max", dest="k_max", type=float, default=6.0)
+    p_amp.add_argument("--samples", type=int, default=1200)
     p_amp.add_argument("--no-adaptive", dest="adaptive", action="store_false",
-                       default=None,
                        help="emit only the uniform base grid, not the "
                        "adaptively refined points")
-    p_amp.add_argument("--preset", choices=("fig1",), default=None)
+    p_amp.add_argument("--preset", choices=("fig1",))
     _add_common(p_amp)
 
     p_del = sub.add_parser("delay-sweep", help="time delay vs potential strength")
-    p_del.add_argument("--v0-min", dest="v0_min", type=float, default=None)
-    p_del.add_argument("--v0-max", dest="v0_max", type=float, default=None)
-    p_del.add_argument("--v0-step", dest="v0_step", type=float, default=None)
-    p_del.add_argument("--k", type=float, default=None)
-    p_del.add_argument("--width", type=float, default=None)
-    p_del.add_argument("--preset", choices=("fig2",), default=None)
+    p_del.add_argument("--v0-min", dest="v0_min", type=float)
+    p_del.add_argument("--v0-max", dest="v0_max", type=float)
+    p_del.add_argument("--v0-step", dest="v0_step", type=float)
+    p_del.add_argument("--k", type=float, default=0.1)
+    p_del.add_argument("--width", type=float, default=2.0)
+    p_del.add_argument("--preset", choices=("fig2",))
     _add_common(p_del)
 
     p_pkt = sub.add_parser("packet-sweep", help="passage time vs potential strength")
-    p_pkt.add_argument("--v0-min", dest="v0_min", type=float, default=None)
-    p_pkt.add_argument("--v0-max", dest="v0_max", type=float, default=None)
-    p_pkt.add_argument("--v0-step", dest="v0_step", type=float, default=None)
-    p_pkt.add_argument("--k0", type=float, default=None)
-    p_pkt.add_argument("--delta-p", dest="delta_p", type=float, default=None)
-    p_pkt.add_argument("--x0", type=float, default=None)
-    p_pkt.add_argument("--width", type=float, default=None)
-    p_pkt.add_argument("--preset", choices=("fig3",), default=None)
+    p_pkt.add_argument("--v0-min", dest="v0_min", type=float)
+    p_pkt.add_argument("--v0-max", dest="v0_max", type=float)
+    p_pkt.add_argument("--v0-step", dest="v0_step", type=float)
+    p_pkt.add_argument("--k0", type=float)
+    p_pkt.add_argument("--delta-p", dest="delta_p", type=float)
+    p_pkt.add_argument("--x0", type=float)
+    p_pkt.add_argument("--width", type=float, default=2.0)
+    p_pkt.add_argument("--preset", choices=("fig3",))
     _add_common(p_pkt)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--skip-slow", action="store_true",
                        help="skip the packet-integral checks")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        config, preset_widths = _resolve_config(args, args.command)
+        preset = dict(PRESETS.get(args.preset, {}))
+        widths = preset.pop("widths", None)
+        if preset or args.config:
+            # flag > config file > preset > default: the preset's and the
+            # file's values become the subcommand's defaults, and argv is
+            # parsed again over them
+            file_values = _file_defaults(args) if args.config else {}
+            commands[args.command].set_defaults(**{**preset, **file_values})
+            args = parser.parse_args(argv)
+        if args.format not in ("csv", "json"):
+            raise ValueError(f"format must be csv or json, got {args.format!r}")
+        if args.precision < 12:
+            raise ValueError("--precision must be at least 12 significant digits")
+        if args.jobs < 1:
+            raise ValueError("--jobs must be at least 1")
+        consts = PhysicalConstants(hbar=args.hbar, mass=args.mass)
         # an opaque barrier overflows the kernel's intermediates on the way to
         # a typed error; that error, not NumPy's warnings, is the report
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "amplitudes":
-                rows = cmd_amplitudes(config, widths=preset_widths)
-                write_dataset(config, AMPLITUDE_HEADER, rows)
+                rows = cmd_amplitudes(args, consts, widths=widths)
+                write_dataset(args, AMPLITUDE_HEADER, rows)
             elif args.command == "delay-sweep":
-                rows = cmd_delay_sweep(config)
-                write_dataset(config, DELAY_HEADER, rows)
+                rows = cmd_delay_sweep(args, consts)
+                write_dataset(args, DELAY_HEADER, rows)
             elif args.command == "packet-sweep":
-                rows = cmd_packet_sweep(config)
-                write_dataset(config, PACKET_HEADER, rows)
+                rows = cmd_packet_sweep(args, consts)
+                write_dataset(args, PACKET_HEADER, rows)
             else:  # pragma: no cover
                 parser.error(f"unknown command {args.command}")
         return 0

@@ -6,7 +6,9 @@ The oracles here deliberately avoid the closed forms used by the library:
 `dense_unwrap_phases` finds the phase branches by a dense-sample unwrap.
 `run_all_checks` drives every invariant and is what `hartman verify`
 executes; each check returns a CheckResult with the measured extremes so
-failures are diagnosable, and `run_all_checks` adds its wall time.
+failures are diagnosable, and `run_all_checks` adds its wall time.  A check
+that raises ConvergenceError or ValueError fails under its function's name,
+with the error in its detail, and the remaining checks still run.
 """
 from __future__ import annotations
 
@@ -634,6 +636,9 @@ def run_all_checks(include_slow: bool = True) -> list[CheckResult]:
     results = []
     for check in checks:
         start = time.perf_counter()
-        result = check()
+        try:
+            result = check()
+        except (ConvergenceError, ValueError) as exc:
+            result = CheckResult(check.__name__, False, {"error": str(exc)})
         results.append(replace(result, seconds=time.perf_counter() - start))
     return results

@@ -1,4 +1,5 @@
 """CLI behavior: datasets, determinism, presets, config files, exit codes."""
+import argparse
 import json
 import math
 import warnings
@@ -9,13 +10,17 @@ import pytest
 import hartman.cli
 from hartman import (GaussianPacketSpec, mean_exit_time, threshold_depths,
                      transmission_probability, verify)
-from hartman.cli import delay_rows, main
+from hartman.cli import build_parser, delay_rows, main
 from hartman.potential import ATOMIC, SquarePotential
 from hartman.verify import transfer_matrix_amplitudes
 
 
 def run_cli(args):
-    return main(args)
+    """main's exit code, also when argparse ends the run with SystemExit."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_csv(path):
@@ -111,7 +116,7 @@ def test_write_dataset_matches_per_value_format(precision, capsys):
         (False, -1, np.int64(0), -0.0, math.inf, -math.inf, np.float64(1 / 3)),
     ]
     header = list("abcdefg")
-    config = hartman.cli.RunConfig(command="x", precision=precision)
+    config = argparse.Namespace(command="x", format="csv", precision=precision, out=None)
     hartman.cli.write_dataset(config, header, rows)
     want = [",".join(header)] + [
         ",".join(_fmt_reference(x, precision) for x in row) for row in rows
@@ -278,6 +283,92 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     ])
     _, rows = read_csv(out)
     assert [float(r[0]) for r in rows] == [1.0, 2.0]  # step overridden to 1.0
+
+
+# the options a config file may set: every option but --preset and --config
+CONFIG_OPTIONS = [
+    (command, name)
+    for command in ("amplitudes", "delay-sweep", "packet-sweep")
+    for name in vars(build_parser().parse_args([command]))
+    if name not in ("command", "preset", "config")
+]
+
+# a small valid run of each subcommand, as {option: flag value}
+BASE_RUNS = {
+    "amplitudes": {"v0": "5", "width": "1", "k_min": "0.5", "k_max": "3",
+                   "samples": "30"},
+    "delay-sweep": {"v0_min": "-0.5", "v0_max": "0.5", "v0_step": "0.25"},
+    "packet-sweep": {"v0_min": "-0.4", "v0_max": "-0.2", "v0_step": "0.1",
+                     "k0": "0.39", "delta_p": "1", "x0": "-41"},
+}
+
+
+def _flags(options):
+    return [arg for name, value in options.items()
+            for arg in ("--" + name.replace("_", "-"), value)]
+
+
+@pytest.mark.parametrize("command, name", CONFIG_OPTIONS,
+                         ids=[f"{c}-{n}" for c, n in CONFIG_OPTIONS])
+def test_config_key_matches_flag(tmp_path, monkeypatch, command, name):
+    """name=value in a config file resolves exactly as the option's flag
+    does, and adaptive=off as --no-adaptive: the JSON metadata agree."""
+    monkeypatch.setattr(hartman.cli.os, "cpu_count", lambda: 1)  # --jobs 2 stays serial
+    out = tmp_path / "run.json"
+    base = {**BASE_RUNS[command], "format": "json", "out": str(out)}
+
+    def metadata(argv):
+        assert run_cli([command, *argv]) == 0
+        return json.loads(out.read_text(encoding="utf-8"))["metadata"]
+
+    resolved = metadata(_flags(base))
+    assert name in resolved  # every option has a value: a default or the base run's
+    old = resolved[name]
+    rest = _flags({k: v for k, v in base.items() if k != name})
+    cfg = tmp_path / "run.cfg"
+    if isinstance(old, bool):  # a switch: off by its --no- flag
+        flag, line = [f"--no-{name}"], f"{name}=off"
+    else:
+        # strings (format, out) keep the base run's value; numbers move off it
+        value = (old if isinstance(old, str) else str(old + 1) if isinstance(old, int)
+                 else repr(old + 0.125))
+        flag, line = _flags({name: value}), f"{name}={value}"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    by_flag = metadata(rest + flag)
+    assert metadata(rest + ["--config", str(cfg)]) == by_flag
+    assert isinstance(old, str) or by_flag[name] != old
+
+
+def test_config_file_bad_value_exits_2(tmp_path, capsys):
+    """A value its option's type cannot read exits 2, as a bad flag does."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k=abc\n", encoding="utf-8")
+    out = tmp_path / "c.csv"
+    assert run_cli(["delay-sweep", "--config", str(cfg), "--v0-min", "0",
+                    "--v0-max", "1", "--v0-step", "0.5", "--out", str(out)]) == 2
+    assert "abc" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["delay-sweep", "--k", "abc"]) == 2
+
+
+@pytest.mark.parametrize("k", ["0", "-0.1", "nan", "inf"])
+def test_delay_sweep_rejects_bad_k(tmp_path, capsys, k):
+    """k = 0 ended in a ZeroDivisionError traceback; a negative or NaN k
+    wrote wrong rows and exited 0."""
+    out = tmp_path / "d.csv"
+    assert run_cli(["delay-sweep", "--v0-min", "0", "--v0-max", "1", "--v0-step", "0.5",
+                    "--k", k, "--out", str(out)]) == 2
+    assert "--k must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_delay_sweep_opaque_barrier_exits_3(tmp_path, capsys):
+    """An opaque barrier wrote a NaN delay and bound and exited 0."""
+    out = tmp_path / "d.csv"
+    assert run_cli(["delay-sweep", "--v0-min", "5", "--v0-max", "5", "--v0-step", "1",
+                    "--width", "800", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -453,10 +544,9 @@ def test_verify_fast_suite_passes(capsys):
 
 
 def test_verify_broken_kernel_fails(capsys, monkeypatch):
-    """A NaN from the kernel fails a check: exit code 1 and FAIL lines.  The
-    suite is cut to the two checks that read the kernel only through their
-    running extremes; the others reach the NaN through `require_finite` and
-    raise instead."""
+    """A NaN from the kernel fails checks: exit code 1 and FAIL lines.  A
+    check that reaches the NaN through `require_finite` raises, and fails
+    under its function's name while the rest of the suite still runs."""
     scatter_grid = hartman._kernel.scatter_grid
 
     def one_nan(g, d, k):
@@ -466,12 +556,15 @@ def test_verify_broken_kernel_fails(capsys, monkeypatch):
         return out
 
     monkeypatch.setattr(hartman._kernel, "scatter_grid", one_nan)
-    monkeypatch.setattr(verify, "FAST_CHECKS",
-                        (verify.check_unitarity_and_symmetry, verify.check_bound_chain))
     code = run_cli(["verify", "--skip-slow"])
     assert code == 1
-    out = capsys.readouterr().out
-    assert out.count("FAIL") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14 and lines[-1].endswith("/13 checks passed")
+    for check in (verify.check_oracle_equivalence, verify.check_removable_singularity,
+                  verify.check_phases_and_derivatives, verify.check_hartman_plateau,
+                  verify.check_levinson, verify.check_smith_identity_and_dwell):
+        assert sum(line.startswith(f"FAIL  {check.__name__}  [error=")
+                   for line in lines) == 1, check.__name__
 
 
 def test_verify_json_format(capsys):
