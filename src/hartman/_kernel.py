@@ -25,9 +25,8 @@ W_CUT = 1e-3
 
 def _branch(mask):
     """Index of a branch: `...` for the whole grid (no gather; 0-d safe), None if empty."""
-    if mask.all():
-        return ...
-    return mask if mask.any() else None
+    n = np.count_nonzero(mask)
+    return ... if n == mask.size else mask if n else None
 
 
 def trig_triplet(mu, width):
@@ -78,17 +77,16 @@ def inverse_denominator(g, width, k):
 
 
 def transmission_grid(g, width, k):
-    """T, dPhi_T/dk and the S1, S2 they are built from, on a grid of real nonzero
-    wavenumbers; `scatter_grid` goes on from these to R and the eigenphase slopes."""
+    """|D|^2 (so |T|^2 = 1/|D|^2), dPhi_T/dk and the S1, S2, A = Re D, B = Im D
+    they come from, all real, on a grid of real nonzero wavenumbers;
+    `scatter_grid` goes on from these to T, R and the eigenphase slopes."""
     k = np.asarray(k, dtype=float)
     d = float(width)
     S1, S2, A, B, den = _real_denominator(g, d, k)
-    ph = -k * d
-    t = (np.cos(ph) + 1j * np.sin(ph)) * (A - 1j * B) / den
     Ap = -d * k * S1
     Bp = -0.5 * (S2 * (2.0 * k * k - g) + S1 * (2.0 + g / (k * k)))
     dphi = -d - (Bp * A - Ap * B) / den
-    return t, dphi, S1, S2
+    return den, dphi, S1, S2, A, B
 
 
 def scatter_grid(g, width, k):
@@ -111,7 +109,9 @@ def scatter_grid(g, width, k):
         d(arg T)/dk and the two eigenphase derivatives d(delta_j)/dk.
     """
     k = np.asarray(k, dtype=float)
-    t, dphi, S1, S2 = transmission_grid(g, width, k)
+    den, dphi, S1, S2, A, B = transmission_grid(g, width, k)
+    ph = -k * float(width)
+    t = (np.cos(ph) + 1j * np.sin(ph)) * (A - 1j * B) / den
     rr = g * S1 / (2.0 * k)
     r = -1j * rr * t
 

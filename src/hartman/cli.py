@@ -107,8 +107,8 @@ def cmd_amplitudes(args: argparse.Namespace, consts: PhysicalConstants,
     bisects where the phases move fast; with the adaptive flag off, only the
     uniform points are emitted (fixed-size datasets).
     """
-    widths = widths or (args.width,)
-    if any(w is None for w in widths):
+    widths = (args.width,) if args.width is not None or not widths else widths  # flag > preset
+    if None in widths:
         raise ValueError("amplitudes requires --width (or a preset)")
     k_min, k_hi, samples = args.k_min, args.k_max, args.samples
     rows = []
@@ -238,16 +238,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _file_defaults(args: argparse.Namespace) -> dict:
     """The --config file's key=value pairs, checked against the subcommand's
     options; argparse converts each string with its option's own type."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    except OSError as exc:
+        raise ValueError(f"cannot read --config file: {exc}") from None
     values = {}
-    with open(args.config, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line (need key=value): {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        if "=" not in line:
+            raise ValueError(f"bad config line (need key=value): {line!r}")
+        key, val = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = val.strip()
     unknown = sorted(set(values) - (set(vars(args)) - {"command", "config", "preset"}))
     if unknown:
         raise ValueError(f"{args.config}: {args.command} takes no config key "

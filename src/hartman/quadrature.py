@@ -15,7 +15,8 @@ converged after `_MAX_HALVINGS` halvings is taken as divergent (a packet
 that does not vanish at p = 0 with |T(0)| = 1: the free case or a
 bound-state threshold) and raises ThresholdDivergenceError.  One request
 seeds the next `_HALVING_BATCH` halvings; each then refines and is tested in
-order, as a separate `adaptive_quad` over [lo/2, lo] would.
+order, bit for bit as a separate `adaptive_quad` over [lo/2, lo] would, since
+a panel's (GL15, GL7) sums do not depend on the panels reduced beside it.
 """
 from __future__ import annotations
 
@@ -54,8 +55,9 @@ class QuadResult:
 def _lockstep(f, integrals) -> list:
     """Each integral's result, or the ConvergenceError or ValueError it raised.
     A round calls f(x, owner) per block of whole requests, at most `_BLOCK_PANELS`
-    panels unless one request is larger, owner = each node's integral (an int if
-    one is open), and reduces each request alone: BLAS row sums vary by place."""
+    panels unless one request is larger, owner = each node's integral, and
+    reduces the block's (GL15, GL7) sums with one `einsum` row product each,
+    whose row sums do not depend on a row's place in the block."""
     results: list = [None] * len(integrals)
     replies = dict.fromkeys(range(len(integrals)))
     while True:
@@ -72,27 +74,21 @@ def _lockstep(f, integrals) -> list:
             return results
         sizes = [len(lo) for lo, _ in edges]
         ends = list(accumulate(sizes))
-        lo, hi = edges[0] if len(edges) == 1 else map(np.concatenate, zip(*edges))
+        lo, hi = map(np.concatenate, zip(*edges))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        if len(edges) == 1 and sizes[0] <= _BLOCK_PANELS:  # one integral: a plain call
-            x = mid[:, None] + half[:, None] * _NODES_ALL
-            y = np.asarray(f(x.ravel(), owners[0]), dtype=float).reshape(x.shape)
-            replies = {owners[0]: (half * (y[:, :15] @ _WEIGHTS15),
-                                   half * (y[:, 15:] @ _WEIGHTS7))}
-            continue
-        replies, first, start = {}, 0, 0
+        own = np.repeat(owners, sizes)  # each panel's integral
+        g15, g7, start = np.empty_like(lo), np.empty_like(lo), 0
         for j, end in enumerate(ends):
             if j + 1 < len(ends) and ends[j + 1] - start <= _BLOCK_PANELS:
                 continue  # the next request still fits this block
-            block = slice(first, j + 1)  # whole requests, panels start..end
             x = mid[start:end, None] + half[start:end, None] * _NODES_ALL
-            own = np.repeat(owners[block], [len(_NODES_ALL) * n for n in sizes[block]])
-            y = np.asarray(f(x.ravel(), own), dtype=float).reshape(x.shape)
-            for i, n, e in zip(owners[block], sizes[block], ends[block]):
-                rows = slice(e - n - start, e - start)
-                replies[i] = (half[e - n : e] * (y[rows, :15] @ _WEIGHTS15),
-                              half[e - n : e] * (y[rows, 15:] @ _WEIGHTS7))
-            first, start = j + 1, end
+            y = np.asarray(f(x.ravel(), np.repeat(own[start:end], len(_NODES_ALL))),
+                           dtype=float).reshape(x.shape)
+            g15[start:end] = np.einsum("ij,j->i", y[:, :15], _WEIGHTS15)
+            g7[start:end] = np.einsum("ij,j->i", y[:, 15:], _WEIGHTS7)
+            start = end
+        g15, g7 = half * g15, half * g7
+        replies = {i: (g15[e - n : e], g7[e - n : e]) for i, n, e in zip(owners, sizes, ends)}
 
 
 def _first_error(results) -> list:

@@ -95,7 +95,8 @@ def require_finite(*values, t=None) -> None:
     """Raise ConvergenceError unless every value is finite and the
     transmission amplitude `t`, if given, is finite and nonzero."""
     checked = values if t is None else (*values, t)
-    if not (t is None or np.all(t != 0)) or not all(np.isfinite(v).all() for v in checked):
+    if not (t is None or np.count_nonzero(t) == np.size(t)) or any(
+            np.count_nonzero(np.isfinite(v)) < np.size(v) for v in checked):
         raise ConvergenceError("T underflows to 0 or a value is not finite: |D|^2 "
                                "overflows above kappa d ~ 355 (opaque barrier)")
 

@@ -30,7 +30,7 @@ from .delays import (
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 from .scattering import (amplitudes, build_phase_table, default_k_max, eigenphases,
-                         van_kampen_check)
+                         require_finite, van_kampen_check)
 from .wavepacket import (
     GaussianPacketSpec,
     _exit_times,
@@ -361,6 +361,7 @@ def find_simple_bound_crossings(
     """Roots of delta_t(v0) + m d/p at fixed momentum, by scan + bisection."""
     v0s = np.arange(v_lo, v_hi, step)
     vals = _delay_at(v0s, k, d) + d / k
+    require_finite(vals)
     out = []
     for i in np.nonzero(np.diff(np.sign(vals)))[0]:
         lo, hi = v0s[i], v0s[i + 1]

@@ -141,10 +141,10 @@ def _resonance_breakpoints(pot, consts, p_lo, p_hi):
 
 
 def _transmitted_weight(spec, consts, g, width, p):
-    """|phi_in|^2 |T|^2 and dPhi_T/dk at momenta p, from one kernel call."""
+    """|phi_in|^2 |T|^2 = |phi_in|^2/|D|^2 and dPhi_T/dk at momenta p, from one kernel call."""
     p = np.asarray(p, dtype=float)
-    t, dphi, _, _ = _kernel.transmission_grid(g, width, p / consts.hbar)
-    return packet_weight(spec, p, consts) * np.abs(t) ** 2, dphi
+    den, dphi = _kernel.transmission_grid(g, width, p / consts.hbar)[:2]
+    return packet_weight(spec, p, consts) / den, dphi
 
 
 def _span(spec, pot, consts, p_hi):

@@ -152,6 +152,20 @@ def test_fig1_preset_emits_two_width_series(tmp_path):
     assert max(ks) <= 2.0 + 1e-12
 
 
+def test_width_flag_replaces_fig1_widths(tmp_path):
+    """flag > preset: an explicit --width gives rows for that width only, as
+    the same options without the preset do, and JSON records that width."""
+    opts = ["--samples", "60", "--k-max", "2.0", "--format", "json"]
+    with_preset, plain = tmp_path / "p.json", tmp_path / "w.json"
+    assert run_cli(["amplitudes", "--preset", "fig1", "--width", "2"] + opts
+                   + ["--out", str(with_preset)]) == 0
+    assert run_cli(["amplitudes", "--v0", "5", "--width", "2"] + opts
+                   + ["--out", str(plain)]) == 0
+    got, want = json.loads(with_preset.read_text()), json.loads(plain.read_text())
+    assert {row["d"] for row in got["rows"]} == {2.0}
+    assert got["metadata"]["width"] == 2.0 and got["rows"] == want["rows"]
+
+
 def test_no_adaptive_emits_exact_sample_count(tmp_path):
     out = tmp_path / "u.csv"
     run_cli([
@@ -351,6 +365,17 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys):
     assert run_cli(["delay-sweep", "--k", "abc"]) == 2
 
 
+def test_config_file_missing_exits_2(tmp_path, capsys):
+    """A --config path that does not exist ended in a FileNotFoundError
+    traceback; it exits 2 with one error line and writes nothing."""
+    out = tmp_path / "c.csv"
+    assert run_cli(["delay-sweep", "--config", str(tmp_path / "missing.cfg"), "--v0-min",
+                    "0", "--v0-max", "1", "--v0-step", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "missing.cfg" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", ["0", "-0.1", "nan", "inf"])
 def test_delay_sweep_rejects_bad_k(tmp_path, capsys, k):
     """k = 0 ended in a ZeroDivisionError traceback; a negative or NaN k
@@ -491,14 +516,15 @@ def test_packet_sweep_right_start_exits_2(tmp_path, capsys, jobs):
 
 
 def test_packet_sweep_raises_first_row_error(tmp_path, monkeypatch, capsys):
-    """Row -0.3 fails to converge (NaN T) and row -0.2 transmits nothing
-    (T = 0): the sweep exits as a serial one would, with the first of them."""
+    """Row -0.3 fails to converge (NaN |D|^2) and row -0.2 transmits nothing
+    (|D|^2 = inf, T = 0): the sweep exits as a serial one would, with the
+    first of them."""
     inner = hartman._kernel.transmission_grid
 
     def poisoned(g, width, k):
-        t, dphi, s1, s2 = inner(g, width, k)
+        den, *rest = inner(g, width, k)
         bad, dark = np.isclose(g, -0.6, atol=1e-9), np.isclose(g, -0.4, atol=1e-9)
-        return np.where(bad, np.nan, np.where(dark, 0.0, t)), dphi, s1, s2
+        return np.where(bad, np.nan, np.where(dark, np.inf, den)), *rest
 
     monkeypatch.setattr(hartman._kernel, "transmission_grid", poisoned)
     out = tmp_path / "p.csv"
@@ -561,7 +587,8 @@ def test_verify_broken_kernel_fails(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 14 and lines[-1].endswith("/13 checks passed")
     for check in (verify.check_oracle_equivalence, verify.check_removable_singularity,
-                  verify.check_phases_and_derivatives, verify.check_hartman_plateau,
+                  verify.check_phases_and_derivatives, verify.check_crossings_near_thresholds,
+                  verify.check_hartman_plateau,
                   verify.check_levinson, verify.check_smith_identity_and_dwell):
         assert sum(line.startswith(f"FAIL  {check.__name__}  [error=")
                    for line in lines) == 1, check.__name__

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hartman.errors import ConvergenceError, ThresholdDivergenceError
-from hartman.quadrature import _adaptive, _lockstep, _to_zero, adaptive_quad, integral_to_zero
+from hartman.quadrature import (_BLOCK_PANELS, _adaptive, _lockstep, _to_zero, adaptive_quad,
+                               integral_to_zero)
 
 
 def _counting(f):
@@ -207,3 +208,31 @@ def test_lockstep_matches_integrals_run_alone():
         assert got[60 + i] == want
     assert max(sizes) <= 4096
     assert len(sizes) < 100
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 24])
+def test_lockstep_reply_does_not_depend_on_place(n):
+    """A request's (GL15, GL7) reply is bitwise the same whether it is reduced
+    alone or first, middle or last among other requests in one block, or in
+    a block after a full one (a BLAS product's row sums vary with the rows
+    around them)."""
+
+    def ask(lo, hi):
+        return (yield np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+
+    def other(size, shift):
+        lo = np.linspace(shift, shift + 3.0, size)
+        return ask(lo, lo + 0.37)
+
+    def f(x, _):
+        return np.sin(3.0 * x) * np.exp(-x) / (1.0 + x * x)
+
+    mine = np.linspace(0.1, 2.0, n), np.linspace(0.3, 2.2, n) ** 1.5
+    want = _lockstep(f, [ask(*mine)])[0]
+    layouts = [(0, [other(3, 1.0), other(7, 2.0)]), (1, [other(3, 1.0), other(7, 2.0)]),
+               (1, [other(2, 1.5), other(5, 2.5)]), (2, [other(1, 4.0), other(7, 2.0)]),
+               (1, [other(_BLOCK_PANELS - 2, 0.5)])]
+    for place, rest in layouts:
+        rest.insert(place, ask(*mine))
+        got = _lockstep(f, rest)[place]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (place, len(rest))

@@ -109,11 +109,19 @@ def test_kernel_grids_match_one_point_calls():
 
 
 def test_transmission_grid_is_scatter_grid_t_and_dphi():
+    """`transmission_grid` returns real parts only: |D|^2, dPhi_T/dk, S1, S2,
+    A and B, from which T = e^{-ikd}(A - iB)/|D|^2 is `scatter_grid`'s T."""
     ks = np.concatenate([np.linspace(0.05, 8.0, 97), [2.0 + 1e-5]])
     for g in (-6.0, 0.0, 4.0, np.linspace(-3.0, 3.0, 98)):
         t, _, dphi, _, _ = scatter_grid(g, 1.5, ks)
         lean = transmission_grid(g, 1.5, ks)
-        assert _same_bits(lean[0], t) and _same_bits(lean[1], dphi)
+        assert all(x.dtype == np.float64 for x in lean)
+        den, lean_dphi, s1, s2, a, b = lean
+        rebuilt = (np.cos(-ks * 1.5) + 1j * np.sin(-ks * 1.5)) * (a - 1j * b) / den
+        assert _same_bits(rebuilt, t) and _same_bits(lean_dphi, dphi)
+        triplet = trig_triplet(ks * ks - g, 1.5)
+        assert _same_bits(a, triplet[0]) and _same_bits(s1, triplet[1])
+        assert _same_bits(s2, triplet[2])
 
 
 def test_free_particle_identity():

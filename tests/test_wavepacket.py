@@ -227,7 +227,7 @@ class TestMeanExitTime:
         v0s = np.array([-math.pi**2 / 8.0 * (1.0 + d) for d in deltas])
         u = np.linspace(math.log(1e-14), math.log(FIG3_PACKET.p_max()), 20001)
         p = np.exp(u)
-        t, dphi, _, _ = _kernel.transmission_grid(2.0 * v0s[:, None], 2.0, p)
+        t, _, dphi, _, _ = _kernel.scatter_grid(2.0 * v0s[:, None], 2.0, p)
         w = wavepacket.packet_weight(FIG3_PACKET, p) * np.abs(t) ** 2
         simpson = np.ones_like(u)
         simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
@@ -240,6 +240,24 @@ class TestMeanExitTime:
             assert rep.t_out == pytest.approx(want_t, rel=1e-7)
             assert math.copysign(1.0, rep.t_out) == -math.copysign(1.0, delta)
             assert abs(rep.t_out) > 0.2 / abs(delta)
+
+
+@pytest.mark.parametrize("v0", [5.0, 0.4, 0.0, -0.3, -1.6] + [
+    threshold_depths(1.0, 1, ATOMIC)[0] * (1.0 + s) for s in (1e-6, -1e-6)])
+def test_packet_weight_is_scatter_grid_abs_t2(v0):
+    """|phi_in|^2/|D|^2, the packet integrand's weight, is |phi_in|^2 |T|^2
+    with T from `scatter_grid` to 1e-14 relative, and its dPhi_T/dk is
+    `scatter_grid`'s, on barriers, wells, wells next to a threshold and the
+    free case."""
+    pot = SquarePotential(v0, 1.0)
+    g = pot.strength(ATOMIC)
+    p = np.geomspace(1e-8, FIG3_PACKET.p_max(), 4001)
+    wgt, dphi = wavepacket._transmitted_weight(FIG3_PACKET, ATOMIC, g, pot.width, p)
+    t, _, want_dphi, _, _ = scatter_grid(g, pot.width, p)
+    want = wavepacket.packet_weight(FIG3_PACKET, p) * np.abs(t) ** 2
+    assert np.all(want > 0)
+    np.testing.assert_allclose(wgt, want, rtol=1e-14, atol=0)
+    assert dphi.tobytes() == want_dphi.tobytes()
 
 
 class TestExitTimeBatch:
@@ -280,8 +298,8 @@ class TestExitTimeBatch:
         inner = _kernel.transmission_grid
 
         def poisoned(g, width, k):
-            t, dphi, s1, s2 = inner(g, width, k)
-            return np.where(g == bad_g, np.nan, t), dphi, s1, s2
+            den, *rest = inner(g, width, k)
+            return np.where(g == bad_g, np.nan, den), *rest
 
         monkeypatch.setattr(_kernel, "transmission_grid", poisoned)
         rows = wavepacket._exit_times(FIG3_PACKET, pots, ATOMIC)
