@@ -30,7 +30,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -164,7 +163,9 @@ def _packet_rows(args: argparse.Namespace, consts: PhysicalConstants,
         if diverged:
             t_cl, defined = classical_reference_time(spec, pot, consts)
             rep = PassageTimeReport(_first_error([p_t])[0], math.nan, t_cl, math.nan, defined)
-        rows.append((v0, *astuple(_first_error([rep])[0]), diverged))
+        rep = _first_error([rep])[0]
+        rows.append((v0, rep.p_t, rep.t_out, rep.t_classical, rep.t_subtracted,
+                     rep.classical_defined, diverged))
     return rows
 
 

@@ -5,9 +5,13 @@ estimated by comparing against the sum of its two half-panel values, and the
 worst panel is bisected until the summed error estimate meets the tolerance.
 
 Each integral is a generator that yields the panels (lo, hi) it needs and
-receives their (GL15, GL7) values.  `_lockstep` runs many in rounds of one
-integrand call per block of panels; an integral's panels and sums do not depend
-on what runs beside it, and `adaptive_quad` and `integral_to_zero` run one.
+receives their (GL15, GL7) values, one row per component of the integrand.
+`_lockstep` runs many in rounds of one integrand call per block of panels; an
+integral's panels and sums do not depend on what runs beside it, and
+`adaptive_quad` and `integral_to_zero` run one.  An integral refines one
+component; a refinement of component 0 can carry component 1 along, and its
+final panels are then where component 1's own refinement starts, so that a
+packet row evaluates each panel once for P_T and its time moment.
 
 `integral_to_zero` extends a finite-interval result down to p = 0 by halving
 the lower cutoff until the added mass converges; a tail that has not
@@ -16,13 +20,15 @@ that does not vanish at p = 0 with |T(0)| = 1: the free case or a
 bound-state threshold) and raises ThresholdDivergenceError.  One request
 seeds the next `_HALVING_BATCH` halvings; each then refines and is tested in
 order, bit for bit as a separate `adaptive_quad` over [lo/2, lo] would, since
-a panel's (GL15, GL7) sums do not depend on the panels reduced beside it.
+a panel's (GL15, GL7) sums do not depend on the panels reduced beside it (a
+seed panel that already meets its test is taken without a refinement).
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -37,9 +43,10 @@ _NODES_ALL = np.concatenate([_NODES15, _NODES7])
 # a tail still growing after this many halvings of the cutoff (eps 2^-60) diverges
 _MAX_HALVINGS = 60
 _MAX_PANELS = 4000  # default panel budget of one integral
-# halvings seeded per request; of the 402 packet integrals of the fig3
-# sweep, 186 stop after 1 halving, 119 after 5 and one after 16, and the
-# free row's divergent time moment runs all 60
+# halvings seeded per request; of the fig3 sweep's 201 P_T tails, 186 stop
+# after 1 halving and one after 16; its time moments start from those seeded
+# halvings, 118 stop after 5, only 6 need more than 8 (11 requests in all),
+# and the free row's divergent moment runs all 60
 _HALVING_BATCH = 8
 # panels (4,092 nodes) per integrand call, however many integrals are open
 _BLOCK_PANELS = 4096 // len(_NODES_ALL)
@@ -50,14 +57,18 @@ class QuadResult:
     value: float
     error: float
     n_panels: int
+    # component 1 on the final panels, in seed layout, when the refinement carried it
+    panels: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _lockstep(f, integrals) -> list:
     """Each integral's result, or the ConvergenceError or ValueError it raised.
     A round calls f(x, owner) per block of whole requests, at most `_BLOCK_PANELS`
-    panels unless one request is larger, owner = each node's integral, and
-    reduces the block's (GL15, GL7) sums with one `einsum` row product each,
-    whose row sums do not depend on a row's place in the block."""
+    panels unless one request is larger, owner = each node's integral; f returns
+    a row of values per component, or one row.  The block's (GL15, GL7) sums are
+    reduced with one `einsum` row product each over its (component, panel) rows,
+    whose row sums do not depend on a row's place in the block; a request gets
+    them as one (rule, component, panel) array."""
     results: list = [None] * len(integrals)
     replies = dict.fromkeys(range(len(integrals)))
     while True:
@@ -70,6 +81,7 @@ def _lockstep(f, integrals) -> list:
                 results[i] = stop.value
             except (ConvergenceError, ValueError) as exc:
                 results[i] = exc
+        replies = reply = g = None  # free the last round's sums before this round's calls
         if not edges:
             return results
         sizes = [len(lo) for lo, _ in edges]
@@ -77,18 +89,21 @@ def _lockstep(f, integrals) -> list:
         lo, hi = map(np.concatenate, zip(*edges))
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         own = np.repeat(owners, sizes)  # each panel's integral
-        g15, g7, start = np.empty_like(lo), np.empty_like(lo), 0
+        start = 0
         for j, end in enumerate(ends):
             if j + 1 < len(ends) and ends[j + 1] - start <= _BLOCK_PANELS:
                 continue  # the next request still fits this block
             x = mid[start:end, None] + half[start:end, None] * _NODES_ALL
             y = np.asarray(f(x.ravel(), np.repeat(own[start:end], len(_NODES_ALL))),
-                           dtype=float).reshape(x.shape)
-            g15[start:end] = np.einsum("ij,j->i", y[:, :15], _WEIGHTS15)
-            g7[start:end] = np.einsum("ij,j->i", y[:, 15:], _WEIGHTS7)
+                           dtype=float).reshape(-1, len(_NODES_ALL))  # (component, panel) rows
+            n = end - start
+            if start == 0:  # (rule, component, panel)
+                g = np.empty((2, len(y) // n, len(lo)))
+            g[0, :, start:end] = np.einsum("ij,j->i", y[:, :15], _WEIGHTS15).reshape(-1, n)
+            g[1, :, start:end] = np.einsum("ij,j->i", y[:, 15:], _WEIGHTS7).reshape(-1, n)
             start = end
-        g15, g7 = half * g15, half * g7
-        replies = {i: (g15[e - n : e], g7[e - n : e]) for i, n, e in zip(owners, sizes, ends)}
+        g *= half
+        replies = {i: g[:, :, e - n : e] for i, n, e in zip(owners, sizes, ends)}
 
 
 def _first_error(results) -> list:
@@ -100,92 +115,92 @@ def _first_error(results) -> list:
 
 
 def _seed(lo, hi):
-    """(GL15, GL7) of panels [lo_i, hi_i], rows whole/left half/right half, in one request."""
+    """Panels [lo_i, hi_i] in seed layout, from one request: per component, rows
+    lo, hi and the (GL15, GL7) of the whole panel and its halves, (lo, hi, c15,
+    l15, r15, c7, l7, r7)."""
     mids = 0.5 * (lo + hi)
-    g15, g7 = yield np.concatenate([lo, lo, mids]), np.concatenate([hi, mids, hi])
-    return g15.reshape(3, -1), g7.reshape(3, -1)
+    g = yield np.concatenate([lo, lo, mids]), np.concatenate([hi, mids, hi])
+    seeds = np.empty((g.shape[1], 8, len(lo)))  # (component, row, panel)
+    seeds[:, 0], seeds[:, 1] = lo, hi
+    seeds[:, 2:5], seeds[:, 5:] = g.reshape(2, -1, 3, len(lo))
+    return seeds
 
 
-def _refine(lo, hi, s15, s7, rel_tol, abs_tol, max_panels):
-    """Bisect the worst of the seeded panels until the error estimate meets the tolerance."""
+def _panel(c15, l15, r15, c7, l7, r7):
+    """A panel's value, the sum of its halves' GL15 values, and its error estimate."""
+    value = l15 + r15
+    return value, max(abs(value - c15), abs(c15 - c7), abs(value - l7 - r7))
 
-    def panel_error(value, c15, c7, hl7, hr7):
-        return max(abs(value - c15), abs(c15 - c7), abs(value - hl7 - hr7))
 
+def _refine(seeds, rel_tol, abs_tol, max_panels, on=0, carry=None):
+    """Bisect the worst of the seeded panels until the error estimate meets the
+    tolerance.  `seeds` holds component `on` of the starting panels in seed
+    layout; `carry`, component 1 of the same panels, is carried through the
+    bisections, and the result's `panels` then hold it on the final panels."""
     # heap entries, Python floats: (-err, seq, lo, hi, value, l15, r15, l7, r7)
     heap: list = []
-    total = 0.0
-    total_err = 0.0
-    for seq, (plo, phi, c15, l15, r15, c7, l7, r7) in enumerate(
-            zip(lo.tolist(), hi.tolist(), *s15.tolist(), *s7.tolist())):
-        val = l15 + r15
-        err = panel_error(val, c15, c7, l7, r7)
+    total = total_err = 0.0
+    for seq, (plo, phi, c15, l15, r15, c7, l7, r7) in enumerate(zip(*seeds.tolist())):
+        val, err = _panel(c15, l15, r15, c7, l7, r7)
         total += val
         total_err += err
         heapq.heappush(heap, (-err, seq, plo, phi, val, l15, r15, l7, r7))
-    seq = n_panels = len(lo)
+    # the carried component of panel seq in seed layout, at 8 seq
+    side = None if carry is None else array("d", carry.T.tobytes())
+    del seeds, carry  # the heap and `side` hold their values
+    seq = n_panels = len(heap)
     while True:
         if not (math.isfinite(total) and math.isfinite(total_err)):
-            raise ConvergenceError(
-                f"quadrature estimate {total} with error bound {total_err} is not "
-                "finite (integrand returned NaN or inf)",
-                estimate=total,
-                error=total_err,
-            )
+            raise ConvergenceError(f"quadrature estimate {total} with error bound {total_err} "
+                                   "is not finite (integrand returned NaN or inf)",
+                                   estimate=total, error=total_err)
         if total_err <= max(rel_tol * abs(total), abs_tol):
             break
         if n_panels >= max_panels:
-            raise ConvergenceError(
-                f"quadrature did not converge within {max_panels} panels "
-                f"(estimate {total:.6e}, error bound {total_err:.2e})",
-                estimate=total,
-                error=total_err,
-            )
-        neg_err, _, plo, phi, pval, pl15, pr15, pl7, pr7 = heapq.heappop(heap)
+            raise ConvergenceError(f"quadrature did not converge within {max_panels} panels "
+                                   f"(estimate {total:.6e}, error bound {total_err:.2e})",
+                                   estimate=total, error=total_err)
+        neg_err, pseq, plo, phi, pval, pl15, pr15, pl7, pr7 = heapq.heappop(heap)
         pmid = 0.5 * (plo + phi)
         qlo = [plo, 0.5 * (plo + pmid), pmid, 0.5 * (pmid + phi)]
         qhi = [0.5 * (plo + pmid), pmid, 0.5 * (pmid + phi), phi]
-        q15, q7 = yield np.array(qlo), np.array(qhi)
-        q15, q7 = q15.tolist(), q7.tolist()
+        q = (yield np.array(qlo), np.array(qhi)).tolist()  # [rule][component][panel]
+        if side is not None:
+            k = 8 * pseq
+            side.extend((qlo[0], qhi[1], side[k + 3], *q[0][1][:2], side[k + 6], *q[1][1][:2],
+                         qlo[2], qhi[3], side[k + 4], *q[0][1][2:], side[k + 7], *q[1][1][2:]))
+        q15, q7 = q[0][on], q[1][on]
+        del q  # else held, with the carried values, while suspended
         for c15, c7, i0 in ((pl15, pl7, 0), (pr15, pr7, 2)):
-            v = q15[i0] + q15[i0 + 1]
-            e = panel_error(v, c15, c7, q7[i0], q7[i0 + 1])
+            v, e = _panel(c15, q15[i0], q15[i0 + 1], c7, q7[i0], q7[i0 + 1])
             total += v
             total_err += e
-            heapq.heappush(
-                heap,
-                (-e, seq, qlo[i0], qhi[i0 + 1], v,
-                 q15[i0], q15[i0 + 1], q7[i0], q7[i0 + 1]),
-            )
+            heapq.heappush(heap, (-e, seq, qlo[i0], qhi[i0 + 1], v,
+                                  q15[i0], q15[i0 + 1], q7[i0], q7[i0 + 1]))
             seq += 1
         total -= pval
         total_err += neg_err  # neg_err = -err of the popped panel
         n_panels += 1
 
-    return QuadResult(value=total, error=total_err, n_panels=n_panels)
+    if side is not None:  # the final panels, in the order they were made
+        side = np.frombuffer(side).reshape(-1, 8)[sorted(entry[1] for entry in heap)].T
+    return QuadResult(value=total, error=total_err, n_panels=n_panels, panels=side)
 
 
-def _adaptive(a, b, *, rel_tol=1e-8, abs_tol=0.0, breakpoints=(), max_panels=_MAX_PANELS):
-    """`adaptive_quad` as a lockstep integral."""
+def _adaptive(a, b, *, rel_tol=1e-8, abs_tol=0.0, breakpoints=(), max_panels=_MAX_PANELS,
+              carry=False):
+    """`adaptive_quad` as a lockstep integral, carrying component 1 with `carry`."""
     if not (b > a):
         raise ValueError(f"need b > a, got [{a}, {b}]")
-    edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    s15, s7 = yield from _seed(lo, hi)
-    return (yield from _refine(lo, hi, s15, s7, rel_tol, abs_tol, max_panels))
+    edges = np.array([a, *sorted(p for p in set(breakpoints) if a < p < b), b], dtype=float)
+    seeds = yield from _seed(edges[:-1], edges[1:])
+    refine = _refine(seeds[0], rel_tol, abs_tol, max_panels, carry=seeds[1] if carry else None)
+    del seeds  # the refinement holds what it needs
+    return (yield from refine)
 
 
-def adaptive_quad(
-    f,
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 0.0,
-    breakpoints=(),
-    max_panels: int = _MAX_PANELS,
-) -> QuadResult:
+def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-8, abs_tol: float = 0.0,
+                  breakpoints=(), max_panels: int = _MAX_PANELS) -> QuadResult:
     """Integrate a vectorized integrand over [a, b].
 
     `breakpoints` seed panel edges at known kinks or sharp features (barrier
@@ -198,41 +213,44 @@ def adaptive_quad(
     return _first_error(_lockstep(lambda x, _: f(x), [gen]))[0]
 
 
-def _to_zero(eps, *, rel_tol=1e-8, reference):
-    """`integral_to_zero` as a lockstep integral."""
+def _to_zero(eps, *, rel_tol=1e-8, reference, carry=False, restart=None):
+    """`integral_to_zero` as a lockstep integral.  With `carry` it returns
+    (value, restart): component 1 on the seed panel of every seeded halving,
+    used or not; a `restart` integrates component 1 from those and seeds past
+    them.  (The packet weight's halvings meet their test on the seed panel.)"""
+    on, batch, start = (0 if restart is None else 1), restart, 0
+    kept = []  # with carry: component 1 of each seeded batch
     total = prev = 0.0
-    for start in range(0, _MAX_HALVINGS, _HALVING_BATCH):
-        # halving n spans [eps/2^(n+1), eps/2^n]; dividing by 2^n is exact
-        his = eps / 2.0 ** np.arange(start, min(start + _HALVING_BATCH, _MAX_HALVINGS))
-        los = his / 2.0
-        s15, s7 = yield from _seed(los, his)
-        for i in range(len(his)):
-            scale = max(abs(reference + total), abs(reference), 1e-300)
-            res = yield from _refine(los[i : i + 1], his[i : i + 1], s15[:, i : i + 1],
-                                     s7[:, i : i + 1], 1e-6, 1e-14 * scale, _MAX_PANELS)
-            total += res.value
-            # once the integrand vanishes at 0 at least linearly (below the momentum
-            # where |T| rises, near a threshold), the remaining tail is bounded by a
-            # fraction of the last increment
-            if abs(res.value) <= 0.5 * rel_tol * scale and prev <= rel_tol * scale:
-                return total
-            prev = abs(res.value)
+    for n in range(_MAX_HALVINGS):
+        if batch is None or n - start == batch.shape[1]:
+            # halving n spans [eps/2^(n+1), eps/2^n]; dividing by 2^n is exact
+            his = eps / 2.0 ** np.arange(n, min(n + _HALVING_BATCH, _MAX_HALVINGS))
+            seeds = yield from _seed(his / 2.0, his)
+            batch, start = seeds[on], n
+            if carry:
+                kept.append(seeds[1])
+        panels = batch[:, n - start : n - start + 1]
+        scale = max(abs(reference + total), abs(reference), 1e-300)
+        abs_tol = 1e-14 * scale
+        # a seed panel that meets its test is `_refine`'s result, from the same floats
+        value, err = _panel(*panels[2:, 0].tolist())
+        if not (math.isfinite(value) and math.isfinite(err)
+                and err <= max(1e-6 * abs(value), abs_tol)):
+            value = (yield from _refine(panels, 1e-6, abs_tol, _MAX_PANELS, on)).value
+        total += value
+        # once the integrand vanishes at 0 at least linearly (below the momentum
+        # where |T| rises, near a threshold), the remaining tail is bounded by a
+        # fraction of the last increment
+        if abs(value) <= 0.5 * rel_tol * scale and prev <= rel_tol * scale:
+            return (total, np.concatenate(kept, axis=1)) if carry else total
+        prev = abs(value)
     raise ThresholdDivergenceError(
         f"integral has not converged after {_MAX_HALVINGS} halvings of the lower "
         f"cutoff (last increment {prev:.3e}, estimate {reference + total:.6e}): "
-        "it grows without bound as the cutoff shrinks",
-        estimate=reference + total,
-        error=prev,
-    )
+        "it grows without bound as the cutoff shrinks", estimate=reference + total, error=prev)
 
 
-def integral_to_zero(
-    f,
-    eps: float,
-    *,
-    rel_tol: float = 1e-8,
-    reference: float,
-) -> float:
+def integral_to_zero(f, eps: float, *, rel_tol: float = 1e-8, reference: float) -> float:
     """Sum of integrals of f over (0, eps], halving the cutoff to convergence.
 
     `reference` sets the scale against which the discarded tail must be

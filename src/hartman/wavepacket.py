@@ -33,7 +33,7 @@ from . import _kernel
 from .boundstates import is_at_threshold
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
-from .quadrature import _adaptive, _first_error, _lockstep, _to_zero
+from .quadrature import _MAX_PANELS, _adaptive, _first_error, _lockstep, _refine, _to_zero
 
 # packet momentum support: beyond p0 + _SUPPORT_SIGMAS * dp the Gaussian
 # mass is below 1e-16 of the total
@@ -154,24 +154,33 @@ def _span(spec, pot, consts, p_hi):
     return eps, p_hi, _resonance_breakpoints(pot, consts, eps, p_hi)
 
 
-def _from_zero(eps, p_hi, breaks, rel_tol=_REL_TOL):
+def _from_zero(eps, p_hi, breaks, rel_tol=_REL_TOL, carry=False, restart=None):
     """Lockstep integral over (0, p_hi]: adaptive panels from eps up, seeded
-    at `breaks`, and halvings below eps."""
-    main = (yield from _adaptive(eps, p_hi, rel_tol=rel_tol, breakpoints=breaks)).value
-    return main + (yield from _to_zero(eps, rel_tol=rel_tol, reference=main))
+    at `breaks`, and halvings below eps.  With `carry` it returns (value,
+    restart), component 1 on its final panels and seeded halvings, from which
+    a `restart` integrates component 1."""
+    if restart is None:
+        main = yield from _adaptive(eps, p_hi, rel_tol=rel_tol, breakpoints=breaks, carry=carry)
+    else:
+        refine = _refine(restart[0], rel_tol, 0.0, _MAX_PANELS, on=1)
+        restart = restart[1]  # the main panels go with the refinement
+        main = yield from refine
+    tail = yield from _to_zero(eps, rel_tol=rel_tol, reference=main.value, carry=carry,
+                               restart=restart)
+    return (main.value + tail[0], (main.panels, tail[1])) if carry else main.value + tail
 
 
-def _packet_integrals(spec, consts, pots, integrals, timed=None) -> list:
+def _packet_integrals(spec, consts, pots, integrals) -> list:
     """Lockstep results (or exceptions) of `integrals` over `pots`, all of one
-    width, one kernel call per block of nodes: integral i integrates |phi_in|^2
-    |T|^2 over pots[i], times (a - x0 + dPhi_T/dk)/p once it sets timed[i]."""
+    width, one kernel call per block of nodes: integral i integrates component
+    0, |phi_in|^2 |T|^2 over pots[i], or component 1, that times
+    (a - x0 + dPhi_T/dk)/p."""
     g, width = np.array([pot.strength(consts) for pot in pots]), pots[0].width
-    timed = np.zeros(len(pots), dtype=bool) if timed is None else timed
     aprime = width / 2.0 - spec.x0
 
     def f(p, owner):
         wgt, dphi = _transmitted_weight(spec, consts, g[owner], width, p)
-        return np.where(timed[owner], wgt * (aprime + dphi) / p, wgt)
+        return np.stack([wgt, wgt * (aprime + dphi) / p])
 
     return _lockstep(f, integrals)
 
@@ -244,17 +253,16 @@ def _exit_times(spec, pots, consts) -> list[tuple]:
     """(P_T, `mean_exit_time` report) per potential of one width, in lockstep;
     either may be the exception a serial run raises, and a refused row has P_T."""
     _require_left_start(spec, pots[0])
-    timed = np.zeros(len(pots), dtype=bool)
-    rows = [_exit_time_row(spec, pot, consts, timed, i) for i, pot in enumerate(pots)]
-    return _packet_integrals(spec, consts, pots, rows, timed)
+    rows = [_exit_time_row(spec, pot, consts) for pot in pots]
+    return _packet_integrals(spec, consts, pots, rows)
 
 
-def _exit_time_row(spec, pot, consts, timed, i):
-    """One row of `_exit_times`: P_T, then the time moment with timed[i] set,
-    over the same span."""
+def _exit_time_row(spec, pot, consts):
+    """One row of `_exit_times`: P_T, then the time moment over the same span,
+    started from the panels P_T evaluated."""
     span = _span(spec, pot, consts, spec.p_max(consts))
     try:
-        p_t = yield from _from_zero(*span)
+        p_t, panels = yield from _from_zero(*span, carry=True)
     except (ConvergenceError, ValueError) as exc:
         p_t = exc
     try:
@@ -266,8 +274,9 @@ def _exit_time_row(spec, pot, consts, timed, i):
                 "well is at a bound-state threshold and the packet does not vanish "
                 "at p = 0: the mean exit time diverges")
         _require_transmitted(_first_error([p_t])[0])
-        timed[i] = True
-        t_int = yield from _from_zero(*span)
+        moment = _from_zero(*span, restart=panels)
+        del panels  # the moment's refinements hold what they need
+        t_int = yield from moment
     except (ConvergenceError, ValueError) as exc:
         return p_t, exc
     t_out = consts.mass * t_int / p_t

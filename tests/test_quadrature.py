@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hartman.errors import ConvergenceError, ThresholdDivergenceError
-from hartman.quadrature import (_BLOCK_PANELS, _adaptive, _lockstep, _to_zero, adaptive_quad,
-                               integral_to_zero)
+from hartman.quadrature import (_BLOCK_PANELS, _MAX_PANELS, _adaptive, _lockstep, _refine,
+                               _to_zero, adaptive_quad, integral_to_zero)
 
 
 def _counting(f):
@@ -152,11 +152,29 @@ def test_integral_to_zero_converges_below_a_narrow_peak():
     e2 = (eps * 2.0**-10) ** 2
     f = lambda p: p / (p * p + e2)
     got = integral_to_zero(f, eps, rel_tol=1e-10, reference=0.0)
-    # not bitwise: a seeded batch's rows reduce in another place of the BLAS product
     want, halvings = _halvings_reference(f, eps, rel_tol=1e-10, reference=0.0)
-    assert got == pytest.approx(want, rel=1e-14)
+    assert got == want
     assert halvings > 20
     assert got == pytest.approx(0.5 * math.log1p(eps * eps / e2), rel=1e-9)
+
+
+def test_refine_restarts_from_its_carried_panels():
+    """A refinement of component 0 carries component 1 to its final panels; a
+    refinement of component 1 restarted there, with component 1 equal to 0,
+    is already converged: it returns at once with the same panels and, up to
+    the order of the sums, the same value."""
+    f = lambda x: np.sin(40.0 * x) * np.exp(-x)
+    res = _lockstep(lambda x, _: np.stack([f(x), f(x)]),
+                    [_adaptive(0.0, 8.0, rel_tol=1e-10, breakpoints=[2.0], carry=True)])[0]
+    assert res == adaptive_quad(f, 0.0, 8.0, rel_tol=1e-10, breakpoints=[2.0])
+    assert res.panels.shape == (8, res.n_panels) and res.n_panels > 20
+    restart = _refine(res.panels, 1e-10, 0.0, _MAX_PANELS, on=1)
+    with pytest.raises(StopIteration) as stop:
+        next(restart)  # no bisection requested
+    again = stop.value.value
+    assert again.n_panels == res.n_panels
+    assert again.value == pytest.approx(res.value, rel=1e-14, abs=1e-16)
+    assert again.error == pytest.approx(res.error, rel=1e-12)
 
 
 def test_all_nan_integrand_raises():

@@ -21,7 +21,7 @@ from hartman import (
     transmission_probability,
 )
 from hartman._kernel import W_CUT, scatter_grid
-from hartman.quadrature import adaptive_quad
+from hartman.quadrature import adaptive_quad, integral_to_zero
 from hartman import _kernel, wavepacket
 from hartman.verify import CROSS_VALIDATION_CONFIGS, transmission_probability_simpson
 from hartman.wavepacket import _bulk_wave
@@ -241,6 +241,25 @@ class TestMeanExitTime:
             assert math.copysign(1.0, rep.t_out) == -math.copysign(1.0, delta)
             assert abs(rep.t_out) > 0.2 / abs(delta)
 
+
+@pytest.mark.parametrize("pot, spec", list(CROSS_VALIDATION_CONFIGS) + [
+    (SquarePotential(-math.pi**2 / 8.0 * (1.0 + d), 1.0), FIG3_PACKET) for d in (1e-5, -1e-5)])
+def test_moment_from_p_t_panels_matches_fresh_seeds(pot, spec):
+    """The time moment starts from the panels P_T evaluated; integrated from
+    fresh seeds over the same span it agrees to twice the integrals' rel_tol."""
+    aprime = pot.half_width - spec.x0
+
+    def moment(p):
+        wgt, dphi = wavepacket._transmitted_weight(spec, ATOMIC, pot.strength(ATOMIC),
+                                                   pot.width, p)
+        return wgt * (aprime + dphi) / p
+
+    eps, p_hi, breaks = wavepacket._span(spec, pot, ATOMIC, spec.p_max())
+    tol = wavepacket._REL_TOL
+    main = adaptive_quad(moment, eps, p_hi, rel_tol=tol, breakpoints=breaks).value
+    fresh = main + integral_to_zero(moment, eps, rel_tol=tol, reference=main)
+    rep = mean_exit_time(spec, pot)
+    assert rep.t_out == pytest.approx(ATOMIC.mass * fresh / rep.p_t, rel=2.0 * tol)
 
 @pytest.mark.parametrize("v0", [5.0, 0.4, 0.0, -0.3, -1.6] + [
     threshold_depths(1.0, 1, ATOMIC)[0] * (1.0 + s) for s in (1e-6, -1e-6)])
