@@ -2,16 +2,17 @@
 
 Each panel is integrated with a fixed Gauss-Legendre rule; its error is
 estimated by comparing against the sum of its two half-panel values, and the
-worst panel is bisected until the summed error estimate meets the tolerance.
+worst panel (the first made among equals) is bisected until the summed error
+estimate meets the tolerance.
 
 Each integral is a generator that yields the panels (lo, hi) it needs and
 receives their (GL15, GL7) values, one row per component of the integrand.
 `_lockstep` runs many in rounds of one integrand call per block of panels; an
 integral's panels and sums do not depend on what runs beside it, and
 `adaptive_quad` and `integral_to_zero` run one.  An integral refines one
-component; a refinement of component 0 can carry component 1 along, and its
-final panels are then where component 1's own refinement starts, so that a
-packet row evaluates each panel once for P_T and its time moment.
+component and keeps every component of its panels, in the order they were
+made; its final panels can start the refinement of another component, so
+that a packet row evaluates each panel once for P_T and its time moment.
 
 `integral_to_zero` extends a finite-interval result down to p = 0 by halving
 the lower cutoff until the added mass converges; a tail that has not
@@ -25,7 +26,6 @@ seed panel that already meets its test is taken without a refinement).
 """
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -42,7 +42,7 @@ _NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
 _NODES_ALL = np.concatenate([_NODES15, _NODES7])
 # a tail still growing after this many halvings of the cutoff (eps 2^-60) diverges
 _MAX_HALVINGS = 60
-_MAX_PANELS = 4000  # default panel budget of one integral
+_MAX_PANELS = 4000  # panel budget of one integral
 # halvings seeded per request; of the fig3 sweep's 201 P_T tails, 186 stop
 # after 1 halving and one after 16; its time moments start from those seeded
 # halvings, 118 stop after 5, only 6 need more than 8 (11 requests in all),
@@ -57,8 +57,8 @@ class QuadResult:
     value: float
     error: float
     n_panels: int
-    # component 1 on the final panels, in seed layout, when the refinement carried it
-    panels: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # every component on the final panels, in seed layout, in the order they were made
+    panels: np.ndarray = field(compare=False, repr=False)
 
 
 def _lockstep(f, integrals) -> list:
@@ -132,23 +132,25 @@ def _panel(c15, l15, r15, c7, l7, r7):
     return value, max(abs(value - c15), abs(c15 - c7), abs(value - l7 - r7))
 
 
-def _refine(seeds, rel_tol, abs_tol, max_panels, on=0, carry=None):
-    """Bisect the worst of the seeded panels until the error estimate meets the
-    tolerance.  `seeds` holds component `on` of the starting panels in seed
-    layout; `carry`, component 1 of the same panels, is carried through the
-    bisections, and the result's `panels` then hold it on the final panels."""
-    # heap entries, Python floats: (-err, seq, lo, hi, value, l15, r15, l7, r7)
-    heap: list = []
+def _refine(seeds, rel_tol, abs_tol, on=0):
+    """Bisect the worst of the seeded panels until the error estimate of
+    component `on` meets the tolerance.  `seeds` and the result's `panels`
+    hold every component of the starting and the final panels in seed layout,
+    (component, row, panel), the final ones in the order they were made."""
+    ncomp = len(seeds)
+    # the live panels in the order they were made, every component of each in
+    # seed layout in an array of its own (one buffer for all, resized at every
+    # bisection, fragments the C heap), and component `on`'s values and errors
+    store = [array("d", panel.tobytes()) for panel in seeds.transpose(2, 0, 1)]
+    vals, errs = [], []
     total = total_err = 0.0
-    for seq, (plo, phi, c15, l15, r15, c7, l7, r7) in enumerate(zip(*seeds.tolist())):
-        val, err = _panel(c15, l15, r15, c7, l7, r7)
+    for rows in seeds[on, 2:].T.tolist():
+        val, err = _panel(*rows)
         total += val
         total_err += err
-        heapq.heappush(heap, (-err, seq, plo, phi, val, l15, r15, l7, r7))
-    # the carried component of panel seq in seed layout, at 8 seq
-    side = None if carry is None else array("d", carry.T.tobytes())
-    del seeds, carry  # the heap and `side` hold their values
-    seq = n_panels = len(heap)
+        vals.append(val)
+        errs.append(err)
+    del seeds  # the store holds its values
     while True:
         if not (math.isfinite(total) and math.isfinite(total_err)):
             raise ConvergenceError(f"quadrature estimate {total} with error bound {total_err} "
@@ -156,93 +158,87 @@ def _refine(seeds, rel_tol, abs_tol, max_panels, on=0, carry=None):
                                    estimate=total, error=total_err)
         if total_err <= max(rel_tol * abs(total), abs_tol):
             break
-        if n_panels >= max_panels:
-            raise ConvergenceError(f"quadrature did not converge within {max_panels} panels "
+        if len(errs) >= _MAX_PANELS:
+            raise ConvergenceError(f"quadrature did not converge within {_MAX_PANELS} panels "
                                    f"(estimate {total:.6e}, error bound {total_err:.2e})",
                                    estimate=total, error=total_err)
-        neg_err, pseq, plo, phi, pval, pl15, pr15, pl7, pr7 = heapq.heappop(heap)
+        # the worst panel, the first made among equals
+        i = errs.index(max(errs))
+        parent = store.pop(i)
+        plo, phi = parent[0], parent[1]
         pmid = 0.5 * (plo + phi)
         qlo = [plo, 0.5 * (plo + pmid), pmid, 0.5 * (pmid + phi)]
         qhi = [0.5 * (plo + pmid), pmid, 0.5 * (pmid + phi), phi]
-        q = (yield np.array(qlo), np.array(qhi)).tolist()  # [rule][component][panel]
-        if side is not None:
-            k = 8 * pseq
-            side.extend((qlo[0], qhi[1], side[k + 3], *q[0][1][:2], side[k + 6], *q[1][1][:2],
-                         qlo[2], qhi[3], side[k + 4], *q[0][1][2:], side[k + 7], *q[1][1][2:]))
-        q15, q7 = q[0][on], q[1][on]
-        del q  # else held, with the carried values, while suspended
-        for c15, c7, i0 in ((pl15, pl7, 0), (pr15, pr7, 2)):
-            v, e = _panel(c15, q15[i0], q15[i0 + 1], c7, q7[i0], q7[i0 + 1])
-            total += v
-            total_err += e
-            heapq.heappush(heap, (-e, seq, qlo[i0], qhi[i0 + 1], v,
-                                  q15[i0], q15[i0 + 1], q7[i0], q7[i0 + 1]))
-            seq += 1
-        total -= pval
-        total_err += neg_err  # neg_err = -err of the popped panel
-        n_panels += 1
+        q = (yield np.array(qlo), np.array(qhi)).tolist()  # [rule][component][quarter]
+        for j in (0, 1):  # the left child, then the right
+            child = []
+            for c, (q15, q7) in enumerate(zip(*q)):
+                k = 8 * c + j
+                child += (qlo[2 * j], qhi[2 * j + 1], parent[k + 3], q15[2 * j], q15[2 * j + 1],
+                          parent[k + 6], q7[2 * j], q7[2 * j + 1])
+            store.append(array("d", child))
+            val, err = _panel(*child[8 * on + 2 : 8 * on + 8])
+            total += val
+            total_err += err
+            vals.append(val)
+            errs.append(err)
+        del q, q15, q7, child  # else held while suspended
+        total -= vals.pop(i)
+        total_err -= errs.pop(i)
 
-    if side is not None:  # the final panels, in the order they were made
-        side = np.frombuffer(side).reshape(-1, 8)[sorted(entry[1] for entry in heap)].T
-    return QuadResult(value=total, error=total_err, n_panels=n_panels, panels=side)
+    panels = np.frombuffer(b"".join(store)).reshape(-1, ncomp, 8).transpose(1, 2, 0)
+    return QuadResult(value=total, error=total_err, n_panels=len(errs), panels=panels)
 
 
-def _adaptive(a, b, *, rel_tol=1e-8, abs_tol=0.0, breakpoints=(), max_panels=_MAX_PANELS,
-              carry=False):
-    """`adaptive_quad` as a lockstep integral, carrying component 1 with `carry`."""
+def _adaptive(a, b, *, rel_tol=1e-8, abs_tol=0.0, breakpoints=(), on=0):
+    """`adaptive_quad` as a lockstep integral of component `on`."""
     if not (b > a):
         raise ValueError(f"need b > a, got [{a}, {b}]")
     edges = np.array([a, *sorted(p for p in set(breakpoints) if a < p < b), b], dtype=float)
     seeds = yield from _seed(edges[:-1], edges[1:])
-    refine = _refine(seeds[0], rel_tol, abs_tol, max_panels, carry=seeds[1] if carry else None)
+    refine = _refine(seeds, rel_tol, abs_tol, on)
     del seeds  # the refinement holds what it needs
     return (yield from refine)
 
 
 def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-8, abs_tol: float = 0.0,
-                  breakpoints=(), max_panels: int = _MAX_PANELS) -> QuadResult:
+                  breakpoints=()) -> QuadResult:
     """Integrate a vectorized integrand over [a, b].
 
     `breakpoints` seed panel edges at known kinks or sharp features (barrier
     momentum, resonances).  Raises ConvergenceError carrying the achieved
-    estimate if the panel budget is exhausted first, or as soon as the
-    estimate or its error bound is not finite.
+    estimate if `_MAX_PANELS` panels do not meet the tolerance, or as soon as
+    the estimate or its error bound is not finite.
     """
-    gen = _adaptive(a, b, rel_tol=rel_tol, abs_tol=abs_tol,
-                    breakpoints=breakpoints, max_panels=max_panels)
+    gen = _adaptive(a, b, rel_tol=rel_tol, abs_tol=abs_tol, breakpoints=breakpoints)
     return _first_error(_lockstep(lambda x, _: f(x), [gen]))[0]
 
 
-def _to_zero(eps, *, rel_tol=1e-8, reference, carry=False, restart=None):
-    """`integral_to_zero` as a lockstep integral.  With `carry` it returns
-    (value, restart): component 1 on the seed panel of every seeded halving,
-    used or not; a `restart` integrates component 1 from those and seeds past
-    them.  (The packet weight's halvings meet their test on the seed panel.)"""
-    on, batch, start = (0 if restart is None else 1), restart, 0
-    kept = []  # with carry: component 1 of each seeded batch
+def _to_zero(eps, *, rel_tol=1e-8, reference, on=0, seeds=()):
+    """`integral_to_zero` of component `on` as a lockstep integral.  Returns
+    (value, halvings): halving n's seed panel, every component in seed layout,
+    is halvings[n], for every halving seeded, used or not.  `seeds` are the
+    halvings of an earlier run; only halvings past them are requested."""
+    halvings = list(seeds)
     total = prev = 0.0
     for n in range(_MAX_HALVINGS):
-        if batch is None or n - start == batch.shape[1]:
+        if n == len(halvings):
             # halving n spans [eps/2^(n+1), eps/2^n]; dividing by 2^n is exact
             his = eps / 2.0 ** np.arange(n, min(n + _HALVING_BATCH, _MAX_HALVINGS))
-            seeds = yield from _seed(his / 2.0, his)
-            batch, start = seeds[on], n
-            if carry:
-                kept.append(seeds[1])
-        panels = batch[:, n - start : n - start + 1]
+            halvings.extend((yield from _seed(his / 2.0, his)).transpose(2, 0, 1))
         scale = max(abs(reference + total), abs(reference), 1e-300)
         abs_tol = 1e-14 * scale
         # a seed panel that meets its test is `_refine`'s result, from the same floats
-        value, err = _panel(*panels[2:, 0].tolist())
+        value, err = _panel(*halvings[n][on, 2:].tolist())
         if not (math.isfinite(value) and math.isfinite(err)
                 and err <= max(1e-6 * abs(value), abs_tol)):
-            value = (yield from _refine(panels, 1e-6, abs_tol, _MAX_PANELS, on)).value
+            value = (yield from _refine(halvings[n][..., None], 1e-6, abs_tol, on)).value
         total += value
         # once the integrand vanishes at 0 at least linearly (below the momentum
         # where |T| rises, near a threshold), the remaining tail is bounded by a
         # fraction of the last increment
         if abs(value) <= 0.5 * rel_tol * scale and prev <= rel_tol * scale:
-            return (total, np.concatenate(kept, axis=1)) if carry else total
+            return total, halvings
         prev = abs(value)
     raise ThresholdDivergenceError(
         f"integral has not converged after {_MAX_HALVINGS} halvings of the lower "
@@ -261,4 +257,4 @@ def integral_to_zero(f, eps: float, *, rel_tol: float = 1e-8, reference: float) 
     ThresholdDivergenceError.
     """
     gen = _to_zero(eps, rel_tol=rel_tol, reference=reference)
-    return _first_error(_lockstep(lambda x, _: f(x), [gen]))[0]
+    return _first_error(_lockstep(lambda x, _: f(x), [gen]))[0][0]

@@ -33,7 +33,7 @@ from . import _kernel
 from .boundstates import is_at_threshold
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
-from .quadrature import _MAX_PANELS, _adaptive, _first_error, _lockstep, _refine, _to_zero
+from .quadrature import _adaptive, _first_error, _lockstep, _refine, _to_zero
 
 # packet momentum support: beyond p0 + _SUPPORT_SIGMAS * dp the Gaussian
 # mass is below 1e-16 of the total
@@ -154,20 +154,16 @@ def _span(spec, pot, consts, p_hi):
     return eps, p_hi, _resonance_breakpoints(pot, consts, eps, p_hi)
 
 
-def _from_zero(eps, p_hi, breaks, rel_tol=_REL_TOL, carry=False, restart=None):
-    """Lockstep integral over (0, p_hi]: adaptive panels from eps up, seeded
-    at `breaks`, and halvings below eps.  With `carry` it returns (value,
-    restart), component 1 on its final panels and seeded halvings, from which
-    a `restart` integrates component 1."""
-    if restart is None:
-        main = yield from _adaptive(eps, p_hi, rel_tol=rel_tol, breakpoints=breaks, carry=carry)
-    else:
-        refine = _refine(restart[0], rel_tol, 0.0, _MAX_PANELS, on=1)
-        restart = restart[1]  # the main panels go with the refinement
-        main = yield from refine
-    tail = yield from _to_zero(eps, rel_tol=rel_tol, reference=main.value, carry=carry,
-                               restart=restart)
-    return (main.value + tail[0], (main.panels, tail[1])) if carry else main.value + tail
+def _from_zero(eps, p_hi, breaks, rel_tol=_REL_TOL, on=0, start=None):
+    """Lockstep integral of component `on` over (0, p_hi]: adaptive panels from
+    eps up, seeded at `breaks`, and halvings below eps.  Returns (value,
+    panels): the final main panels and the seeded halvings, every component,
+    from which a `start` integrates another component over the same span."""
+    main = yield from (_adaptive(eps, p_hi, rel_tol=rel_tol, breakpoints=breaks, on=on)
+                       if start is None else _refine(start[0], rel_tol, 0.0, on))
+    tail, halvings = yield from _to_zero(eps, rel_tol=rel_tol, reference=main.value, on=on,
+                                         seeds=() if start is None else start[1])
+    return main.value + tail, (main.panels, halvings)
 
 
 def _packet_integrals(spec, consts, pots, integrals) -> list:
@@ -214,7 +210,7 @@ def transmission_probability(
 ) -> float:
     """P_T = integral |phi_in|^2 |T|^2 dp over (0, inf)."""
     integral = _from_zero(*_span(spec, pot, consts, spec.p_max(consts)))
-    return _first_error(_packet_integrals(spec, consts, [pot], [integral]))[0]
+    return _first_error(_packet_integrals(spec, consts, [pot], [integral]))[0][0]
 
 
 def classical_reference_time(
@@ -262,7 +258,7 @@ def _exit_time_row(spec, pot, consts):
     started from the panels P_T evaluated."""
     span = _span(spec, pot, consts, spec.p_max(consts))
     try:
-        p_t, panels = yield from _from_zero(*span, carry=True)
+        p_t, panels = yield from _from_zero(*span)
     except (ConvergenceError, ValueError) as exc:
         p_t = exc
     try:
@@ -274,9 +270,7 @@ def _exit_time_row(spec, pot, consts):
                 "well is at a bound-state threshold and the packet does not vanish "
                 "at p = 0: the mean exit time diverges")
         _require_transmitted(_first_error([p_t])[0])
-        moment = _from_zero(*span, restart=panels)
-        del panels  # the moment's refinements hold what they need
-        t_int = yield from moment
+        t_int = (yield from _from_zero(*span, on=1, start=panels))[0]
     except (ConvergenceError, ValueError) as exc:
         return p_t, exc
     t_out = consts.mass * t_int / p_t
@@ -473,11 +467,13 @@ def crossover_width_empirical(
     def split_transmittance(width: float) -> float:
         trial = SquarePotential(v0=pot.v0, half_width=width / 2.0)
         breaks = _resonance_breakpoints(trial, consts, p_b, p_hi)
-        # every resonance lies above p_b, so `below` gets no breakpoints
-        below, above = _first_error(_packet_integrals(spec, consts, [trial] * 2, [
-            _from_zero(*_span(spec, trial, consts, p_b), _SPLIT_REL_TOL),
-            _adaptive(p_b, p_hi, rel_tol=_SPLIT_REL_TOL, breakpoints=breaks)]))
-        return below - above.value
+        # every resonance lies above p_b, so `below` gets no breakpoints; a wide trial
+        # overflows the kernel where |T|^2 = 0 (a NaN in it still raises)
+        with np.errstate(over="ignore", invalid="ignore"):
+            below, above = _first_error(_packet_integrals(spec, consts, [trial] * 2, [
+                _from_zero(*_span(spec, trial, consts, p_b), _SPLIT_REL_TOL),
+                _adaptive(p_b, p_hi, rel_tol=_SPLIT_REL_TOL, breakpoints=breaks)]))
+        return below[0] - above.value
 
     d_lo = 1e-3
     f_lo = split_transmittance(d_lo)

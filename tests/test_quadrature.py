@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from hartman import quadrature
 from hartman.errors import ConvergenceError, ThresholdDivergenceError
-from hartman.quadrature import (_BLOCK_PANELS, _MAX_PANELS, _adaptive, _lockstep, _refine,
-                               _to_zero, adaptive_quad, integral_to_zero)
+from hartman.quadrature import (_BLOCK_PANELS, _adaptive, _lockstep, _refine, _to_zero,
+                               adaptive_quad, integral_to_zero)
 
 
 def _counting(f):
@@ -72,10 +73,11 @@ def test_oscillatory_integrand():
     assert len(calls) == 1 + (res.n_panels - 1)
 
 
-def test_panel_budget_error_carries_estimate():
+def test_panel_budget_error_carries_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     f = lambda x: np.abs(np.sin(1.0 / np.maximum(x, 1e-12)))
-    with pytest.raises(ConvergenceError) as err:
-        adaptive_quad(f, 1e-9, 1.0, rel_tol=1e-13, max_panels=8)
+    with pytest.raises(ConvergenceError, match="within 8 panels") as err:
+        adaptive_quad(f, 1e-9, 1.0, rel_tol=1e-13)
     assert err.value.estimate is not None
 
 
@@ -159,22 +161,41 @@ def test_integral_to_zero_converges_below_a_narrow_peak():
 
 
 def test_refine_restarts_from_its_carried_panels():
-    """A refinement of component 0 carries component 1 to its final panels; a
-    refinement of component 1 restarted there, with component 1 equal to 0,
-    is already converged: it returns at once with the same panels and, up to
-    the order of the sums, the same value."""
+    """A refinement of component 0 returns every component on its final
+    panels; a refinement of component 1 started there, with component 1
+    equal to component 0, is already converged: it returns at once with the
+    same panels and, up to the order of the sums, the same value."""
     f = lambda x: np.sin(40.0 * x) * np.exp(-x)
     res = _lockstep(lambda x, _: np.stack([f(x), f(x)]),
-                    [_adaptive(0.0, 8.0, rel_tol=1e-10, breakpoints=[2.0], carry=True)])[0]
+                    [_adaptive(0.0, 8.0, rel_tol=1e-10, breakpoints=[2.0])])[0]
     assert res == adaptive_quad(f, 0.0, 8.0, rel_tol=1e-10, breakpoints=[2.0])
-    assert res.panels.shape == (8, res.n_panels) and res.n_panels > 20
-    restart = _refine(res.panels, 1e-10, 0.0, _MAX_PANELS, on=1)
+    assert res.panels.shape == (2, 8, res.n_panels) and res.n_panels > 20
+    restart = _refine(res.panels, 1e-10, 0.0, on=1)
     with pytest.raises(StopIteration) as stop:
         next(restart)  # no bisection requested
     again = stop.value.value
     assert again.n_panels == res.n_panels
+    assert again.panels.tobytes() == res.panels.tobytes()
     assert again.value == pytest.approx(res.value, rel=1e-14, abs=1e-16)
     assert again.error == pytest.approx(res.error, rel=1e-12)
+
+
+def test_refine_bisects_equal_errors_first_made_first():
+    """Among panels of equal error the one made first is bisected first: the
+    seed [0, 1], then the seed [1, 2] before [0, 1]'s children, which are
+    bisected left before right.  Every panel here has error 0.25 exactly."""
+    seeds = np.array([[[0.0, 1.0], [1.0, 2.0], [1.0, 1.0], [0.375, 0.375], [0.375, 0.375],
+                       [1.0, 1.0], [0.5, 0.5], [0.5, 0.5]]])
+    reply = np.full((2, 1, 4), 0.0625)  # each child: value 0.125, error 0.25
+    refine = _refine(seeds, 1e-12, 0.0)
+    lo, hi = next(refine)
+    bisected = []
+    for _ in range(5):
+        bisected.append((lo[0], hi[-1]))
+        assert np.array_equal(lo[1:], hi[:-1])  # four quarters of one panel
+        lo, hi = refine.send(reply)
+    refine.close()
+    assert bisected == [(0.0, 1.0), (1.0, 2.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.5)]
 
 
 def test_all_nan_integrand_raises():
@@ -223,7 +244,7 @@ def test_lockstep_matches_integrals_run_alone():
     for i, c in enumerate(centers[:10]):
         want = integral_to_zero(lambda x: np.exp(-3.0 * (x - c) ** 2), 0.25,
                                 rel_tol=1e-9, reference=1.0)
-        assert got[60 + i] == want
+        assert got[60 + i][0] == want
     assert max(sizes) <= 4096
     assert len(sizes) < 100
 
@@ -254,3 +275,29 @@ def test_lockstep_reply_does_not_depend_on_place(n):
         rest.insert(place, ask(*mine))
         got = _lockstep(f, rest)[place]
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (place, len(rest))
+
+
+def test_to_zero_never_requests_the_halvings_it_is_given():
+    """A tail of component 1 started from the halvings a tail of component 0
+    seeded requests only halvings past them, and gives bitwise what a tail of
+    component 1 alone gives."""
+    f0 = lambda x: x**3
+    f1 = lambda x: np.ones_like(x)  # converges more slowly than f0
+    (value, halvings), = _lockstep(lambda x, _: np.stack([f0(x), f1(x)]),
+                                   [_to_zero(0.25, rel_tol=1e-9, reference=1.0)])
+    assert value == integral_to_zero(f0, 0.25, rel_tol=1e-9, reference=1.0)
+    assert len(halvings) == 8
+    requested = []
+
+    def f(x, _):
+        requested.append(x)
+        return np.stack([f0(x), f1(x)])
+
+    (again, more), = _lockstep(f, [_to_zero(0.25, rel_tol=1e-9, reference=1.0, on=1,
+                                             seeds=halvings)])
+    assert again == integral_to_zero(f1, 0.25, rel_tol=1e-9, reference=1.0)
+    assert len(more) > len(halvings)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(more, halvings))
+    # one call per new batch of halvings, all below the halvings given
+    assert len(requested) == math.ceil((len(more) - len(halvings)) / 8)
+    assert max(x.max() for x in requested) < 0.25 * 2.0 ** -len(halvings)

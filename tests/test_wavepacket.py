@@ -1,5 +1,6 @@
 """Packets, transmission probability, passage times, and the crossover width."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -470,6 +471,15 @@ class TestCrossoverWidth:
             GaussianPacketSpec(1.0, 0.22, -10.0), pot, tol=1e-2
         )
         assert narrow > wide
+
+    def test_wide_trial_barriers_raise_no_warning(self):
+        """The bracket reaches barriers wide enough to overflow the kernel's
+        intermediates; |T|^2 is 0 there, and no RuntimeWarning escapes."""
+        spec = GaussianPacketSpec(1.0, 0.05, -200.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            width = crossover_width_empirical(spec, SquarePotential(5.0, 0.5))
+        assert width == 125.43752001953126
 
     def test_no_bracket_when_above_barrier_dominates(self):
         pot = SquarePotential(0.5, 0.5)
