@@ -190,13 +190,13 @@ def _refine(seeds, rel_tol, abs_tol, on=0):
     return QuadResult(value=total, error=total_err, n_panels=len(errs), panels=panels)
 
 
-def _adaptive(a, b, *, rel_tol=1e-8, abs_tol=0.0, breakpoints=(), on=0):
-    """`adaptive_quad` as a lockstep integral of component `on`."""
+def _adaptive(a, b, *, rel_tol=1e-8, abs_tol=0.0, breakpoints=()):
+    """`adaptive_quad` as a lockstep integral of component 0."""
     if not (b > a):
         raise ValueError(f"need b > a, got [{a}, {b}]")
     edges = np.array([a, *sorted(p for p in set(breakpoints) if a < p < b), b], dtype=float)
     seeds = yield from _seed(edges[:-1], edges[1:])
-    refine = _refine(seeds, rel_tol, abs_tol, on)
+    refine = _refine(seeds, rel_tol, abs_tol)
     del seeds  # the refinement holds what it needs
     return (yield from refine)
 
@@ -208,7 +208,8 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-8, abs_tol: floa
     `breakpoints` seed panel edges at known kinks or sharp features (barrier
     momentum, resonances).  Raises ConvergenceError carrying the achieved
     estimate if `_MAX_PANELS` panels do not meet the tolerance, or as soon as
-    the estimate or its error bound is not finite.
+    the estimate or its error bound is not finite.  Each bisection scans the
+    live panels for the worst, so n panels cost O(n^2) up to `_MAX_PANELS`.
     """
     gen = _adaptive(a, b, rel_tol=rel_tol, abs_tol=abs_tol, breakpoints=breakpoints)
     return _first_error(_lockstep(lambda x, _: f(x), [gen]))[0]

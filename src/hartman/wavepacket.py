@@ -154,15 +154,18 @@ def _span(spec, pot, consts, p_hi):
     return eps, p_hi, _resonance_breakpoints(pot, consts, eps, p_hi)
 
 
-def _from_zero(eps, p_hi, breaks, rel_tol=_REL_TOL, on=0, start=None):
-    """Lockstep integral of component `on` over (0, p_hi]: adaptive panels from
+def _from_zero(eps, p_hi, breaks, rel_tol=_REL_TOL, start=None):
+    """Lockstep integral of component 0 over (0, p_hi]: adaptive panels from
     eps up, seeded at `breaks`, and halvings below eps.  Returns (value,
-    panels): the final main panels and the seeded halvings, every component,
-    from which a `start` integrates another component over the same span."""
-    main = yield from (_adaptive(eps, p_hi, rel_tol=rel_tol, breakpoints=breaks, on=on)
-                       if start is None else _refine(start[0], rel_tol, 0.0, on))
+    panels): the final main panels and the seeded halvings, every component.
+    Given those panels as `start`, it integrates component 1 from them instead."""
+    on, halvings = (0, ()) if start is None else (1, start[1])
+    main = (_adaptive(eps, p_hi, rel_tol=rel_tol, breakpoints=breaks) if start is None
+            else _refine(start[0], rel_tol, 0.0, 1))
+    start = None  # the refinement copies the main panels into its own store
+    main = yield from main
     tail, halvings = yield from _to_zero(eps, rel_tol=rel_tol, reference=main.value, on=on,
-                                         seeds=() if start is None else start[1])
+                                         seeds=halvings)
     return main.value + tail, (main.panels, halvings)
 
 
@@ -270,7 +273,9 @@ def _exit_time_row(spec, pot, consts):
                 "well is at a bound-state threshold and the packet does not vanish "
                 "at p = 0: the mean exit time diverges")
         _require_transmitted(_first_error([p_t])[0])
-        t_int = (yield from _from_zero(*span, on=1, start=panels))[0]
+        moment = _from_zero(*span, start=panels)
+        del panels  # else held while the moment runs
+        t_int = (yield from moment)[0]
     except (ConvergenceError, ValueError) as exc:
         return p_t, exc
     t_out = consts.mass * t_int / p_t
