@@ -13,6 +13,11 @@ R = -i (g S1 / 2k) T at any k != 0.  For real k (A = Re D, B = Im D):
 
     dPhi_T/dk   = -d - Im(D'/D)
     ddelta_j/dk = (dPhi_T/dk -+ correction)/2,  correction from R/T = i*rho
+
+Entry points, each one pass over an array of k: `denominator` (A, B, |D|^2
+from C and S1 alone), `transmission_grid` (adds S2 and dPhi_T/dk),
+`scatter_grid` (T, R and the eigenphase slopes) and `complex_amplitudes`
+(T and R at complex k); `trig_triplet` gives C, S1, S2 of any mu.
 """
 from __future__ import annotations
 
@@ -29,51 +34,62 @@ def _branch(mask):
     return ... if n == mask.size else mask if n else None
 
 
-def trig_triplet(mu, width):
-    """C, S1, S2 for an array of real or complex mu values at fixed width d."""
+def _trig_pair(mu, d):
+    """mu as a real or complex array, its C and S1, and the `_branch` index of
+    the series window.  The direct forms are written in place: a branch that
+    covers the grid unmasked, each branch of a mixed grid as a masked ufunc."""
     mu = np.asarray(mu, dtype=complex if np.iscomplexobj(mu) else float)
-    d = float(width)
     w = mu * d * d
     C = np.empty_like(mu)
     S1 = np.empty_like(mu)
-    S2 = np.empty_like(mu)
-
     small = np.abs(w) < W_CUT
-    if (sel := _branch(small)) is not None:
-        ws = w[sel]
-        C[sel] = 1.0 + ws * (-0.5 + ws * (1.0 / 24 + ws * (-1.0 / 720)))
-        S1[sel] = d * (1.0 + ws * (-1.0 / 6 + ws * (1.0 / 120 + ws * (-1.0 / 5040))))
-        S2[sel] = d**3 * (-1.0 / 3 + ws * (1.0 / 30 + ws * (-1.0 / 840 + ws * (1.0 / 45360))))
+    series = _branch(small)
+    if series is not ...:
+        direct = ~small
+        if np.iscomplexobj(mu):
+            q, forms = np.sqrt(mu), ((direct, np.cos, np.sin),)
+        else:
+            # a NaN takes the cosh branch and stays NaN
+            q, pos = np.sqrt(np.abs(mu)), mu > 0
+            forms = ((direct & pos, np.cos, np.sin), (direct & ~pos, np.cosh, np.sinh))
+        qd = q * d
+        for mask, cos, sin in forms:
+            if (sel := _branch(mask)) is not None:
+                where = True if sel is ... else sel
+                cos(qd, out=C, where=where)
+                np.divide(sin(qd, out=S1, where=where), q, out=S1, where=where)
+    if series is not None:
+        ws = w[series]
+        C[series] = 1.0 + ws * (-0.5 + ws * (1.0 / 24 + ws * (-1.0 / 720)))
+        S1[series] = d * (1.0 + ws * (-1.0 / 6 + ws * (1.0 / 120 + ws * (-1.0 / 5040))))
+    return mu, C, S1, series
 
-    if np.iscomplexobj(mu):
-        direct = ((~small, np.sqrt, np.cos, np.sin),)
-    else:
-        direct = (
-            (~small & (mu > 0), np.sqrt, np.cos, np.sin),
-            (~small & (mu < 0), lambda m: np.sqrt(-m), np.cosh, np.sinh),
-        )
-    for mask, root, cos, sin in direct:
-        if (sel := _branch(mask)) is not None:
-            q = root(mu[sel])
-            C[sel] = cos(q * d)
-            S1[sel] = sin(q * d) / q
-            S2[sel] = (d * C[sel] - S1[sel]) / mu[sel]
+
+def trig_triplet(mu, width):
+    """C, S1, S2 for an array of real or complex mu values at fixed width d."""
+    d = float(width)
+    mu, C, S1, series = _trig_pair(mu, d)
+    S2 = np.empty_like(mu)
+    if series is not ...:
+        np.divide(d * C - S1, mu, out=S2, where=True if series is None else ~series)
+    if series is not None:
+        ws = mu[series] * d * d
+        S2[series] = d**3 * (-1.0 / 3 + ws * (1.0 / 30 + ws * (-1.0 / 840 + ws * (1.0 / 45360))))
     return C, S1, S2
 
 
-def _real_denominator(g, d, k):
-    """S1, S2 and D's real-k parts A = Re D = C, B = Im D and den = |D|^2."""
-    A, S1, S2 = trig_triplet(k * k - g, d)
+def _denominator(g, k, A, S1):
+    """B = Im D and |D|^2 at real k, from A = Re D = C and S1."""
     B = -S1 * (2.0 * k * k - g) / (2.0 * k)
-    return S1, S2, A, B, A * A + B * B
+    return B, A * A + B * B
 
 
-def inverse_denominator(g, width, k):
-    """1/D = T e^{ikd} on a grid of real nonzero wavenumbers, without the
-    phase derivatives that `scatter_grid` also computes."""
+def denominator(g, width, k):
+    """A = Re D, B = Im D and |D|^2 (so |T|^2 = 1/|D|^2) on a grid of real
+    nonzero wavenumbers, without the S2 and dPhi_T/dk of `transmission_grid`."""
     k = np.asarray(k, dtype=float)
-    _, _, A, B, den = _real_denominator(g, float(width), k)
-    return (A - 1j * B) / den
+    _, A, S1, _ = _trig_pair(k * k - g, float(width))
+    return (A, *_denominator(g, k, A, S1))
 
 
 def transmission_grid(g, width, k):
@@ -82,7 +98,8 @@ def transmission_grid(g, width, k):
     `scatter_grid` goes on from these to T, R and the eigenphase slopes."""
     k = np.asarray(k, dtype=float)
     d = float(width)
-    S1, S2, A, B, den = _real_denominator(g, d, k)
+    A, S1, S2 = trig_triplet(k * k - g, d)
+    B, den = _denominator(g, k, A, S1)
     Ap = -d * k * S1
     Bp = -0.5 * (S2 * (2.0 * k * k - g) + S1 * (2.0 + g / (k * k)))
     dphi = -d - (Bp * A - Ap * B) / den
@@ -131,7 +148,7 @@ def complex_amplitudes(g, width, k):
     """
     k = np.asarray(k, dtype=complex)
     d = float(width)
-    C, S1, _ = trig_triplet(k * k - g, d)
+    _, C, S1, _ = _trig_pair(k * k - g, d)
     D = C - 0.5j * S1 * (2.0 * k * k - g) / k
     t = np.exp(-1j * k * d) / D
     r = -0.5j * (g / k) * S1 * t

@@ -115,14 +115,10 @@ def cmd_amplitudes(args: argparse.Namespace, consts: PhysicalConstants,
         pot = SquarePotential(v0=args.v0, half_width=w / 2.0)
         table = build_phase_table(pot, consts, k_min, k_hi, samples=samples)
         keep = args.adaptive | np.isin(table.k_grid, np.linspace(k_min, k_hi, samples))
-        for i in np.nonzero(keep)[0]:
-            k = table.k_grid[i]
-            tt = complex(table.t[i])
-            rows.append(
-                (w, float(k), tt.real, tt.imag, abs(tt) ** 2,
-                 float(table.phi_t[i]), float(table.delta0[i]),
-                 float(table.delta1[i]))
-            )
+        t = table.t[keep].tolist()  # Python's abs: np.abs(t)**2 differs in the last bit
+        rows += zip([w] * len(t), table.k_grid[keep].tolist(), [z.real for z in t],
+                    [z.imag for z in t], [abs(z) ** 2 for z in t], table.phi_t[keep].tolist(),
+                    table.delta0[keep].tolist(), table.delta1[keep].tolist())
     return rows
 
 

@@ -15,7 +15,8 @@ from hartman import (
     eigen_channels,
     van_kampen_check,
 )
-from hartman._kernel import W_CUT, scatter_grid, transmission_grid, trig_triplet
+from hartman._kernel import (W_CUT, denominator, scatter_grid, transmission_grid,
+                             trig_triplet)
 from hartman.verify import dense_unwrap_phases, transfer_matrix_amplitudes
 
 BARRIER5_HALF = SquarePotential(5.0, 0.5)  # d = 1
@@ -74,21 +75,47 @@ def _same_bits(got, want):
     return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def test_trig_triplet_keeps_nan():
+    """A NaN mu gives NaN C, S1 and S2, never what the output's memory held,
+    alone or beside points of every branch; the other points keep their bits.
+    (NaN / NaN may set the invalid flag, as it does downstream in T.)"""
+    d = 1.5
+    for mu in (np.array([np.nan, 2.0, -2.0, 1e-6]), np.full(3, np.nan),
+               np.array([np.nan + 0j, 2.0, 1e-6])):
+        with np.errstate(invalid="ignore"):
+            triplet = trig_triplet(mu, d)
+        for x, y in zip(triplet, trig_triplet(mu[1:], d)):
+            assert np.isnan(x[0]) and _same_bits(x[1:], y)
+
+
 def test_kernel_grids_match_one_point_calls():
     """Every point of a grid wholly in one branch of `trig_triplet` (tunneling,
     propagating, series window) or spread over all three gets the bits of a
     one-point call and of a 0-d call, in `trig_triplet` and `scatter_grid`.
-    On 0-d input NumPy multiplies complex scalars without the fused
-    multiply-add of its array loop, so there t and r may differ in the last
-    bit; the real outputs may not."""
+    The long grid takes the masked branches of a mixed grid: contiguous runs,
+    then interleaved signs, around a cluster of points in the series window;
+    it and its complex counterpart (mu + 1e-6i) are checked against 1-d
+    one-point calls (a 0-d call takes the same one-point path).  On 0-d
+    input NumPy multiplies complex scalars without the fused multiply-add of
+    its array loop, so there t and r may differ in the last bit; the real
+    outputs may not."""
     g, d = 4.0, 1.5
     window = np.sqrt(g + np.linspace(-0.9, 0.9, 7) * W_CUT / d**2)
+    cluster = np.sqrt(g + np.linspace(-0.95, 0.95, 96) * W_CUT / d**2)
+    tunneling, propagating = np.linspace(0.05, 1.99, 1000), np.linspace(2.01, 6.0, 1000)
+    rng = np.random.default_rng(7)
+    interleaved = np.column_stack([rng.permutation(tunneling), rng.permutation(propagating)])
     grids = {
         "tunneling": np.linspace(0.1, 1.9, 7),
         "propagating": np.linspace(2.1, 6.0, 7),
         "series": window,
         "mixed": np.array([0.3, window[1], 4.0, window[5], 1.2, 2.5]),
+        "long": np.concatenate([tunneling, cluster[:48], propagating, interleaved.ravel(),
+                                cluster[48:]]),
     }
+    long_mus = grids["long"] ** 2 - g
+    assert len(long_mus) == 4096 and np.count_nonzero(np.abs(long_mus) * d * d < W_CUT) == 96
+    assert np.count_nonzero(np.diff(np.sign(long_mus[2048:4048])) != 0) == 1999
     for name, ks in grids.items():
         mus = ks * ks - g
         if name == "series":
@@ -96,7 +123,7 @@ def test_kernel_grids_match_one_point_calls():
         triplet = trig_triplet(mus, d)
         scatter = scatter_grid(g, d, ks)
         for i, k in enumerate(ks):
-            for point in (np.array([k]), np.array(k)):
+            for point in (np.array([k]), np.array(k))[: 1 if name == "long" else 2]:
                 one = trig_triplet(point * point - g, d)
                 assert all(_same_bits(x[i], y.reshape(())) for x, y in zip(triplet, one)), name
                 one = [np.reshape(y, ()) for y in scatter_grid(g, d, point)]
@@ -106,11 +133,18 @@ def test_kernel_grids_match_one_point_calls():
                 else:
                     assert one[0] == pytest.approx(scatter[0][i], rel=1e-15, abs=0)
                     assert one[1] == pytest.approx(scatter[1][i], rel=1e-15, abs=0)
+    complex_mus = long_mus + 1e-6j
+    assert np.count_nonzero(np.abs(complex_mus) * d * d < W_CUT) == 96
+    triplet = trig_triplet(complex_mus, d)
+    for i, mu in enumerate(complex_mus):
+        one = trig_triplet(np.array([mu]), d)
+        assert all(_same_bits(x[i], y[0]) for x, y in zip(triplet, one)), mu
 
 
 def test_transmission_grid_is_scatter_grid_t_and_dphi():
     """`transmission_grid` returns real parts only: |D|^2, dPhi_T/dk, S1, S2,
-    A and B, from which T = e^{-ikd}(A - iB)/|D|^2 is `scatter_grid`'s T."""
+    A and B, from which T = e^{-ikd}(A - iB)/|D|^2 is `scatter_grid`'s T;
+    `denominator` returns its A, B and |D|^2 bitwise."""
     ks = np.concatenate([np.linspace(0.05, 8.0, 97), [2.0 + 1e-5]])
     for g in (-6.0, 0.0, 4.0, np.linspace(-3.0, 3.0, 98)):
         t, _, dphi, _, _ = scatter_grid(g, 1.5, ks)
@@ -122,6 +156,7 @@ def test_transmission_grid_is_scatter_grid_t_and_dphi():
         triplet = trig_triplet(ks * ks - g, 1.5)
         assert _same_bits(a, triplet[0]) and _same_bits(s1, triplet[1])
         assert _same_bits(s2, triplet[2])
+        assert all(_same_bits(x, y) for x, y in zip(denominator(g, 1.5, ks), (a, b, den)))
 
 
 def test_free_particle_identity():

@@ -360,7 +360,9 @@ class TestFluxOracle:
         """The fused integrand N/sqrt(h) (1/D) e^{...} equals
         phi_in T / sqrt(h) e^{i(p a - p^2 t/2m)/hbar} built from
         `packet_amplitude` and `scatter_grid`, on both sides of the series
-        switch |mu| d^2 = W_CUT."""
+        switch |mu| d^2 = W_CUT, and in the oracle's 2-D call (times x nodes,
+        the times as a column), where the barrier's rows hold both kernel
+        branches and take the masked path."""
         pot = SquarePotential(v0, 0.7)
         spec = GaussianPacketSpec(1.1, 0.4, -6.0)
         g, d = pot.strength(consts), pot.width
@@ -370,14 +372,27 @@ class TestFluxOracle:
             w = np.abs(k * k - g) * d * d
             assert np.any(w < W_CUT) and np.any(w > W_CUT)
         p = consts.hbar * k
-        for t in (0.0, 3.7, 25.0):
-            expected = (
-                packet_amplitude(spec, p, consts) * scatter_grid(g, d, k)[0]
+
+        def expected(p, t):
+            return (
+                packet_amplitude(spec, p, consts) * scatter_grid(g, d, p / consts.hbar)[0]
                 / math.sqrt(consts.h)
                 * np.exp(1j * (p * pot.half_width - p * p * t / (2.0 * consts.mass)) / consts.hbar)
             )
+
+        for t in (0.0, 3.7, 25.0):
             fused = _bulk_wave(spec, pot, consts, p, t)
-            np.testing.assert_allclose(fused, expected, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(fused, expected(p, t), rtol=1e-12, atol=0.0)
+        ts = np.array([0.0, 3.7, 25.0, 140.0])
+        rows = p * (1.0 + 0.05 * np.arange(len(ts)))[:, None]
+        if v0 > 0:
+            direct = (rows / consts.hbar) ** 2 - g
+            direct = np.where(np.abs(direct) * d * d > W_CUT, direct, 0.0)
+            assert np.all(np.any(direct < 0, axis=1) & np.any(direct > 0, axis=1))
+        fused = _bulk_wave(spec, pot, consts, rows, ts[:, None])
+        assert fused.shape == rows.shape
+        for row, t, f_row in zip(rows, ts, fused):
+            np.testing.assert_allclose(f_row, expected(row, t), rtol=1e-12, atol=0.0)
 
     def test_window_deficit_raises(self):
         with pytest.raises(ConvergenceError) as err:
