@@ -16,8 +16,8 @@ echoes every resolved value.  Output goes to
 for relative paths.  Identical configurations produce byte-identical files.
 `amplitudes` and `delay-sweep` are a few vectorized kernel calls each.
 `packet-sweep` runs its rows in lockstep, one kernel call per block of each
-quadrature round over all open rows; --jobs N gives each of up to N worker
-processes one contiguous chunk of rows.
+quadrature round over all open rows.  Every command runs in one process;
+--jobs N is accepted and checked (N >= 1) but changes nothing.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid input, 3 numerical
 non-convergence.
@@ -29,8 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -46,7 +44,7 @@ from .wavepacket import (GaussianPacketSpec, PassageTimeReport, _exit_times,
 
 PRESETS = {
     "fig1": {
-        "v0": 5.0, "widths": (1.0, 3.0), "k_min": 0.01, "k_max": 6.0,
+        "v0": 5.0, "width": (1.0, 3.0), "k_min": 0.01, "k_max": 6.0,
         "samples": 1200,
     },
     "fig2": {
@@ -98,20 +96,19 @@ def write_dataset(args: argparse.Namespace, header: list[str], rows: list[tuple]
             fh.write(text)
 
 
-def cmd_amplitudes(args: argparse.Namespace, consts: PhysicalConstants,
-                   widths=None) -> list[tuple]:
-    """Amplitudes and closed-form phases, one row per table grid point.
+def cmd_amplitudes(args: argparse.Namespace, consts: PhysicalConstants) -> list[tuple]:
+    """Amplitudes and closed-form phases, one row per table grid point and
+    width (--width is one width; a preset may give several).
 
     The table starts from --samples uniform points on [k_min, k_max] and
     bisects where the phases move fast; with the adaptive flag off, only the
     uniform points are emitted (fixed-size datasets).
     """
-    widths = (args.width,) if args.width is not None or not widths else widths  # flag > preset
-    if None in widths:
+    if args.width is None:
         raise ValueError("amplitudes requires --width (or a preset)")
     k_min, k_hi, samples = args.k_min, args.k_max, args.samples
     rows = []
-    for w in widths:
+    for w in np.atleast_1d(args.width).tolist():
         pot = SquarePotential(v0=args.v0, half_width=w / 2.0)
         table = build_phase_table(pot, consts, k_min, k_hi, samples=samples)
         keep = args.adaptive | np.isin(table.k_grid, np.linspace(k_min, k_hi, samples))
@@ -147,24 +144,6 @@ def delay_rows(v0s, k: float, width: float, consts: PhysicalConstants) -> list[t
     ]
 
 
-def _packet_rows(args: argparse.Namespace, consts: PhysicalConstants,
-                 v0s: list[float]) -> list[tuple]:
-    """Packet-sweep rows at depths v0s, in lockstep.  A row whose exit time
-    diverges is flagged with its P_T; the first other error is raised."""
-    spec = GaussianPacketSpec(k0=args.k0, delta_p=args.delta_p, x0=args.x0)
-    pots = [SquarePotential(v0=v0, half_width=args.width / 2.0) for v0 in v0s]
-    rows = []
-    for v0, pot, (p_t, rep) in zip(v0s, pots, _exit_times(spec, pots, consts)):
-        diverged = isinstance(rep, ThresholdDivergenceError)
-        if diverged:
-            t_cl, defined = classical_reference_time(spec, pot, consts)
-            rep = PassageTimeReport(_first_error([p_t])[0], math.nan, t_cl, math.nan, defined)
-        rep = _first_error([rep])[0]
-        rows.append((v0, rep.p_t, rep.t_out, rep.t_classical, rep.t_subtracted,
-                     rep.classical_defined, diverged))
-    return rows
-
-
 def _v0_grid(args: argparse.Namespace) -> list[float]:
     if None in (args.v0_min, args.v0_max, args.v0_step):
         raise ValueError("sweep requires --v0-min, --v0-max, --v0-step (or a preset)")
@@ -184,17 +163,23 @@ def cmd_delay_sweep(args: argparse.Namespace, consts: PhysicalConstants) -> list
 
 
 def cmd_packet_sweep(args: argparse.Namespace, consts: PhysicalConstants) -> list[tuple]:
+    """Packet-sweep rows, all depths in lockstep.  A row whose exit time
+    diverges is flagged with its P_T; the first other error is raised."""
     if None in (args.k0, args.delta_p, args.x0):
         raise ValueError("packet sweep requires --k0, --delta-p, --x0 (or a preset)")
     v0s = _v0_grid(args)
-    # one contiguous chunk of rows per worker process, each run in lockstep
-    workers = min(args.jobs, len(v0s), os.cpu_count() or 1)
-    if workers == 1:
-        return _packet_rows(args, consts, v0s)
-    chunks = [chunk.tolist() for chunk in np.array_split(v0s, workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = pool.map(partial(_packet_rows, args, consts), chunks)
-        return [row for chunk in rows for row in chunk]
+    spec = GaussianPacketSpec(k0=args.k0, delta_p=args.delta_p, x0=args.x0)
+    pots = [SquarePotential(v0=v0, half_width=args.width / 2.0) for v0 in v0s]
+    rows = []
+    for v0, pot, (p_t, rep) in zip(v0s, pots, _exit_times(spec, pots, consts)):
+        diverged = isinstance(rep, ThresholdDivergenceError)
+        if diverged:
+            t_cl, defined = classical_reference_time(spec, pot, consts)
+            rep = PassageTimeReport(_first_error([p_t])[0], math.nan, t_cl, math.nan, defined)
+        rep = _first_error([rep])[0]
+        rows.append((v0, rep.p_t, rep.t_out, rep.t_classical, rep.t_subtracted,
+                     rep.classical_defined, diverged))
+    return rows
 
 
 def cmd_verify(args) -> int:
@@ -228,8 +213,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="significant digits for CSV numbers (default %(default)s)")
     p.add_argument("--config", help="key=value file with defaults; flags override")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for packet-sweep, each one chunk of "
-                   "rows (default %(default)s; at most one per row and per CPU)")
+                   help="accepted and checked (at least 1) but without effect: "
+                   "every command runs in one process")
 
 
 def _file_defaults(args: argparse.Namespace) -> dict:
@@ -313,8 +298,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        preset = dict(PRESETS.get(args.preset, {}))
-        widths = preset.pop("widths", None)
+        preset = PRESETS.get(args.preset, {})
         if preset or args.config:
             # flag > config file > preset > default: the preset's and the
             # file's values become the subcommand's defaults, and argv is
@@ -333,7 +317,7 @@ def main(argv=None) -> int:
         # a typed error; that error, not NumPy's warnings, is the report
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "amplitudes":
-                rows = cmd_amplitudes(args, consts, widths=widths)
+                rows = cmd_amplitudes(args, consts)
                 write_dataset(args, AMPLITUDE_HEADER, rows)
             elif args.command == "delay-sweep":
                 rows = cmd_delay_sweep(args, consts)

@@ -242,7 +242,9 @@ def interior_norm(
         odd:  (2/h) k^2 (a s1^2 + c s2) / (c^2 + k^2 s1^2)
 
     from 1 + cos(qd) = 2c^2, 1 - cos(qd) = 2 mu s1^2, sin(qd)/q = 2 c s1 and
-    a - c s1 = mu (a s1^2 + c s2).  Both denominators are sums of squares, so
+    a - c s1 = mu (a s1^2 + c s2); the odd numerator is taken as
+    (a - c s1)/mu where mu a^2 < -1, since a s1^2 + c s2 cancels there like
+    cosh^2 - sinh^2.  Both denominators are sums of squares, so
     the interior-amplitude resonances cos(qa) -> 0 / sin(qa) -> 0 and the
     q -> 0 point are all regular.  Opaque barriers, where c overflows, raise
     ConvergenceError.
@@ -259,7 +261,7 @@ def interior_norm(
         num = a + c * s1
         den = k * k * c * c + mu * mu * s1 * s1
     else:
-        num = a * s1 * s1 + c * s2
+        num = (a - c * s1) / mu if mu * a * a < -1.0 else a * s1 * s1 + c * s2
         den = c * c + k * k * s1 * s1
     norm = (2.0 / consts.h) * k * k * num / den
     require_finite(norm, den)

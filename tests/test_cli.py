@@ -2,6 +2,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -139,17 +142,18 @@ def test_delay_sweep_barrier_rows_obey_simple_bound(tmp_path):
 
 
 def test_fig1_preset_emits_two_width_series(tmp_path):
-    out = tmp_path / "fig1.csv"
+    """fig1's widths are a preset default like any other: one row series per
+    width, and JSON metadata records both."""
+    out = tmp_path / "fig1.json"
     code = run_cli([
         "amplitudes", "--preset", "fig1", "--samples", "60", "--k-max", "2.0",
-        "--out", str(out),
+        "--format", "json", "--out", str(out),
     ])
     assert code == 0
-    _, rows = read_csv(out)
-    widths = sorted({float(r[0]) for r in rows})
-    assert widths == [1.0, 3.0]
-    ks = [float(r[1]) for r in rows]
-    assert max(ks) <= 2.0 + 1e-12
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["metadata"]["width"] == [1.0, 3.0]
+    assert sorted({row["d"] for row in payload["rows"]}) == [1.0, 3.0]
+    assert max(row["k"] for row in payload["rows"]) <= 2.0 + 1e-12
 
 
 def test_width_flag_replaces_fig1_widths(tmp_path):
@@ -326,10 +330,9 @@ def _flags(options):
 
 @pytest.mark.parametrize("command, name", CONFIG_OPTIONS,
                          ids=[f"{c}-{n}" for c, n in CONFIG_OPTIONS])
-def test_config_key_matches_flag(tmp_path, monkeypatch, command, name):
+def test_config_key_matches_flag(tmp_path, command, name):
     """name=value in a config file resolves exactly as the option's flag
     does, and adaptive=off as --no-adaptive: the JSON metadata agree."""
-    monkeypatch.setattr(hartman.cli.os, "cpu_count", lambda: 1)  # --jobs 2 stays serial
     out = tmp_path / "run.json"
     base = {**BASE_RUNS[command], "format": "json", "out": str(out)}
 
@@ -454,10 +457,13 @@ PACKET_ROWS_3 = [
 
 
 def test_jobs_parallel_matches_serial(tmp_path):
-    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    assert run_cli(PACKET_ROWS_3 + ["--out", str(a)]) == 0
+    """--jobs is accepted but changes nothing: every packet sweep runs its
+    rows in lockstep in one process, so any N >= 1 writes the same bytes."""
+    a, b, c = tmp_path / "serial.csv", tmp_path / "two.csv", tmp_path / "many.csv"
+    assert run_cli(PACKET_ROWS_3 + ["--jobs", "1", "--out", str(a)]) == 0
     assert run_cli(PACKET_ROWS_3 + ["--jobs", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert run_cli(PACKET_ROWS_3 + ["--jobs", "1000000", "--out", str(c)]) == 0
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
@@ -470,41 +476,15 @@ def test_jobs_below_one_rejected(jobs):
         assert run_cli(args + ["--jobs", jobs]) == 2
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the requested pool size
-    and maps serially in this process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("cpus, jobs, want", [
-    (64, "1000000", 3),  # capped by the row count
-    (2, "1000000", 2),   # capped by the CPU count
-    (64, "2", 2),        # as asked
-    (64, "1", None),     # serial: no pool at all
-])
-def test_jobs_pool_capped(tmp_path, monkeypatch, cpus, jobs, want):
-    monkeypatch.setattr(hartman.cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(hartman.cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    serial = tmp_path / "serial.csv"
-    out = tmp_path / "capped.csv"
-    assert run_cli(PACKET_ROWS_3 + ["--out", str(serial)]) == 0
-    assert run_cli(PACKET_ROWS_3 + ["--jobs", jobs, "--out", str(out)]) == 0
-    assert _RecordingPool.sizes == ([] if want is None else [want])
-    assert out.read_bytes() == serial.read_bytes()
+def test_cli_import_starts_no_process_pool():
+    """Importing the CLI loads neither multiprocessing nor concurrent.futures."""
+    src = os.path.dirname(os.path.dirname(hartman.__file__))
+    code = ("import sys, hartman.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -234,7 +234,32 @@ class TestDwellTime:
                 odd = (aa - S1 / 2) / ((mm * (1 + C) + kk * kk * (1 - C)) / 2)
                 wants = {p: float(kk * kk * x / mp.pi) for p, x in (("even", even), ("odd", odd))}
             for parity, want in wants.items():
-                assert interior_norm(pot, ATOMIC, k, parity) == pytest.approx(want, rel=1e-12)
+                got = interior_norm(pot, ATOMIC, k, parity)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_matches_mpmath_on_opaque_barriers(self):
+        """Both parities against 50-digit arithmetic on 500 barriers with
+        kappa d in [2, 300], where the odd numerator is (a - c s1)/mu: the
+        form a s1^2 + c s2 loses digits in proportion to kappa a there.
+        Below kappa d = 2 the odd form carries S2's error near the series
+        switch, which the test above bounds."""
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            a, k = rng.uniform(0.1, 3.0), rng.uniform(0.01, 5.0)
+            kappa = rng.uniform(2.0, 300.0) / (2.0 * a)
+            pot = SquarePotential((k * k + kappa * kappa) / 2.0, a)
+            mu = k * k - pot.strength(ATOMIC)  # as interior_norm rounds it
+            with mp.workdps(50):
+                kk, aa, mm = mp.mpf(k), mp.mpf(a), mp.mpf(mu)
+                q = mp.sqrt(-mm)
+                C, S1 = mp.cosh(2 * q * aa), mp.sinh(2 * q * aa) / q
+                even = (aa + S1 / 2) / ((kk * kk * (1 + C) + mm * (1 - C)) / 2)
+                odd = (aa - S1 / 2) / ((mm * (1 + C) + kk * kk * (1 - C)) / 2)
+                wants = {p: float(kk * kk * x / mp.pi) for p, x in (("even", even), ("odd", odd))}
+            for parity, want in wants.items():
+                got = interior_norm(pot, ATOMIC, k, parity)
+                assert got == pytest.approx(want, rel=2e-15, abs=0.0)
 
     def test_parity_validated(self):
         with pytest.raises(ValueError):
