@@ -7,9 +7,11 @@ Every amplitude and phase derivative comes from one vectorized NumPy kernel
 from .boundstates import (
     BoundLevel,
     BoundStateSpectrum,
+    LowMomentumLimits,
     count_bound_states,
     is_at_threshold,
     levinson_check,
+    low_momentum_limits,
     solve_bound_states,
     threshold_depths,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "DwellRecord",
     "EigenChannelValues",
     "GaussianPacketSpec",
+    "LowMomentumLimits",
     "PassageTimeReport",
     "PhaseTable",
     "PhysicalConstants",
@@ -80,6 +83,7 @@ __all__ = [
     "interior_norm",
     "is_at_threshold",
     "levinson_check",
+    "low_momentum_limits",
     "mean_exit_time",
     "mean_exit_time_via_flux",
     "packet_amplitude",

@@ -78,6 +78,34 @@ def trig_triplet(mu, width):
     return C, S1, S2
 
 
+def low_k_limits(g, width):
+    """The k -> 0 limits on an array of strengths g, from C, S1, S2 at mu = -g:
+    alpha and beta of k^2 |D|^2 = alpha + beta k^2 + O(k^4), K = sqrt(alpha/|beta|),
+    below which |T|^2 grows like k^2/alpha, and dPhi_T/dk, ddelta_0/dk and
+    ddelta_1/dk at k = 0 (0 for the free case g = 0; +-inf at a threshold,
+    where alpha = 0; beta = -inf from kappa0 d ~ 353 and NaN slopes from 710,
+    where an opaque barrier's C and S1 overflow).
+
+        alpha = (g S1/2)^2,  beta = 1 + g^2 S1 S2/4,
+        ddelta_0/dk = -d/2 + (1 + C)/(g S1),  ddelta_1/dk = -d/2 + (C - 1)/(g S1),
+
+    and dPhi_T/dk is their sum, -d + 2C/(g S1).  Of each pair of forms tied by
+    C^2 - g S1^2 = 1, (1 + C)/(g S1) = S1/(C - 1) and (C - 1)/(g S1) = S1/(1 + C),
+    the one whose 1 +- C does not cancel is taken."""
+    g = np.asarray(g, dtype=float)
+    d = float(width)
+    C, S1, S2 = trig_triplet(-g, d)
+    gs = g * S1
+    alpha = 0.25 * gs * gs
+    beta = 1.0 + 0.25 * gs * g * S2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.sqrt(alpha / np.abs(beta))
+        pos = C >= 0
+        dd0 = np.where(g == 0, 0.0, np.where(pos, (1.0 + C) / gs, S1 / (C - 1.0)) - 0.5 * d)
+        dd1 = np.where(g == 0, 0.0, np.where(pos, S1 / (1.0 + C), (C - 1.0) / gs) - 0.5 * d)
+    return alpha, beta, K, dd0 + dd1, dd0, dd1
+
+
 def _denominator(g, k, A, S1):
     """B = Im D and |D|^2 at real k, from A = Re D = C and S1."""
     B = -S1 * (2.0 * k * k - g) / (2.0 * k)

@@ -23,6 +23,17 @@ levels come out by ascending energy with parities alternating from even.
 The continuous transmission phase at k -> 0 equals pi*(n_b - 1/2) whenever
 T(0) = 0 (every off-threshold potential) and pi*n_b at the exceptional
 threshold depths where |T(0)| = 1, as for the free particle.
+
+Its slopes at k -> 0 are elementary (`low_momentum_limits`).  For a well,
+with q0 = sqrt(2 m |v0|)/hbar and z0 = a q0,
+
+    ddelta_0/dk = -a - cot(z0)/q0,  ddelta_1/dk = -a + tan(z0)/q0,
+    dPhi_T/dk = -d - 2 cot(2 z0)/q0,
+
+and for a barrier, with kappa0 = sqrt(2 m v0)/hbar, coth(kappa0 a)/kappa0,
+tanh(kappa0 a)/kappa0 and 2 coth(kappa0 d)/kappa0 with the opposite sign.
+dPhi_T/dk diverges at each threshold depth 2 z0 = n pi: to +inf just before
+a new level appears, from -inf just after.
 """
 from __future__ import annotations
 
@@ -30,7 +41,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError
+import numpy as np
+
+from . import _kernel
+from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 from .scattering import _phases
 
@@ -199,3 +213,38 @@ def levinson_check(
         residual=abs(phi0 - predicted),
         n_bound_states=n_b,
     )
+
+
+@dataclass(frozen=True)
+class LowMomentumLimits:
+    alpha: float  # k^2 |D|^2 = alpha + beta k^2 + O(k^4), so |T|^2 -> k^2/alpha
+    beta: float
+    k_scale: float  # K = sqrt(alpha/|beta|), below which |T|^2 grows like k^2/alpha
+    dphi_t: float  # dPhi_T/dk at k -> 0
+    ddelta0: float  # even eigenphase slope
+    ddelta1: float  # odd eigenphase slope
+
+
+def low_momentum_limits(
+    pot: SquarePotential, consts: PhysicalConstants = ATOMIC
+) -> LowMomentumLimits:
+    """The k -> 0 limits of |T|^2 and of the phase slopes, in closed form from
+    the kernel's C, S1, S2 at k = 0 (`_kernel.low_k_limits`); slopes are
+    d/dk, in units of length.  The free case has alpha = 0, beta = 1 and
+    slopes 0.  Refuses wells at an exact threshold, where alpha = 0 and the
+    slopes diverge, with ThresholdDivergenceError; a limit that overflows
+    (beta and alpha on an opaque barrier, kappa0 d above about 353) raises
+    ConvergenceError.
+    """
+    if pot.v0 < 0 and is_at_threshold(pot, consts):
+        raise ThresholdDivergenceError(
+            "well is at a bound-state threshold: alpha = 0 and the k -> 0 phase "
+            "slopes diverge there")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        values = [float(v) for v in _kernel.low_k_limits(pot.strength(consts), pot.width)]
+    if not all(map(math.isfinite, values)):
+        raise ConvergenceError(
+            f"k -> 0 limits {values} are not all finite: beta and alpha overflow on "
+            "opaque barriers (kappa0 d above about 353), the slopes ~ 1/(g d) as |g| d "
+            "nears the smallest double")
+    return LowMomentumLimits(*values)

@@ -14,6 +14,7 @@ class ConvergenceError(RuntimeError):
 
 
 class ThresholdDivergenceError(ConvergenceError):
-    """The passage-time integral grows without bound as the low-momentum
-    cutoff shrinks: |T(0)| = 1, as for the free case or a well at a
-    bound-state threshold, with a packet that does not vanish at p = 0."""
+    """A low-momentum quantity grows without bound: the passage-time integral
+    as its cutoff shrinks, where |T(0)| = 1 (the free case or a well at a
+    bound-state threshold) and the packet does not vanish at p = 0, or the
+    k -> 0 phase slopes of a well at a threshold."""

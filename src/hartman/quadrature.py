@@ -9,20 +9,17 @@ Each integral is a generator that yields the panels (lo, hi) it needs and
 receives their (GL15, GL7) values, one row per component of the integrand.
 `_lockstep` runs many in rounds of one integrand call per block of panels; an
 integral's panels and sums do not depend on what runs beside it, and
-`adaptive_quad` and `integral_to_zero` run one.  An integral refines one
+`adaptive_quad` runs one.  An integral refines one
 component and keeps every component of its panels, in the order they were
 made; its final panels can start the refinement of another component, so
 that a packet row evaluates each panel once for P_T and its time moment.
 
 `integral_to_zero` extends a finite-interval result down to p = 0 by halving
-the lower cutoff until the added mass converges; a tail that has not
-converged after `_MAX_HALVINGS` halvings is taken as divergent (a packet
-that does not vanish at p = 0 with |T(0)| = 1: the free case or a
-bound-state threshold) and raises ThresholdDivergenceError.  One request
-seeds the next `_HALVING_BATCH` halvings; each then refines and is tested in
-order, bit for bit as a separate `adaptive_quad` over [lo/2, lo] would, since
-a panel's (GL15, GL7) sums do not depend on the panels reduced beside it (a
-seed panel that already meets its test is taken without a refinement).
+the lower cutoff until the added mass converges, one serial `adaptive_quad`
+per halving; a tail that has not converged after `_MAX_HALVINGS` halvings is
+taken as divergent and raises ThresholdDivergenceError.  The packet
+integrals do not use it: their tail below the lowest panel is closed-form
+(`wavepacket._tails`), and `integral_to_zero` is its independent reference.
 """
 from __future__ import annotations
 
@@ -43,11 +40,6 @@ _NODES_ALL = np.concatenate([_NODES15, _NODES7])
 # a tail still growing after this many halvings of the cutoff (eps 2^-60) diverges
 _MAX_HALVINGS = 60
 _MAX_PANELS = 4000  # panel budget of one integral
-# halvings seeded per request; of the fig3 sweep's 201 P_T tails, 186 stop
-# after 1 halving and one after 16; its time moments start from those seeded
-# halvings, 118 stop after 5, only 6 need more than 8 (11 requests in all),
-# and the free row's divergent moment runs all 60
-_HALVING_BATCH = 8
 # panels (4,092 nodes) per integrand call, however many integrals are open
 _BLOCK_PANELS = 4096 // len(_NODES_ALL)
 
@@ -195,9 +187,12 @@ def _adaptive(a, b, *, rel_tol=1e-8, abs_tol=0.0, breakpoints=()):
     if not (b > a):
         raise ValueError(f"need b > a, got [{a}, {b}]")
     edges = np.array([a, *sorted(p for p in set(breakpoints) if a < p < b), b], dtype=float)
-    seeds = yield from _seed(edges[:-1], edges[1:])
-    refine = _refine(seeds, rel_tol, abs_tol)
-    del seeds  # the refinement holds what it needs
+    # the seeds (three panels each) in requests of at most one block
+    lo, hi, n, parts = edges[:-1], edges[1:], _BLOCK_PANELS // 3, []
+    for i in range(0, len(lo), n):
+        parts.append((yield from _seed(lo[i : i + n], hi[i : i + n])))
+    refine = _refine(np.concatenate(parts, axis=2), rel_tol, abs_tol)
+    del parts  # the refinement holds what it needs
     return (yield from refine)
 
 
@@ -215,47 +210,29 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-8, abs_tol: floa
     return _first_error(_lockstep(lambda x, _: f(x), [gen]))[0]
 
 
-def _to_zero(eps, *, rel_tol=1e-8, reference, on=0, seeds=()):
-    """`integral_to_zero` of component `on` as a lockstep integral.  Returns
-    (value, halvings): halving n's seed panel, every component in seed layout,
-    is halvings[n], for every halving seeded, used or not.  `seeds` are the
-    halvings of an earlier run; only halvings past them are requested."""
-    halvings = list(seeds)
+def integral_to_zero(f, eps: float, *, rel_tol: float = 1e-8, reference: float) -> float:
+    """Sum of integrals of f over (0, eps], halving the cutoff to convergence:
+    one `adaptive_quad` over [lo/2, lo] per halving (rel_tol 1e-6, abs_tol
+    1e-14 of the running scale).
+
+    `reference` sets the scale against which the discarded tail must be
+    negligible (typically the integral over [eps, p_max] computed already).
+    The sum ends once an increment is below half of rel_tol of the scale and
+    the one before it below rel_tol; increments still above that after
+    `_MAX_HALVINGS` halvings (eps 2^-60) mean the cutoff limit does not exist
+    and raise ThresholdDivergenceError.
+    """
     total = prev = 0.0
-    for n in range(_MAX_HALVINGS):
-        if n == len(halvings):
-            # halving n spans [eps/2^(n+1), eps/2^n]; dividing by 2^n is exact
-            his = eps / 2.0 ** np.arange(n, min(n + _HALVING_BATCH, _MAX_HALVINGS))
-            halvings.extend((yield from _seed(his / 2.0, his)).transpose(2, 0, 1))
+    lo = eps
+    for _ in range(_MAX_HALVINGS):
         scale = max(abs(reference + total), abs(reference), 1e-300)
-        abs_tol = 1e-14 * scale
-        # a seed panel that meets its test is `_refine`'s result, from the same floats
-        value, err = _panel(*halvings[n][on, 2:].tolist())
-        if not (math.isfinite(value) and math.isfinite(err)
-                and err <= max(1e-6 * abs(value), abs_tol)):
-            value = (yield from _refine(halvings[n][..., None], 1e-6, abs_tol, on)).value
+        value = adaptive_quad(f, lo / 2.0, lo, rel_tol=1e-6, abs_tol=1e-14 * scale).value
         total += value
-        # once the integrand vanishes at 0 at least linearly (below the momentum
-        # where |T| rises, near a threshold), the remaining tail is bounded by a
-        # fraction of the last increment
         if abs(value) <= 0.5 * rel_tol * scale and prev <= rel_tol * scale:
-            return total, halvings
+            return total
         prev = abs(value)
+        lo /= 2.0
     raise ThresholdDivergenceError(
         f"integral has not converged after {_MAX_HALVINGS} halvings of the lower "
         f"cutoff (last increment {prev:.3e}, estimate {reference + total:.6e}): "
         "it grows without bound as the cutoff shrinks", estimate=reference + total, error=prev)
-
-
-def integral_to_zero(f, eps: float, *, rel_tol: float = 1e-8, reference: float) -> float:
-    """Sum of integrals of f over (0, eps], halving the cutoff to convergence.
-
-    `reference` sets the scale against which the discarded tail must be
-    negligible (typically the integral over [eps, p_max] computed already).
-    An integrable endpoint has increments that eventually shrink at least
-    geometrically; increments still above the tolerance after `_MAX_HALVINGS`
-    halvings (eps 2^-60) mean the cutoff limit does not exist and raise
-    ThresholdDivergenceError.
-    """
-    gen = _to_zero(eps, rel_tol=rel_tol, reference=reference)
-    return _first_error(_lockstep(lambda x, _: f(x), [gen]))[0][0]

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernel
-from .boundstates import count_bound_states, levinson_check, solve_bound_states
+from .boundstates import (count_bound_states, levinson_check, low_momentum_limits,
+                          solve_bound_states)
 from .delays import (
     channel_floors,
     dwell_time,
@@ -439,6 +440,27 @@ def check_levinson() -> CheckResult:
     )
 
 
+def check_low_momentum_slopes() -> CheckResult:
+    """The kernel's slopes at k = 1e-7 (dPhi_T/dk, ddelta_0/dk, ddelta_1/dk)
+    vs the closed-form k -> 0 limits, on barriers, the free case and wells
+    on both sides of the first three thresholds; relative to max(|limit|, d)."""
+    tol = 1e-9
+    worst = 0.0
+    for v0, a in ((5.0, 0.5), (0.4, 1.0), (2.0, 1.5), (0.0, 1.0), (-0.3, 1.0),
+                  (-1.0, 1.0), (-1.22, 1.0), (-1.3, 1.0), (-4.8, 1.0), (-5.0, 1.0),
+                  (-11.0, 1.0), (-11.3, 1.0)):
+        pot = SquarePotential(v0, a)
+        lim = low_momentum_limits(pot, ATOMIC)
+        slopes = _kernel.scatter_grid(pot.strength(ATOMIC), pot.width, np.array([1e-7]))[2:]
+        for got, want in zip(slopes, (lim.dphi_t, lim.ddelta0, lim.ddelta1)):
+            worst = _max(worst, abs(float(got[0]) - want) / max(abs(want), pot.width))
+    return CheckResult(
+        "k -> 0 phase slopes vs closed-form limits (12 potentials)",
+        worst < tol,
+        {"max rel err": _fmt(worst)},
+    )
+
+
 def check_smith_identity_and_dwell(n: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
     """Boundary-derivative identity within 1e-6 and dwell times positive."""
     tol = 1e-6
@@ -618,6 +640,7 @@ FAST_CHECKS = (
     check_crossings_near_thresholds,
     check_hartman_plateau,
     check_levinson,
+    check_low_momentum_slopes,
     check_smith_identity_and_dwell,
     check_bound_state_count_consistency,
     check_van_kampen,

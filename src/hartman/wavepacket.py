@@ -17,9 +17,12 @@ flux J_T(a, t); `mean_exit_time_via_flux` does that reconstruction on a time
 grid and serves as the independent cross-check.
 
 Both integrals are improper at p = 0.  Off the bound-state thresholds
-|T(p)| = O(p) keeps them finite; exactly at a threshold |T(0)| = 1 and the
-mean exit time diverges for any packet with phi_in(0) != 0, which is
-detected and reported rather than silently truncated.
+|T(p)| = O(p) keeps them finite: with k^2 |D|^2 = alpha + beta k^2 + O(k^4)
+(`_kernel.low_k_limits`), |T|^2 = k^2/alpha below K = sqrt(alpha/|beta|),
+and each integral ends in a closed form below p_c = min(eps, hbar K/256)
+(`_tails`).  At a threshold alpha = 0 and |T(0)| = 1, and the mean exit
+time diverges for any packet with phi_in(0) != 0, which is detected and
+reported rather than silently truncated.
 """
 from __future__ import annotations
 
@@ -33,13 +36,18 @@ from . import _kernel
 from .boundstates import is_at_threshold
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
-from .quadrature import _adaptive, _first_error, _lockstep, _refine, _to_zero
+from .quadrature import _adaptive, _first_error, _lockstep, _refine
 
 # packet momentum support: beyond p0 + _SUPPORT_SIGMAS * dp the Gaussian
 # mass is below 1e-16 of the total
 _SUPPORT_SIGMAS = 9.0
-# adaptive panels of a packet integral start at this fraction of min(p0, dp)
+# eps, this fraction of min(p0, dp): adaptive panels of a packet integral
+# start at p_c <= eps, geometric below eps
 _CUTOFF_FRACTION = 1e-3
+# the closed-form tail below the panels starts at hbar K/_TAIL_DEPTH, where
+# beta k^2/alpha <= 1.5e-5, and no deeper than eps _TAIL_FLOOR (60 halvings)
+_TAIL_DEPTH = 256.0
+_TAIL_FLOOR = 2.0**-60
 _REL_TOL = 1e-8  # P_T and the exit-time moment
 _SPLIT_REL_TOL = 1e-6  # crossover_width_empirical's split integrals
 _D_MAX = 1e4  # widest barrier crossover_width_empirical tries
@@ -148,26 +156,72 @@ def _transmitted_weight(spec, consts, g, width, p):
     return packet_weight(spec, p, consts) / den, dphi
 
 
-def _span(spec, pot, consts, p_hi):
-    """(eps, p_hi, breakpoints) of a packet integral over (0, p_hi]: the
-    packet's low cutoff eps and the resonances of `pot` between."""
-    eps = min(spec.p0(consts), spec.delta_p) * _CUTOFF_FRACTION
-    return eps, p_hi, _resonance_breakpoints(pot, consts, eps, p_hi)
+def _cutoff(spec, consts):
+    """eps, the packet's low cutoff: no packet integral's tail starts above it."""
+    return min(spec.p0(consts), spec.delta_p) * _CUTOFF_FRACTION
 
 
-def _from_zero(eps, p_hi, breaks, rel_tol=_REL_TOL, start=None):
-    """Lockstep integral of component 0 over (0, p_hi]: adaptive panels from
-    eps up, seeded at `breaks`, and halvings below eps.  Returns (value,
-    panels): the final main panels and the seeded halvings, every component.
-    Given those panels as `start`, it integrates component 1 from them instead."""
-    on, halvings = (0, ()) if start is None else (1, start[1])
-    main = (_adaptive(eps, p_hi, rel_tol=rel_tol, breakpoints=breaks) if start is None
-            else _refine(start[0], rel_tol, 0.0, 1))
-    start = None  # the refinement copies the main panels into its own store
-    main = yield from main
-    tail, halvings = yield from _to_zero(eps, rel_tol=rel_tol, reference=main.value, on=on,
-                                         seeds=halvings)
-    return main.value + tail, (main.panels, halvings)
+def _tails(spec, consts, pots):
+    """The packet integrals below p_c in closed form, per potential of one width:
+    (p_c, P_T's tail, the time moment's tail, the moment's log coefficient),
+    from one `_kernel.low_k_limits` call over all rows.
+
+    Below p_c = min(eps, hbar K/`_TAIL_DEPTH`) |T|^2 = p^2/(hbar^2 alpha) and
+    dPhi_T/dk = Phi_T'(0) to 1.5e-5 relative, and w(p) = w0 + w1 p: the tails
+    are (w0 p_c^3/3 + w1 p_c^4/4)/(hbar^2 alpha) and
+    (a' + Phi_T'(0))(w0 p_c^2/2 + w1 p_c^3/3)/(hbar^2 alpha).  p_c is halved
+    while the two-term |T|^2 = k^2/(alpha + beta k^2) and the kernel's differ
+    by more than 1e-10 at it, and is never below eps 2^-60.  Where K puts p_c
+    there (alpha = 0: the free case) |T|^2 = 1/beta below it: P_T's tail is
+    (w0 p_c + w1 p_c^2/2)/beta, and the moment's integrand grows like
+    w0 (a' + Phi_T')/(beta p), with Phi_T' taken at p_c (0 when free): it adds
+    the log coefficient per halving of p_c, which the caller weighs against its
+    tolerance.  Where beta or alpha overflows (an opaque barrier, kappa0 d above
+    about 353) p_c = eps and both tails are 0, as |T|^2 underflows there."""
+    hbar, d = consts.hbar, pots[0].width
+    g = np.array([pot.strength(consts) for pot in pots])
+    alpha, beta, K, dphi0 = _kernel.low_k_limits(g, d)[:4]
+    eps = _cutoff(spec, consts)
+    floor = eps * _TAIL_FLOOR
+    opaque = ~np.isfinite(beta)  # beta overflows with alpha or before it
+    with np.errstate(invalid="ignore"):
+        p_c = np.where(opaque, eps, np.clip(hbar * K / _TAIL_DEPTH, floor, eps))
+    flat = ~opaque & (p_c == floor)
+    todo = ~(opaque | flat)
+    while np.any(todo):
+        rows = np.flatnonzero(todo)
+        k = p_c[rows] / hbar
+        model = k * k / (alpha[rows] + beta[rows] * k * k)
+        kernel = 1.0 / _kernel.transmission_grid(g[rows], d, k)[0]
+        rows = rows[~(np.abs(kernel - model) <= 1e-10 * model)]
+        p_c[rows] = np.maximum(0.5 * p_c[rows], floor)
+        todo[:] = False
+        todo[rows] = p_c[rows] > floor
+    if np.any(flat):  # there the moment follows the slope at p_c >> K, not Phi_T'(0)
+        dphi0[flat] = _kernel.transmission_grid(g[flat], d, p_c[flat] / hbar)[1]
+    w0 = float(packet_weight(spec, 0.0, consts))
+    w1 = w0 * spec.p0(consts) / spec.delta_p**2
+    slope = d / 2.0 - spec.x0 + dphi0
+    with np.errstate(all="ignore"):  # only in the branches not taken
+        inv = np.where(opaque, 0.0, 1.0 / (hbar * hbar * alpha))
+        p_t = np.where(flat, (w0 * p_c + 0.5 * w1 * p_c**2) / beta,
+                       (w0 * p_c**3 / 3.0 + 0.25 * w1 * p_c**4) * inv)
+        moment = np.where(flat | opaque, 0.0,
+                          slope * (0.5 * w0 * p_c**2 + w1 * p_c**3 / 3.0) * inv)
+        log_coef = np.where(flat, w0 * np.abs(slope) * math.log(2.0) / beta, 0.0)
+    return p_c, p_t, moment, log_coef
+
+
+def _from_p_c(spec, pot, consts, p_c, p_hi, rel_tol=_REL_TOL):
+    """Lockstep integral of component 0 over [p_c, p_hi], seeded at p_c 2^j up
+    to the packet's low cutoff eps, at eps and at the resonances of `pot` between."""
+    eps = _cutoff(spec, consts)
+    low, p = [], 2.0 * p_c
+    while p < eps:
+        low.append(p)
+        p *= 2.0
+    return _adaptive(p_c, p_hi, rel_tol=rel_tol,
+                     breakpoints=low + [eps] + _resonance_breakpoints(pot, consts, eps, p_hi))
 
 
 def _packet_integrals(spec, consts, pots, integrals) -> list:
@@ -213,8 +267,9 @@ def transmission_probability(
     consts: PhysicalConstants = ATOMIC,
 ) -> float:
     """P_T = integral |phi_in|^2 |T|^2 dp over (0, inf)."""
-    integral = _from_zero(*_span(spec, pot, consts, spec.p_max(consts)))
-    return _first_error(_packet_integrals(spec, consts, [pot], [integral]))[0][0]
+    (p_c,), (tail,) = _tails(spec, consts, [pot])[:2]
+    integral = _from_p_c(spec, pot, consts, p_c, spec.p_max(consts))
+    return _first_error(_packet_integrals(spec, consts, [pot], [integral]))[0].value + tail
 
 
 def classical_reference_time(
@@ -253,30 +308,41 @@ def _exit_times(spec, pots, consts) -> list[tuple]:
     """(P_T, `mean_exit_time` report) per potential of one width, in lockstep;
     either may be the exception a serial run raises, and a refused row has P_T."""
     _require_left_start(spec, pots[0])
-    rows = [_exit_time_row(spec, pot, consts) for pot in pots]
+    rows = [_exit_time_row(spec, pot, consts, *tail) for pot, tail in
+            zip(pots, zip(*_tails(spec, consts, pots)))]
     return _packet_integrals(spec, consts, pots, rows)
 
 
-def _exit_time_row(spec, pot, consts):
-    """One row of `_exit_times`: P_T, then the time moment over the same span,
-    started from the panels P_T evaluated."""
-    span = _span(spec, pot, consts, spec.p_max(consts))
+def _exit_time_row(spec, pot, consts, p_c, p_t_tail, moment_tail, log_coef):
+    """One row of `_exit_times`: P_T over [p_c, p_max] plus its closed-form
+    tail, then the time moment, started from the panels P_T evaluated."""
     try:
-        p_t, panels = yield from _from_zero(*span)
+        main = yield from _from_p_c(spec, pot, consts, p_c, spec.p_max(consts))
+        p_t, panels = main.value + p_t_tail, main.panels
+        del main  # else held while the moment runs
     except (ConvergenceError, ValueError) as exc:
         p_t = exc
     try:
-        # the cutoff halvings alone miss a packet whose weight at p = 0 is tiny
-        # but not zero, so an exact threshold is refused before the time moment
+        # inside `is_at_threshold`'s band alpha is small but not 0, and the
+        # closed-form tail finite, so an exact threshold is refused before the
+        # time moment unless the packet vanishes at p = 0
         if pot.v0 < 0 and is_at_threshold(pot, consts) and (
                 packet_weight(spec, 1e-12, consts) > 1e-280):
             raise ThresholdDivergenceError(
                 "well is at a bound-state threshold and the packet does not vanish "
                 "at p = 0: the mean exit time diverges")
         _require_transmitted(_first_error([p_t])[0])
-        moment = _from_zero(*span, start=panels)
-        del panels  # else held while the moment runs
-        t_int = (yield from moment)[0]
+        moment = _refine(panels, _REL_TOL, 0.0, 1)
+        del panels  # the refinement copies them into its own store
+        t_int = (yield from moment).value
+        # |T(0)| = 1: the moment grows by log_coef per halving of p_c, which
+        # ends the integral only below half of rel_tol of it
+        if log_coef > 0.5 * _REL_TOL * abs(t_int):
+            raise ThresholdDivergenceError(
+                f"time moment grows by {log_coef:.3e} per halving of the cutoff "
+                f"{p_c:.3e} (estimate {t_int:.6e}): |T(0)| = 1 and the packet does "
+                "not vanish at p = 0", estimate=t_int, error=log_coef)
+        t_int += moment_tail
     except (ConvergenceError, ValueError) as exc:
         return p_t, exc
     t_out = consts.mass * t_int / p_t
@@ -311,8 +377,21 @@ def _bulk_wave(spec, pot, consts, p, t):
 
 @functools.cache
 def _oracle_nodes():
-    """The flux oracle's Gauss-Legendre rule, built on first use (about 50 ms)."""
-    return np.polynomial.legendre.leggauss(int(max(200, 4.0 * _W_MULT * _W_MULT)))
+    """The flux oracle's Gauss-Legendre rule, ascending, built on first use
+    (about 20 ms): three Newton steps on the three-term recurrence of P_n from
+    cos(pi (i - 1/4)/(n + 1/2)), and weights 2/((1 - x^2) P_n'(x)^2).  No
+    n x n companion matrix is made, whose freeing would leave the oracle's
+    batch arrays resident."""
+    n = int(max(200, 4.0 * _W_MULT * _W_MULT))
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for step in range(4):
+        p0, p1 = np.ones(n), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        if step < 3:
+            x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 def _windowed_wave(spec, pot, consts, tc, p_hi):
@@ -484,14 +563,15 @@ def crossover_width_empirical(
 
     def split_transmittance(width: float) -> float:
         trial = SquarePotential(v0=pot.v0, half_width=width / 2.0)
-        breaks = _resonance_breakpoints(trial, consts, p_b, p_hi)
-        # every resonance lies above p_b, so `below` gets no breakpoints; a wide trial
-        # overflows the kernel where |T|^2 = 0 (a NaN in it still raises)
+        # every resonance lies above p_b, so `below` gets only the low breakpoints;
+        # a wide trial overflows the kernel where |T|^2 = 0 (a NaN in it still raises)
         with np.errstate(over="ignore", invalid="ignore"):
+            (p_c,), (tail,) = _tails(spec, consts, [trial])[:2]
             below, above = _first_error(_packet_integrals(spec, consts, [trial] * 2, [
-                _from_zero(*_span(spec, trial, consts, p_b), _SPLIT_REL_TOL),
-                _adaptive(p_b, p_hi, rel_tol=_SPLIT_REL_TOL, breakpoints=breaks)]))
-        return below[0] - above.value
+                _from_p_c(spec, trial, consts, p_c, p_b, _SPLIT_REL_TOL),
+                _adaptive(p_b, p_hi, rel_tol=_SPLIT_REL_TOL,
+                          breakpoints=_resonance_breakpoints(trial, consts, p_b, p_hi))]))
+        return below.value + tail - above.value
 
     d_lo = 1e-3
     f_lo = split_transmittance(d_lo)

@@ -1,5 +1,6 @@
 """Bound-state counting, the transcendental solver, and the Levinson limit."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from hartman import (
     ATOMIC,
     ConvergenceError,
     SquarePotential,
+    ThresholdDivergenceError,
     count_bound_states,
     is_at_threshold,
     levinson_check,
+    low_momentum_limits,
     solve_bound_states,
     threshold_depths,
 )
+from hartman._kernel import scatter_grid
 
 
 def scan_oracle(v0: float, a: float, n: int = 2_000_001):
@@ -200,3 +204,36 @@ class TestLevinson:
         for v0, a in wells:
             rep = levinson_check(SquarePotential(v0, a), ATOMIC, k_min=1e-4)
             assert rep.residual < 1e-2 * math.pi, (v0, a)
+
+
+class TestLowMomentumLimits:
+    def test_free_case(self):
+        """T = 1: |T|^2 -> 1 (alpha = 0, beta = 1) and every slope is 0."""
+        lim = low_momentum_limits(SquarePotential(0.0, 1.0), ATOMIC)
+        assert (lim.alpha, lim.beta, lim.k_scale) == (0.0, 1.0, 0.0)
+        assert (lim.dphi_t, lim.ddelta0, lim.ddelta1) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_refuses_exact_threshold(self, n):
+        v_thr = threshold_depths(1.0, n, ATOMIC)[-1]
+        with pytest.raises(ThresholdDivergenceError):
+            low_momentum_limits(SquarePotential(v_thr, 1.0), ATOMIC)
+
+    def test_opaque_barrier_raises_without_warning(self):
+        """kappa0 d ~ 1,900: alpha overflows, a typed error and no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConvergenceError):
+                low_momentum_limits(SquarePotential(5.0, 300.0), ATOMIC)
+
+    def test_slope_diverges_across_threshold(self):
+        """dPhi_T/dk(0) is large and positive just before the first threshold
+        (71.19 at v0 = -1.22) and large and negative just after it; |T|^2 is
+        k^2/alpha to 1e-6 at k = K/1000."""
+        before = low_momentum_limits(SquarePotential(-1.22, 1.0), ATOMIC)
+        after = low_momentum_limits(SquarePotential(-1.25, 1.0), ATOMIC)
+        assert before.dphi_t == pytest.approx(71.18664980329909, rel=1e-12)
+        assert after.dphi_t < -20.0
+        k = before.k_scale / 1000.0
+        t = scatter_grid(-2.44, 2.0, np.array([k]))[0][0]
+        assert abs(t) ** 2 == pytest.approx(k * k / before.alpha, rel=1e-6)

@@ -12,6 +12,7 @@ from hartman import (
     ATOMIC,
     GaussianPacketSpec,
     SquarePotential,
+    low_momentum_limits,
     solve_bound_states,
     transmission_probability,
 )
@@ -89,6 +90,36 @@ def test_kernel_finite_for_opaque_barrier():
     with np.errstate(all="ignore"):
         values = scatter_grid(pot.strength(ATOMIC), pot.width, np.array([0.5]))
     assert all(np.all(np.isfinite(v)) for v in values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(v0=st.floats(-20.0, 20.0, allow_subnormal=False), a=st.floats(0.05, 3.0))
+def test_low_momentum_limits_match_elementary_forms(v0, a):
+    """The k -> 0 slopes from kernel values (C, S1 at k = 0) equal the
+    elementary forms to 1e-9 of the size of their terms: for wells
+    -a - cot(z0)/q0, -a + tan(z0)/q0 and -d - 2 cot(2 z0)/q0, for barriers
+    the coth and tanh forms, and 0 for the free case."""
+    pot = SquarePotential(v0, a)
+    d = pot.width
+    z0 = a * math.sqrt(2.0 * abs(v0))
+    assume(v0 == 0 or abs(v0) > 1e-300)  # slopes ~ 1/(g d) overflow below
+    assume(v0 >= 0 or _off_threshold(z0, 1e-6))
+    lim = low_momentum_limits(pot, ATOMIC)
+    if v0 == 0:
+        want, scale = (0.0, 0.0, 0.0), (d, a, a)
+    elif v0 < 0:
+        q0 = math.sqrt(-2.0 * v0)
+        cot2, cot, tan = 1.0 / math.tan(2.0 * z0) / q0, 1.0 / math.tan(z0) / q0, math.tan(z0) / q0
+        want, scale = (-d - 2.0 * cot2, -a - cot, -a + tan), (d + abs(2.0 * cot2), a + abs(cot),
+                                                               a + abs(tan))
+    else:
+        k0 = math.sqrt(2.0 * v0)
+        coth2, coth, tanh = 1.0 / math.tanh(k0 * d) / k0, 1.0 / math.tanh(k0 * a) / k0, (
+            math.tanh(k0 * a) / k0)
+        want, scale = (-d + 2.0 * coth2, -a + coth, -a + tanh), (d + 2.0 * coth2, a + coth,
+                                                                  a + tanh)
+    for got, w, s in zip((lim.dphi_t, lim.ddelta0, lim.ddelta1), want, scale):
+        assert abs(got - w) <= 1e-9 * s, (got, w)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

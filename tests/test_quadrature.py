@@ -6,8 +6,8 @@ import pytest
 
 from hartman import quadrature
 from hartman.errors import ConvergenceError, ThresholdDivergenceError
-from hartman.quadrature import (_BLOCK_PANELS, _adaptive, _lockstep, _refine, _to_zero,
-                               adaptive_quad, integral_to_zero)
+from hartman.quadrature import (_BLOCK_PANELS, _adaptive, _lockstep, _refine, adaptive_quad,
+                               integral_to_zero)
 
 
 def _counting(f):
@@ -23,7 +23,8 @@ def _counting(f):
 
 def _halvings_reference(f, eps, *, rel_tol, reference):
     """The per-halving algorithm `integral_to_zero` must reproduce bit for
-    bit: one `adaptive_quad` over [lo/2, lo] per halving of the cutoff, with
+    bit, and the independent reference of the packet integrals' closed-form
+    tail: one `adaptive_quad` over [lo/2, lo] per halving of the cutoff, with
     the same scale, tolerances and end rule.  Returns (value, halvings)."""
     total = prev = 0.0
     lo = eps
@@ -92,15 +93,16 @@ def test_integral_to_zero_linear_endpoint():
     f, calls = _counting(lambda p: p)
     low = integral_to_zero(f, 0.1, rel_tol=1e-10, reference=main)
     assert main + low == pytest.approx(0.5, rel=1e-9)
-    # more halvings than one seed batch, and bitwise the per-halving result
+    # bitwise the per-halving result, one integrand call per halving (the
+    # rules are exact on a linear integrand, so no halving refines)
     want, halvings = _halvings_reference(lambda p: p, 0.1, rel_tol=1e-10, reference=main)
     assert halvings > 8
     assert low == want
-    assert len(calls) == math.ceil(halvings / 8)
+    assert len(calls) == halvings
 
 
 def test_integral_to_zero_refines_inside_a_halving():
-    # a kink in the 11th halving's panel, so that one refines after a batch
+    # a kink in the 11th halving's panel, so that one halving refines
     kink = 0.1 * 2.0**-10 * 1.3
     f = lambda p: np.abs(p - kink)
     main = adaptive_quad(f, 0.1, 1.0, rel_tol=1e-12).value
@@ -108,7 +110,7 @@ def test_integral_to_zero_refines_inside_a_halving():
     low = integral_to_zero(counted, 0.1, rel_tol=1e-12, reference=main)
     want, halvings = _halvings_reference(f, 0.1, rel_tol=1e-12, reference=main)
     assert halvings > 11
-    assert len(calls) > math.ceil(halvings / 8)
+    assert len(calls) > halvings
     assert low == want
     assert low == pytest.approx(0.005 - 0.1 * kink + kink * kink, rel=1e-9)
 
@@ -128,13 +130,13 @@ def test_integral_to_zero_flat_endpoint_converges():
 
 def test_integral_to_zero_scale_follows_running_total():
     # reference 0: each halving's tolerances scale with the total so far, so
-    # the tiny kinked tail below 0.125 converges and stops inside one batch
+    # the tiny kinked tail below 0.125 converges after three halvings
     f = lambda p: np.where(p > 0.125, 1.0, 1e-10 * np.abs(p - 0.04))
     counted, calls = _counting(f)
     got = integral_to_zero(counted, 0.25, rel_tol=1e-9, reference=0.0)
     want, halvings = _halvings_reference(f, 0.25, rel_tol=1e-9, reference=0.0)
     assert got == want
-    assert halvings == 3 and len(calls) == 1
+    assert halvings == 3 and len(calls) == 3
 
 
 def test_integral_to_zero_detects_log_divergence():
@@ -232,7 +234,6 @@ def test_lockstep_matches_integrals_run_alone():
         return np.exp(-3.0 * (x - centers[owner % 60]) ** 2)
 
     integrals = [_adaptive(0.0, 10.0, rel_tol=1e-10, breakpoints=[c]) for c in centers]
-    integrals += [_to_zero(0.25, rel_tol=1e-9, reference=1.0) for _ in range(10)]
     integrals[7] = _adaptive(1.0, 1.0)
     got = _lockstep(f, integrals)
     assert isinstance(got[7], ValueError)
@@ -241,10 +242,6 @@ def test_lockstep_matches_integrals_run_alone():
             want = adaptive_quad(lambda x: np.exp(-3.0 * (x - c) ** 2), 0.0, 10.0,
                                  rel_tol=1e-10, breakpoints=[c])
             assert got[i] == want
-    for i, c in enumerate(centers[:10]):
-        want = integral_to_zero(lambda x: np.exp(-3.0 * (x - c) ** 2), 0.25,
-                                rel_tol=1e-9, reference=1.0)
-        assert got[60 + i][0] == want
     assert max(sizes) <= 4096
     assert len(sizes) < 100
 
@@ -275,29 +272,3 @@ def test_lockstep_reply_does_not_depend_on_place(n):
         rest.insert(place, ask(*mine))
         got = _lockstep(f, rest)[place]
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (place, len(rest))
-
-
-def test_to_zero_never_requests_the_halvings_it_is_given():
-    """A tail of component 1 started from the halvings a tail of component 0
-    seeded requests only halvings past them, and gives bitwise what a tail of
-    component 1 alone gives."""
-    f0 = lambda x: x**3
-    f1 = lambda x: np.ones_like(x)  # converges more slowly than f0
-    (value, halvings), = _lockstep(lambda x, _: np.stack([f0(x), f1(x)]),
-                                   [_to_zero(0.25, rel_tol=1e-9, reference=1.0)])
-    assert value == integral_to_zero(f0, 0.25, rel_tol=1e-9, reference=1.0)
-    assert len(halvings) == 8
-    requested = []
-
-    def f(x, _):
-        requested.append(x)
-        return np.stack([f0(x), f1(x)])
-
-    (again, more), = _lockstep(f, [_to_zero(0.25, rel_tol=1e-9, reference=1.0, on=1,
-                                             seeds=halvings)])
-    assert again == integral_to_zero(f1, 0.25, rel_tol=1e-9, reference=1.0)
-    assert len(more) > len(halvings)
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(more, halvings))
-    # one call per new batch of halvings, all below the halvings given
-    assert len(requested) == math.ceil((len(more) - len(halvings)) / 8)
-    assert max(x.max() for x in requested) < 0.25 * 2.0 ** -len(halvings)

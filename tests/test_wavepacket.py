@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from hartman import (
     ATOMIC,
@@ -22,7 +23,7 @@ from hartman import (
     transmission_probability,
 )
 from hartman._kernel import W_CUT, scatter_grid
-from hartman.quadrature import adaptive_quad, integral_to_zero
+from hartman.quadrature import _lockstep, adaptive_quad, integral_to_zero
 from hartman import _kernel, wavepacket
 from hartman.verify import CROSS_VALIDATION_CONFIGS, transmission_probability_simpson
 from hartman.wavepacket import _bulk_wave
@@ -82,8 +83,9 @@ class TestPacket:
 
 class TestTransmissionProbability:
     def test_free_is_unity(self):
+        """The free packet's P_T is its norm, 1, to 1e-11."""
         pt = transmission_probability(FIG3_PACKET, SquarePotential(0.0, 1.0))
-        assert pt == pytest.approx(1.0, abs=1e-8)
+        assert pt == pytest.approx(1.0, abs=1e-11)
 
     def test_matches_fixed_grid_oracle(self):
         pot = SquarePotential(5.0, 1.0)
@@ -220,47 +222,57 @@ class TestMeanExitTime:
         assert rep.classical_defined
 
     def test_wells_close_to_threshold_are_finite(self):
-        """Depths -pi^2/8 (1 + delta) next to the first threshold: the time
-        moment grows like 1/|delta| but converges.  Oracle: composite Simpson
-        over u = ln p in [ln 1e-14, ln p_max], where |T|^2 rising over
+        """Depths -(n pi)^2/8 (1 + delta) next to the first three thresholds:
+        the time moment grows like 1/(n^2 |delta|) but converges.  Oracle: composite
+        Simpson over u = ln p in [ln 1e-14, ln p_max], where |T|^2 rising over
         p ~ |delta| is as smooth as the packet's top."""
         deltas = (1e-5, -1e-5, 1e-6, -1e-6, 3e-8, -3e-8)
-        v0s = np.array([-math.pi**2 / 8.0 * (1.0 + d) for d in deltas])
         u = np.linspace(math.log(1e-14), math.log(FIG3_PACKET.p_max()), 20001)
         p = np.exp(u)
-        t, _, dphi, _, _ = _kernel.scatter_grid(2.0 * v0s[:, None], 2.0, p)
-        w = wavepacket.packet_weight(FIG3_PACKET, p) * np.abs(t) ** 2
         simpson = np.ones_like(u)
         simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
         simpson *= (u[1] - u[0]) / 3.0
-        p_t = (w * p) @ simpson
-        t_out = (w * (1.0 - FIG3_PACKET.x0 + dphi)) @ simpson / p_t
-        for v0, want_p_t, want_t, delta in zip(v0s, p_t, t_out, deltas):
-            rep = mean_exit_time(FIG3_PACKET, SquarePotential(v0, 1.0))
-            assert rep.p_t == pytest.approx(want_p_t, rel=1e-7)
-            assert rep.t_out == pytest.approx(want_t, rel=1e-7)
-            assert math.copysign(1.0, rep.t_out) == -math.copysign(1.0, delta)
-            assert abs(rep.t_out) > 0.2 / abs(delta)
+        for n in (1, 2, 3):
+            v0s = np.array([-((n * math.pi) ** 2) / 8.0 * (1.0 + d) for d in deltas])
+            t, _, dphi, _, _ = _kernel.scatter_grid(2.0 * v0s[:, None], 2.0, p)
+            w = wavepacket.packet_weight(FIG3_PACKET, p) * np.abs(t) ** 2
+            p_t = (w * p) @ simpson
+            t_out = (w * (1.0 - FIG3_PACKET.x0 + dphi)) @ simpson / p_t
+            for v0, want_p_t, want_t, delta in zip(v0s, p_t, t_out, deltas):
+                rep = mean_exit_time(FIG3_PACKET, SquarePotential(v0, 1.0))
+                assert rep.p_t == pytest.approx(want_p_t, rel=1e-7), (n, delta)
+                assert rep.t_out == pytest.approx(want_t, rel=1e-7), (n, delta)
+                assert math.copysign(1.0, rep.t_out) == -math.copysign(1.0, delta)
+                assert abs(rep.t_out) > 0.2 / (n * n * abs(delta))
 
 
 @pytest.mark.parametrize("pot, spec", list(CROSS_VALIDATION_CONFIGS) + [
     (SquarePotential(-math.pi**2 / 8.0 * (1.0 + d), 1.0), FIG3_PACKET) for d in (1e-5, -1e-5)])
 def test_moment_from_p_t_panels_matches_fresh_seeds(pot, spec):
-    """The time moment starts from the panels P_T evaluated; integrated from
-    fresh seeds over the same span it agrees to twice the integrals' rel_tol."""
+    """The time moment starts from the panels P_T evaluated, and both end in
+    the closed-form tail below p_c; integrated from fresh seeds over
+    [eps, p_max], with the cutoff halvings of `integral_to_zero` below eps,
+    each agrees to twice the integrals' rel_tol."""
     aprime = pot.half_width - spec.x0
+    g = pot.strength(ATOMIC)
+
+    def weight(p):
+        return wavepacket._transmitted_weight(spec, ATOMIC, g, pot.width, p)[0]
 
     def moment(p):
-        wgt, dphi = wavepacket._transmitted_weight(spec, ATOMIC, pot.strength(ATOMIC),
-                                                   pot.width, p)
+        wgt, dphi = wavepacket._transmitted_weight(spec, ATOMIC, g, pot.width, p)
         return wgt * (aprime + dphi) / p
 
-    eps, p_hi, breaks = wavepacket._span(spec, pot, ATOMIC, spec.p_max())
+    eps, p_hi = wavepacket._cutoff(spec, ATOMIC), spec.p_max()
+    breaks = wavepacket._resonance_breakpoints(pot, ATOMIC, eps, p_hi)
     tol = wavepacket._REL_TOL
-    main = adaptive_quad(moment, eps, p_hi, rel_tol=tol, breakpoints=breaks).value
-    fresh = main + integral_to_zero(moment, eps, rel_tol=tol, reference=main)
+    fresh = []
+    for f in (weight, moment):
+        main = adaptive_quad(f, eps, p_hi, rel_tol=tol, breakpoints=breaks).value
+        fresh.append(main + integral_to_zero(f, eps, rel_tol=tol, reference=main))
     rep = mean_exit_time(spec, pot)
-    assert rep.t_out == pytest.approx(ATOMIC.mass * fresh / rep.p_t, rel=2.0 * tol)
+    assert rep.p_t == pytest.approx(fresh[0], rel=2.0 * tol)
+    assert rep.t_out == pytest.approx(ATOMIC.mass * fresh[1] / rep.p_t, rel=2.0 * tol)
 
 @pytest.mark.parametrize("v0", [5.0, 0.4, 0.0, -0.3, -1.6] + [
     threshold_depths(1.0, 1, ATOMIC)[0] * (1.0 + s) for s in (1e-6, -1e-6)])
@@ -278,6 +290,82 @@ def test_packet_weight_is_scatter_grid_abs_t2(v0):
     assert np.all(want > 0)
     np.testing.assert_allclose(wgt, want, rtol=1e-14, atol=0)
     assert dphi.tobytes() == want_dphi.tobytes()
+
+
+class TestLowMomentumTail:
+    """The closed-form tail of the packet integrals below p_c."""
+
+    @staticmethod
+    def _fig3_pots():
+        return [SquarePotential(-1.6 + 0.01 * i, 1.0) for i in range(201)]
+
+    def test_fig3_starts_at_k_over_256_without_halving(self):
+        """On fig3's rows the two-term |T|^2 holds at min(eps, hbar K/256) to
+        1e-10, so no p_c is halved; the free row starts at eps 2^-60."""
+        pots = self._fig3_pots()
+        p_c = wavepacket._tails(FIG3_PACKET, ATOMIC, pots)[0]
+        eps = wavepacket._cutoff(FIG3_PACKET, ATOMIC)
+        K = _kernel.low_k_limits(np.array([pot.strength() for pot in pots]), 2.0)[2]
+        want = np.clip(K / wavepacket._TAIL_DEPTH, eps * wavepacket._TAIL_FLOOR, eps)
+        assert p_c.tobytes() == want.tobytes()
+        assert p_c[160] == eps * 2.0**-60  # v0 = 0
+
+    def test_guard_halves_p_c_until_two_term_model_holds(self, monkeypatch):
+        """Started at K itself, where k^2/(alpha + beta k^2) misses the kernel's
+        |T|^2 by more than 1e-10, p_c is halved until the two agree."""
+        monkeypatch.setattr(wavepacket, "_TAIL_DEPTH", 1.0)
+        pots = [SquarePotential(-math.pi**2 / 8.0 * (1.0 + d), 1.0) for d in (1e-3, 1e-4, -1e-3)]
+        g = np.array([pot.strength() for pot in pots])
+        p_c = wavepacket._tails(FIG3_PACKET, ATOMIC, pots)[0]
+        alpha, beta, K = _kernel.low_k_limits(g, 2.0)[:3]
+        eps = wavepacket._cutoff(FIG3_PACKET, ATOMIC)
+        assert np.all(p_c < np.minimum(K, eps)) and np.all(p_c > eps * 2.0**-60)
+        for k, ok in ((p_c, True), (2.0 * p_c, False)):
+            model = k * k / (alpha + beta * k * k)
+            kernel = 1.0 / _kernel.transmission_grid(g, 2.0, k)[0]
+            assert np.all((np.abs(kernel - model) <= 1e-10 * model) == ok)
+
+    def test_free_moment_diverges_by_the_halving_rule(self):
+        """alpha = 0: the moment grows by w0 |a' + Phi_T'(0)| ln 2/beta per
+        halving of p_c, and raises exactly when that exceeds half of rel_tol
+        of the integral above p_c, as the cutoff halvings' end rule did."""
+        pot = SquarePotential(0.0, 1.0)
+        outcomes = []
+        for k0 in (0.55, 0.6, 0.62, 0.65, 0.7, 2.0):
+            spec = GaussianPacketSpec(k0, 0.1, -30.0)
+            (p_c,), _, _, (log_coef,) = wavepacket._tails(spec, ATOMIC, [pot])
+            assert p_c == wavepacket._cutoff(spec, ATOMIC) * 2.0**-60
+            w0 = wavepacket.packet_weight(spec, 0.0)
+            assert log_coef == pytest.approx(w0 * (1.0 + 30.0) * math.log(2.0), rel=1e-14)
+            main, = _lockstep(lambda p, _: wavepacket.packet_weight(spec, p) * 31.0 / p,
+                              [wavepacket._from_p_c(spec, pot, ATOMIC, p_c, spec.p_max())])
+            diverges = log_coef > 0.5 * wavepacket._REL_TOL * main.value
+            try:
+                rep = mean_exit_time(spec, pot)
+            except ThresholdDivergenceError:
+                outcomes.append(True)
+            else:
+                outcomes.append(False)
+                assert rep.t_out == pytest.approx(main.value / rep.p_t, rel=1e-8)
+            assert outcomes[-1] == diverges, k0
+        assert outcomes == [True, True, True, False, False, False]
+        # the free cross-validation packet keeps its exit time
+        rep = mean_exit_time(NARROW, SquarePotential(0.0, 1.0))
+        assert rep.t_out == pytest.approx(15.539044322857809, rel=1e-8)
+
+    def test_opaque_barrier_tail_is_zero(self):
+        """beta overflows from kappa0 d ~ 353 (d = 111.7 at v0 = 5), alpha from
+        355 (d = 120): p_c = eps, both tails are 0, and P_T stays finite."""
+        spec = GaussianPacketSpec(1.0, 0.1, -400.0)
+        pots = [SquarePotential(5.0, a) for a in (55.872, 60.0, 64.0, 300.0)]
+        with np.errstate(all="ignore"):
+            p_c, p_t_tail, moment_tail, log_coef = wavepacket._tails(spec, ATOMIC, pots)
+            eps = wavepacket._cutoff(spec, ATOMIC)
+            assert np.all(p_c == eps)
+            assert not np.any(p_t_tail) and not np.any(moment_tail) and not np.any(log_coef)
+            for pot in pots:
+                p_t = transmission_probability(spec, pot)
+                assert math.isfinite(p_t) and 0.0 <= p_t < 1e-250
 
 
 class TestExitTimeBatch:
@@ -393,6 +481,19 @@ class TestFluxOracle:
         assert fused.shape == rows.shape
         for row, t, f_row in zip(rows, ts, fused):
             np.testing.assert_allclose(f_row, expected(row, t), rtol=1e-12, atol=0.0)
+
+    def test_oracle_nodes_match_scipy(self):
+        """The rule from Newton steps on P_n's recurrence: ascending nodes
+        within 2e-16 of SciPy's `roots_legendre`, weights within 5e-9 of its
+        (its end weights are off by 2.3e-9, these by 5.6e-12 against 40-digit
+        mpmath), and exact on even powers."""
+        x, w = wavepacket._oracle_nodes()
+        sx, sw = roots_legendre(len(x))
+        assert np.all(np.diff(x) > 0)
+        np.testing.assert_allclose(x, sx, rtol=0, atol=2e-16)
+        np.testing.assert_allclose(w, sw, rtol=5e-9, atol=0)
+        for k in (0, 10, 200):
+            assert w @ x ** (2 * k) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
 
     def test_window_deficit_raises(self):
         with pytest.raises(ConvergenceError) as err:
