@@ -1,18 +1,20 @@
 """Adaptive panel quadrature for the momentum integrals, run in lockstep.
 
-Each panel is integrated with a fixed Gauss-Legendre rule; its error is
-estimated by comparing against the sum of its two half-panel values, and the
-worst panel (the first made among equals) is bisected until the summed error
-estimate meets the tolerance.
+Each panel is integrated with the 15-point Gauss-Kronrod rule K15 and the
+7-point Gauss rule G7 on the odd ones of its nodes (Kronrod 1965): its value
+is K15 and its error QUADPACK's estimate (Piessens et al. 1983) of
+|K15 - G7|.  The worst panel (the first made among equals) is bisected until
+the summed error estimate meets the tolerance, so a panel costs 15 integrand
+values and a bisection 30.
 
 Each integral is a generator that yields the panels (lo, hi) it needs and
-receives their (GL15, GL7) values, one row per component of the integrand.
-`_lockstep` runs many in rounds of one integrand call per block of panels; an
-integral's panels and sums do not depend on what runs beside it, and
-`adaptive_quad` runs one.  An integral refines one
-component and keeps every component of its panels, in the order they were
-made; its final panels can start the refinement of another component, so
-that a packet row evaluates each panel once for P_T and its time moment.
+receives their values and error estimates, one row per component of the
+integrand.  `_lockstep` runs many in rounds of one integrand call per block
+of panels; an integral's panels and sums do not depend on what runs beside
+it, and `adaptive_quad` runs one.  An integral refines one component and
+keeps every component of its panels, in the order they were made; its final
+panels can start the refinement of another component, so that a packet row
+evaluates each panel once for P_T and its time moment.
 
 `integral_to_zero` extends a finite-interval result down to p = 0 by halving
 the lower cutoff until the added mass converges, one serial `adaptive_quad`
@@ -32,16 +34,22 @@ import numpy as np
 
 from .errors import ConvergenceError, ThresholdDivergenceError
 
-_NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
-_NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
-# one batched evaluation per panel serves both rules; the order-7 rule keeps
-# chance agreement on under-resolved integrands from fooling the estimate
-_NODES_ALL = np.concatenate([_NODES15, _NODES7])
+# the G7K15 pair on [-1, 1] (QUADPACK's qk15): the Kronrod nodes from 1 down to
+# 0, the odd ones G7's, with their K15 and G7 weights, mirrored at 0
+_X = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+      0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
+_NODES = np.array([*_X, *(-x for x in _X[-2::-1])])
+_WEIGHTS_K = np.array([*_WK, *_WK[-2::-1]])
+_WEIGHTS_KG = _WEIGHTS_K.copy()  # K15 - G7 as one rule
+_WEIGHTS_KG[1::2] -= [*_WG, *_WG[-2::-1]]
 # a tail still growing after this many halvings of the cutoff (eps 2^-60) diverges
 _MAX_HALVINGS = 60
 _MAX_PANELS = 4000  # panel budget of one integral
-# panels (4,092 nodes) per integrand call, however many integrals are open
-_BLOCK_PANELS = 4096 // len(_NODES_ALL)
+# panels (4,095 nodes) per integrand call, however many integrals are open
+_BLOCK_PANELS = 4096 // len(_NODES)
 
 
 @dataclass(frozen=True)
@@ -57,10 +65,12 @@ def _lockstep(f, integrals) -> list:
     """Each integral's result, or the ConvergenceError or ValueError it raised.
     A round calls f(x, owner) per block of whole requests, at most `_BLOCK_PANELS`
     panels unless one request is larger, owner = each node's integral; f returns
-    a row of values per component, or one row.  The block's (GL15, GL7) sums are
-    reduced with one `einsum` row product each over its (component, panel) rows,
-    whose row sums do not depend on a row's place in the block; a request gets
-    them as one (rule, component, panel) array."""
+    a row of values per component, or one row.  Each block's K15, K15 - G7,
+    resabs = K15 of |f| and resasc = K15 of |f - K15/2| are reduced with one
+    `einsum` row product each over its (component, panel) rows, whose row sums
+    do not depend on a row's place in the block; a panel's error is QUADPACK's
+    resasc min(1, (200 |K15 - G7|/resasc)^1.5), at least 50 eps resabs.  A
+    request gets (value, error) as one (2, component, panel) array."""
     results: list = [None] * len(integrals)
     replies = dict.fromkeys(range(len(integrals)))
     while True:
@@ -85,17 +95,26 @@ def _lockstep(f, integrals) -> list:
         for j, end in enumerate(ends):
             if j + 1 < len(ends) and ends[j + 1] - start <= _BLOCK_PANELS:
                 continue  # the next request still fits this block
-            x = mid[start:end, None] + half[start:end, None] * _NODES_ALL
-            y = np.asarray(f(x.ravel(), np.repeat(own[start:end], len(_NODES_ALL))),
-                           dtype=float).reshape(-1, len(_NODES_ALL))  # (component, panel) rows
+            x = mid[start:end, None] + half[start:end, None] * _NODES
+            y = np.asarray(f(x.ravel(), np.repeat(own[start:end], len(_NODES))),
+                           dtype=float).reshape(-1, len(_NODES))  # (component, panel) rows
             n = end - start
-            if start == 0:  # (rule, component, panel)
-                g = np.empty((2, len(y) // n, len(lo)))
-            g[0, :, start:end] = np.einsum("ij,j->i", y[:, :15], _WEIGHTS15).reshape(-1, n)
-            g[1, :, start:end] = np.einsum("ij,j->i", y[:, 15:], _WEIGHTS7).reshape(-1, n)
+            if start == 0:  # (K15, K15 - G7, resabs, resasc; component, panel)
+                g = np.empty((4, len(y) // n, len(lo)))
+            k15 = np.einsum("ij,j->i", y, _WEIGHTS_K)
+            g[0, :, start:end] = k15.reshape(-1, n)
+            g[1, :, start:end] = np.einsum("ij,j->i", y, _WEIGHTS_KG).reshape(-1, n)
+            g[2, :, start:end] = np.einsum("ij,j->i", np.abs(y), _WEIGHTS_K).reshape(-1, n)
+            y = np.abs(y - 0.5 * k15[:, None])
+            g[3, :, start:end] = np.einsum("ij,j->i", y, _WEIGHTS_K).reshape(-1, n)
             start = end
         g *= half
-        replies = {i: g[:, :, e - n : e] for i, n, e in zip(owners, sizes, ends)}
+        dif, resabs, resasc = np.abs(g[1]), g[2], g[3]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scaled = resasc * np.minimum(1.0, (200.0 * dif / resasc) ** 1.5)
+        g[1] = np.maximum(np.where((resasc != 0) & (dif != 0), scaled, dif),
+                          50.0 * np.finfo(float).eps * resabs)
+        replies = {i: g[:2, :, e - n : e] for i, n, e in zip(owners, sizes, ends)}
 
 
 def _first_error(results) -> list:
@@ -108,20 +127,12 @@ def _first_error(results) -> list:
 
 def _seed(lo, hi):
     """Panels [lo_i, hi_i] in seed layout, from one request: per component, rows
-    lo, hi and the (GL15, GL7) of the whole panel and its halves, (lo, hi, c15,
-    l15, r15, c7, l7, r7)."""
-    mids = 0.5 * (lo + hi)
-    g = yield np.concatenate([lo, lo, mids]), np.concatenate([hi, mids, hi])
-    seeds = np.empty((g.shape[1], 8, len(lo)))  # (component, row, panel)
+    lo, hi, the panel's K15 value and its error estimate."""
+    g = yield lo, hi
+    seeds = np.empty((g.shape[1], 4, len(lo)))  # (component, row, panel)
     seeds[:, 0], seeds[:, 1] = lo, hi
-    seeds[:, 2:5], seeds[:, 5:] = g.reshape(2, -1, 3, len(lo))
+    seeds[:, 2:] = g.transpose(1, 0, 2)
     return seeds
-
-
-def _panel(c15, l15, r15, c7, l7, r7):
-    """A panel's value, the sum of its halves' GL15 values, and its error estimate."""
-    value = l15 + r15
-    return value, max(abs(value - c15), abs(c15 - c7), abs(value - l7 - r7))
 
 
 def _refine(seeds, rel_tol, abs_tol, on=0):
@@ -134,14 +145,8 @@ def _refine(seeds, rel_tol, abs_tol, on=0):
     # seed layout in an array of its own (one buffer for all, resized at every
     # bisection, fragments the C heap), and component `on`'s values and errors
     store = [array("d", panel.tobytes()) for panel in seeds.transpose(2, 0, 1)]
-    vals, errs = [], []
-    total = total_err = 0.0
-    for rows in seeds[on, 2:].T.tolist():
-        val, err = _panel(*rows)
-        total += val
-        total_err += err
-        vals.append(val)
-        errs.append(err)
+    vals, errs = seeds[on, 2].tolist(), seeds[on, 3].tolist()
+    total, total_err = sum(vals), sum(errs)
     del seeds  # the store holds its values
     while True:
         if not (math.isfinite(total) and math.isfinite(total_err)):
@@ -156,29 +161,19 @@ def _refine(seeds, rel_tol, abs_tol, on=0):
                                    estimate=total, error=total_err)
         # the worst panel, the first made among equals
         i = errs.index(max(errs))
-        parent = store.pop(i)
-        plo, phi = parent[0], parent[1]
+        plo, phi = store.pop(i)[:2]
         pmid = 0.5 * (plo + phi)
-        qlo = [plo, 0.5 * (plo + pmid), pmid, 0.5 * (pmid + phi)]
-        qhi = [0.5 * (plo + pmid), pmid, 0.5 * (pmid + phi), phi]
-        q = (yield np.array(qlo), np.array(qhi)).tolist()  # [rule][component][quarter]
-        for j in (0, 1):  # the left child, then the right
-            child = []
-            for c, (q15, q7) in enumerate(zip(*q)):
-                k = 8 * c + j
-                child += (qlo[2 * j], qhi[2 * j + 1], parent[k + 3], q15[2 * j], q15[2 * j + 1],
-                          parent[k + 6], q7[2 * j], q7[2 * j + 1])
-            store.append(array("d", child))
-            val, err = _panel(*child[8 * on + 2 : 8 * on + 8])
-            total += val
-            total_err += err
-            vals.append(val)
-            errs.append(err)
-        del q, q15, q7, child  # else held while suspended
+        val, err = (yield np.array([plo, pmid]), np.array([pmid, phi])).tolist()
+        for j, edges in enumerate(((plo, pmid), (pmid, phi))):  # the left child, then the right
+            store.append(array("d", [x for v, e in zip(val, err) for x in (*edges, v[j], e[j])]))
+            vals.append(val[on][j])
+            errs.append(err[on][j])
+            total += val[on][j]
+            total_err += err[on][j]
         total -= vals.pop(i)
         total_err -= errs.pop(i)
 
-    panels = np.frombuffer(b"".join(store)).reshape(-1, ncomp, 8).transpose(1, 2, 0)
+    panels = np.frombuffer(b"".join(store)).reshape(-1, ncomp, 4).transpose(1, 2, 0)
     return QuadResult(value=total, error=total_err, n_panels=len(errs), panels=panels)
 
 
@@ -187,8 +182,8 @@ def _adaptive(a, b, *, rel_tol=1e-8, abs_tol=0.0, breakpoints=()):
     if not (b > a):
         raise ValueError(f"need b > a, got [{a}, {b}]")
     edges = np.array([a, *sorted(p for p in set(breakpoints) if a < p < b), b], dtype=float)
-    # the seeds (three panels each) in requests of at most one block
-    lo, hi, n, parts = edges[:-1], edges[1:], _BLOCK_PANELS // 3, []
+    # the seeds in requests of at most one block
+    lo, hi, n, parts = edges[:-1], edges[1:], _BLOCK_PANELS, []
     for i in range(0, len(lo), n):
         parts.append((yield from _seed(lo[i : i + n], hi[i : i + n])))
     refine = _refine(np.concatenate(parts, axis=2), rel_tol, abs_tol)

@@ -180,7 +180,8 @@ def _tails(spec, consts, pots):
     about 353) p_c = eps and both tails are 0, as |T|^2 underflows there."""
     hbar, d = consts.hbar, pots[0].width
     g = np.array([pot.strength(consts) for pot in pots])
-    alpha, beta, K, dphi0 = _kernel.low_k_limits(g, d)[:4]
+    with np.errstate(over="ignore", invalid="ignore"):  # subnormal or opaque g: taken below
+        alpha, beta, K, dphi0 = _kernel.low_k_limits(g, d)[:4]
     eps = _cutoff(spec, consts)
     floor = eps * _TAIL_FLOOR
     opaque = ~np.isfinite(beta)  # beta overflows with alpha or before it
@@ -224,17 +225,17 @@ def _from_p_c(spec, pot, consts, p_c, p_hi, rel_tol=_REL_TOL):
                      breakpoints=low + [eps] + _resonance_breakpoints(pot, consts, eps, p_hi))
 
 
-def _packet_integrals(spec, consts, pots, integrals) -> list:
+def _packet_integrals(spec, consts, pots, integrals, moment=False) -> list:
     """Lockstep results (or exceptions) of `integrals` over `pots`, all of one
     width, one kernel call per block of nodes: integral i integrates component
-    0, |phi_in|^2 |T|^2 over pots[i], or component 1, that times
-    (a - x0 + dPhi_T/dk)/p."""
+    0, |phi_in|^2 |T|^2 over pots[i], or, where `moment` adds it, component 1,
+    that times (a - x0 + dPhi_T/dk)/p."""
     g, width = np.array([pot.strength(consts) for pot in pots]), pots[0].width
     aprime = width / 2.0 - spec.x0
 
     def f(p, owner):
         wgt, dphi = _transmitted_weight(spec, consts, g[owner], width, p)
-        return np.stack([wgt, wgt * (aprime + dphi) / p])
+        return np.stack([wgt, wgt * (aprime + dphi) / p]) if moment else wgt
 
     return _lockstep(f, integrals)
 
@@ -310,7 +311,7 @@ def _exit_times(spec, pots, consts) -> list[tuple]:
     _require_left_start(spec, pots[0])
     rows = [_exit_time_row(spec, pot, consts, *tail) for pot, tail in
             zip(pots, zip(*_tails(spec, consts, pots)))]
-    return _packet_integrals(spec, consts, pots, rows)
+    return _packet_integrals(spec, consts, pots, rows, moment=True)
 
 
 def _exit_time_row(spec, pot, consts, p_c, p_t_tail, moment_tail, log_coef):
@@ -554,7 +555,9 @@ def crossover_width_empirical(
 
     Bisects f(d) = integral_0^{p_b} - integral_{p_b}^inf of |phi|^2 |T|^2;
     the below-barrier share decays exponentially with d, so f is decreasing
-    and the root marks where over-the-barrier components take over.
+    and the root marks where over-the-barrier components take over.  Raises
+    ConvergenceError where f has no sign change in [1e-3, `_D_MAX`], or where
+    the above-barrier share underflows to 0 and no root can be represented.
     """
     p_b = _require_below_barrier(spec, pot, consts)
     # the packet tail beyond p_b carries the whole above-barrier share, so
@@ -571,6 +574,10 @@ def crossover_width_empirical(
                 _from_p_c(spec, trial, consts, p_c, p_b, _SPLIT_REL_TOL),
                 _adaptive(p_b, p_hi, rel_tol=_SPLIT_REL_TOL,
                           breakpoints=_resonance_breakpoints(trial, consts, p_b, p_hi))]))
+        if not above.value > 0:
+            raise ConvergenceError(
+                f"above-barrier transmittance underflows to {above.value} at d = {width}: "
+                "no crossover can be represented", estimate=width)
         return below.value + tail - above.value
 
     d_lo = 1e-3

@@ -236,8 +236,9 @@ def test_packet_sweep_free_and_threshold_rows_diverge(tmp_path):
 def test_fig3_kernel_call_budget(tmp_path, monkeypatch):
     """fig3's 201 rows run in lockstep, one kernel call per block of each
     quadrature round, each row's time moment starts from the panels its P_T
-    evaluated, and both end in the closed-form tail below p_c: 46 calls over
-    138,801 points in all, and no call over 4,096 points."""
+    evaluated, each panel costs the 15 nodes of one Gauss-Kronrod pair, and
+    both integrals end in the closed-form tail below p_c: 20 calls over
+    36,291 points in all, and no call over 4,096 points."""
     sizes = []
     inner = hartman._kernel.transmission_grid
 
@@ -247,8 +248,8 @@ def test_fig3_kernel_call_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hartman._kernel, "transmission_grid", counting)
     assert run_cli(["packet-sweep", "--preset", "fig3", "--out", str(tmp_path / "f.csv")]) == 0
-    assert len(sizes) <= 60
-    assert sum(sizes) <= 150_000
+    assert len(sizes) <= 30
+    assert sum(sizes) <= 50_000
     assert max(sizes) <= 4096
 
 

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from hartman import (
@@ -86,6 +88,18 @@ class TestTransmissionProbability:
         """The free packet's P_T is its norm, 1, to 1e-11."""
         pt = transmission_probability(FIG3_PACKET, SquarePotential(0.0, 1.0))
         assert pt == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("v0", [5e-324, 2.2250738585e-313, -1e-310])
+    def test_subnormal_heights_behave_as_free(self, v0):
+        """|v0| below the smallest normal double overflows the kernel's k -> 0
+        slopes ~ 1/(g d); no RuntimeWarning escapes, P_T is the free packet's
+        1, and the exit time diverges with a typed error, as when free."""
+        spec, pot = GaussianPacketSpec(1.0, 0.5, -11.0), SquarePotential(v0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert transmission_probability(spec, pot) == pytest.approx(1.0, abs=1e-15)
+            with pytest.raises(ThresholdDivergenceError):
+                mean_exit_time(spec, pot)
 
     def test_matches_fixed_grid_oracle(self):
         pot = SquarePotential(5.0, 1.0)
@@ -589,13 +603,48 @@ class TestCrossoverWidth:
         assert narrow > wide
 
     def test_wide_trial_barriers_raise_no_warning(self):
-        """The bracket reaches barriers wide enough to overflow the kernel's
-        intermediates; |T|^2 is 0 there, and no RuntimeWarning escapes."""
-        spec = GaussianPacketSpec(1.0, 0.05, -200.0)
+        """The bracket reaches d = 128 (kappa d about 384), barriers wide enough
+        to overflow the kernel's intermediates; |T|^2 is 0 there, no
+        RuntimeWarning escapes, and the width agrees with an independent
+        split (SciPy `quad` on the closed-form |T|^2, in logs) to `tol`."""
+        v0, spec, tol = 5.0, GaussianPacketSpec(1.0, 0.06, -200.0), 1e-3
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            width = crossover_width_empirical(spec, SquarePotential(5.0, 0.5))
-        assert width == 125.43752001953126
+            width = crossover_width_empirical(spec, SquarePotential(v0, 0.5), tol=tol)
+        assert width == 112.09387426757812
+
+        p_b, k0, dp = math.sqrt(2.0 * v0), spec.k0, spec.delta_p
+        shift = (p_b - k0) ** 2 / (2.0 * dp * dp) - 5.0  # scales both shares to about 1e-6
+
+        def weight(p):  # |phi_in|^2 up to its norm, times e^shift
+            return math.exp(shift - (p - k0) ** 2 / (2.0 * dp * dp))
+
+        def below(p, d):  # |T|^2 = 1/(1 + X), X = (p^2 + kappa^2)^2 sinh^2(kappa d)/(4 p^2 kappa^2)
+            kap2 = p_b * p_b - p * p
+            x = math.sqrt(kap2) * d
+            log_x = (2.0 * (x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0))
+                     + 2.0 * math.log(p * p + kap2) - math.log(4.0 * p * p * kap2))
+            return weight(p) * math.exp(-np.logaddexp(0.0, log_x))
+
+        def above(p, d):  # X = (v0 sin(q d)/(q p))^2
+            q = math.sqrt(p * p - p_b * p_b)
+            return weight(p) / (1.0 + (v0 * d * np.sinc(q * d / math.pi) / p) ** 2)
+
+        def split(d):
+            return (quad(below, 0.0, p_b, args=(d,), epsabs=0.0, epsrel=1e-10, limit=200)[0]
+                    - quad(above, p_b, p_b + 0.5, args=(d,), epsabs=0.0, epsrel=1e-10,
+                           limit=400)[0])
+
+        root = brentq(split, width * (1.0 - 2.0 * tol), width * (1.0 + 2.0 * tol), xtol=1e-6)
+        assert abs(root - width) <= tol * width
+
+    def test_unrepresentable_above_barrier_share_raises(self):
+        """The above-barrier share of this packet, about e^-933, is 0.0 at
+        every width: the only "crossover" left would be where the below-barrier
+        share underflows too."""
+        with pytest.raises(ConvergenceError, match="no crossover can be represented"):
+            crossover_width_empirical(GaussianPacketSpec(1.0, 0.05, -200.0),
+                                      SquarePotential(5.0, 0.5))
 
     def test_no_bracket_when_above_barrier_dominates(self):
         pot = SquarePotential(0.5, 0.5)
