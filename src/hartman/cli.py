@@ -15,8 +15,10 @@ echoes every resolved value.  Output goes to
 --out (CSV or JSON; stdout when omitted), resolved against $HARTMAN_OUT_DIR
 for relative paths.  Identical configurations produce byte-identical files.
 `amplitudes` and `delay-sweep` are a few vectorized kernel calls each.
-`packet-sweep` runs its rows in lockstep, one kernel call per block of each
-quadrature round over all open rows.  Every command runs in one process;
+`packet-sweep` runs its depths as the rows of one quadrature engine: a round
+bisects a panel of every open row with one kernel call per block of nodes,
+and a row goes on from P_T to its time moment in the round P_T converges.
+Every command runs in one process;
 --jobs N is accepted and checked (N >= 1) but changes nothing.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid input, 3 numerical

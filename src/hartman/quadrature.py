@@ -7,14 +7,18 @@ is K15 and its error QUADPACK's estimate (Piessens et al. 1983) of
 the summed error estimate meets the tolerance, so a panel costs 15 integrand
 values and a bisection 30.
 
-Each integral is a generator that yields the panels (lo, hi) it needs and
-receives their values and error estimates, one row per component of the
-integrand.  `_lockstep` runs many in rounds of one integrand call per block
-of panels; an integral's panels and sums do not depend on what runs beside
-it, and `adaptive_quad` runs one.  An integral refines one component and
-keeps every component of its panels, in the order they were made; its final
-panels can start the refinement of another component, so that a packet row
-evaluates each panel once for P_T and its time moment.
+`_lockstep` refines many integrals, its rows, at once.  Every panel made
+goes into one pool, and each open row has a slot per panel, in the order the
+panels were made, holding the panel's place in the pool and its error.  A
+round is a few array operations over all open rows: an argmax over each
+row's live errors picks its worst panel, one integrand call per block of
+nodes evaluates the halves of all of them, and each row's sums are updated
+elementwise in the order a lone refinement adds its floats.  So a row's
+panels and sums do not depend on the rows beside it, and `adaptive_quad` is
+one row.  A row keeps every component of the integrand on
+its panels; a packet row refines P_T (component 0) and then, from the same
+panels and in the round P_T converges, its time moment (component 1), so each
+panel is evaluated once for both.
 
 `integral_to_zero` extends a finite-interval result down to p = 0 by halving
 the lower cutoff until the added mass converges, one serial `adaptive_quad`
@@ -26,9 +30,7 @@ integrals do not use it: their tail below the lowest panel is closed-form
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -50,6 +52,7 @@ _MAX_HALVINGS = 60
 _MAX_PANELS = 4000  # panel budget of one integral
 # panels (4,095 nodes) per integrand call, however many integrals are open
 _BLOCK_PANELS = 4096 // len(_NODES)
+_ERROR_FLOOR = 50.0 * np.finfo(float).eps  # QUADPACK's least error, per unit of resabs
 
 
 @dataclass(frozen=True)
@@ -57,64 +60,42 @@ class QuadResult:
     value: float
     error: float
     n_panels: int
-    # every component on the final panels, in seed layout, in the order they were made
+    # every component on the final panels, (component, 4, panel): lo, hi,
+    # value and error, the panels in the order they were made
     panels: np.ndarray = field(compare=False, repr=False)
 
 
-def _lockstep(f, integrals) -> list:
-    """Each integral's result, or the ConvergenceError or ValueError it raised.
-    A round calls f(x, owner) per block of whole requests, at most `_BLOCK_PANELS`
-    panels unless one request is larger, owner = each node's integral; f returns
-    a row of values per component, or one row.  Each block's K15, K15 - G7,
-    resabs = K15 of |f| and resasc = K15 of |f - K15/2| are reduced with one
-    `einsum` row product each over its (component, panel) rows, whose row sums
-    do not depend on a row's place in the block; a panel's error is QUADPACK's
-    resasc min(1, (200 |K15 - G7|/resasc)^1.5), at least 50 eps resabs.  A
-    request gets (value, error) as one (2, component, panel) array."""
-    results: list = [None] * len(integrals)
-    replies = dict.fromkeys(range(len(integrals)))
-    while True:
-        owners, edges = [], []
-        for i, reply in replies.items():
-            try:
-                edges.append(integrals[i].send(reply))
-                owners.append(i)
-            except StopIteration as stop:
-                results[i] = stop.value
-            except (ConvergenceError, ValueError) as exc:
-                results[i] = exc
-        replies = reply = g = None  # free the last round's sums before this round's calls
-        if not edges:
-            return results
-        sizes = [len(lo) for lo, _ in edges]
-        ends = list(accumulate(sizes))
-        lo, hi = map(np.concatenate, zip(*edges))
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        own = np.repeat(owners, sizes)  # each panel's integral
-        start = 0
-        for j, end in enumerate(ends):
-            if j + 1 < len(ends) and ends[j + 1] - start <= _BLOCK_PANELS:
-                continue  # the next request still fits this block
-            x = mid[start:end, None] + half[start:end, None] * _NODES
-            y = np.asarray(f(x.ravel(), np.repeat(own[start:end], len(_NODES))),
-                           dtype=float).reshape(-1, len(_NODES))  # (component, panel) rows
-            n = end - start
-            if start == 0:  # (K15, K15 - G7, resabs, resasc; component, panel)
-                g = np.empty((4, len(y) // n, len(lo)))
-            k15 = np.einsum("ij,j->i", y, _WEIGHTS_K)
-            g[0, :, start:end] = k15.reshape(-1, n)
-            g[1, :, start:end] = np.einsum("ij,j->i", y, _WEIGHTS_KG).reshape(-1, n)
-            g[2, :, start:end] = np.einsum("ij,j->i", np.abs(y), _WEIGHTS_K).reshape(-1, n)
-            y = np.abs(y - 0.5 * k15[:, None])
-            g[3, :, start:end] = np.einsum("ij,j->i", y, _WEIGHTS_K).reshape(-1, n)
-            start = end
-        g *= half
-        dif, resabs, resasc = np.abs(g[1]), g[2], g[3]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scaled = resasc * np.minimum(1.0, (200.0 * dif / resasc) ** 1.5)
-        g[1] = np.maximum(np.where((resasc != 0) & (dif != 0), scaled, dif),
-                          50.0 * np.finfo(float).eps * resabs)
-        replies = {i: g[:2, :, e - n : e] for i, n, e in zip(owners, sizes, ends)}
+def _evaluate(f, lo, hi, owner):
+    """Value and error of the panels [lo_i, hi_i] as one (2, component, panel)
+    array, from one call f(x, owner) per block of at most `_BLOCK_PANELS`
+    panels, owner = each node's row; f returns a row of values per component,
+    or one row.  Each block's K15, K15 - G7, resabs = K15 of |f| and resasc =
+    K15 of |f - K15/2| are reduced with one `einsum` row product each over its
+    (component, panel) rows, whose row sums do not depend on a row's place in
+    the block; a panel's error is QUADPACK's resasc min(1, (200 |K15 -
+    G7|/resasc)^1.5), at least 50 eps resabs."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    blocks = []
+    for start in range(0, len(lo), _BLOCK_PANELS):
+        x = half[start:start + _BLOCK_PANELS, None] * _NODES
+        x += mid[start:start + _BLOCK_PANELS, None]
+        y = np.asarray(f(x.ravel(), owner[start:start + _BLOCK_PANELS].repeat(len(_NODES))),
+                       dtype=float).reshape(-1, len(_NODES))  # (component, panel) rows
+        b = np.empty((4, len(y)))  # K15, K15 - G7, resabs, resasc
+        np.einsum("ij,j->i", y, _WEIGHTS_K, out=b[0])
+        np.einsum("ij,j->i", y, _WEIGHTS_KG, out=b[1])
+        a = np.abs(y)
+        np.einsum("ij,j->i", a, _WEIGHTS_K, out=b[2])
+        np.abs(np.subtract(y, 0.5 * b[0, :, None], out=a), out=a)
+        np.einsum("ij,j->i", a, _WEIGHTS_K, out=b[3])
+        blocks.append(b.reshape(4, -1, len(x)))
+    g = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+    g *= half
+    dif, resabs, resasc = np.abs(g[1]), g[2], g[3]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * dif / resasc) ** 1.5)
+    g[1] = np.maximum(np.where((resasc != 0) & (dif != 0), scaled, dif), _ERROR_FLOOR * resabs)
+    return g[:2]
 
 
 def _first_error(results) -> list:
@@ -125,70 +106,159 @@ def _first_error(results) -> list:
     return results
 
 
-def _seed(lo, hi):
-    """Panels [lo_i, hi_i] in seed layout, from one request: per component, rows
-    lo, hi, the panel's K15 value and its error estimate."""
-    g = yield lo, hi
-    seeds = np.empty((g.shape[1], 4, len(lo)))  # (component, row, panel)
-    seeds[:, 0], seeds[:, 1] = lo, hi
-    seeds[:, 2:] = g.transpose(1, 0, 2)
-    return seeds
+def _lockstep(f, intervals, *, rel_tol, abs_tol=0.0, gate=None) -> list[list]:
+    """Each row's outcomes, one per component it refined: a QuadResult, or
+    the ConvergenceError or ValueError that ended it.
 
+    Row i integrates f (see `_evaluate`) over intervals[i] = (a, b,
+    breakpoints), seeded at the breakpoints inside (a, b), and refines
+    component 0 until its error estimate meets max(rel_tol |value|, abs_tol).
+    With a `gate`, gate(i, outcome) follows component 0 and may raise to end
+    the row; a row whose component 0 converged and that the gate passes
+    refines component 1 from the panels component 0 ended on, in the same
+    round, and an ended row's second outcome is what the gate raised or the
+    exception that ended component 0.
 
-def _refine(seeds, rel_tol, abs_tol, on=0):
-    """Bisect the worst of the seeded panels until the error estimate of
-    component `on` meets the tolerance.  `seeds` and the result's `panels`
-    hold every component of the starting and the final panels in seed layout,
-    (component, row, panel), the final ones in the order they were made."""
-    ncomp = len(seeds)
-    # the live panels in the order they were made, every component of each in
-    # seed layout in an array of its own (one buffer for all, resized at every
-    # bisection, fragments the C heap), and component `on`'s values and errors
-    store = [array("d", panel.tobytes()) for panel in seeds.transpose(2, 0, 1)]
-    vals, errs = seeds[on, 2].tolist(), seeds[on, 3].tolist()
-    total, total_err = sum(vals), sum(errs)
-    del seeds  # the store holds its values
-    while True:
-        if not (math.isfinite(total) and math.isfinite(total_err)):
-            raise ConvergenceError(f"quadrature estimate {total} with error bound {total_err} "
-                                   "is not finite (integrand returned NaN or inf)",
-                                   estimate=total, error=total_err)
-        if total_err <= max(rel_tol * abs(total), abs_tol):
-            break
-        if len(errs) >= _MAX_PANELS:
-            raise ConvergenceError(f"quadrature did not converge within {_MAX_PANELS} panels "
-                                   f"(estimate {total:.6e}, error bound {total_err:.2e})",
-                                   estimate=total, error=total_err)
-        # the worst panel, the first made among equals
-        i = errs.index(max(errs))
-        plo, phi = store.pop(i)[:2]
-        pmid = 0.5 * (plo + phi)
-        val, err = (yield np.array([plo, pmid]), np.array([pmid, phi])).tolist()
-        for j, edges in enumerate(((plo, pmid), (pmid, phi))):  # the left child, then the right
-            store.append(array("d", [x for v, e in zip(val, err) for x in (*edges, v[j], e[j])]))
-            vals.append(val[on][j])
-            errs.append(err[on][j])
-            total += val[on][j]
-            total_err += err[on][j]
-        total -= vals.pop(i)
-        total_err -= errs.pop(i)
+    Slot 0 of every row is empty and each row's seeds end at one slot, so that
+    a round's two halves go into the next two slots of every open row, and a
+    row's sums in slot order over its live panels, empty slots as 0.0, are
+    sum() of them.  Rows are dropped from the arrays as they end; the pool
+    keeps every panel made."""
+    out = [[] for _ in intervals]
 
-    panels = np.frombuffer(b"".join(store)).reshape(-1, ncomp, 4).transpose(1, 2, 0)
-    return QuadResult(value=total, error=total_err, n_panels=len(errs), panels=panels)
+    def close(i, outcome) -> bool:
+        """Record an outcome of row i; True where the row goes on to component 1."""
+        out[i].append(outcome)
+        if gate is None or len(out[i]) == 2:
+            return False
+        try:
+            gate(i, outcome)
+            _first_error([outcome])
+        except (ConvergenceError, ValueError) as exc:
+            out[i].append(exc)
+            return False
+        return True
 
+    edges, ids = [], []
+    for i, (a, b, breakpoints) in enumerate(intervals):
+        if b > a:
+            edges.append(np.array([a, *sorted(p for p in set(breakpoints) if a < p < b), b],
+                                  dtype=float))
+            ids.append(i)
+        else:
+            close(i, ValueError(f"need b > a, got [{a}, {b}]"))
+    if not ids:
+        return out
+    ids = np.array(ids)
+    k = np.array([len(e) - 1 for e in edges])  # seeds per row
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    g = _evaluate(f, lo, hi, np.repeat(ids, k))
+    # every panel made, in seed layout: (panel, component, lo/hi/value/error)
+    made = len(lo)
+    pool = np.empty((2 * made, g.shape[1], 4))
+    pool[:made, :, 0], pool[:made, :, 1] = lo[:, None], hi[:, None]
+    pool[:made, :, 2:] = g.transpose(2, 1, 0)
+    # per open row: its panels' places in the pool by slot, the component it
+    # refines, that component's error per slot where the panel is live and
+    # -inf where it is not (a row with a non-finite error ends before its
+    # live panels are read), and the (value, error) sums of that component,
+    # first sum() of its seeds.  A sum that overflows or meets inf - inf ends
+    # its row without a warning, as a Python float would.  Every open row
+    # bisects once a round: it has k + rounds live panels.
+    s, last = 1 + k.max(), np.cumsum(k)  # every row's seeds end at slot s - 1
+    row = np.repeat(np.arange(len(ids)), k)
+    slot = s + np.arange(made) - np.repeat(last, k)
+    place = np.zeros((len(ids), 2 * s), dtype=np.int32)
+    place[row, slot] = np.arange(made)
+    pick = np.full(place.shape, -np.inf)
+    pick[row, slot] = g[1, 0]
+    comp, rounds, most = np.zeros(len(ids), dtype=int), 0, int(k.max())
+    values, errors = g[:, 0].tolist()
+    last = last.tolist()
+    sums = np.array([(sum(values[a:b]), sum(errors[a:b])) for a, b in zip([0, *last], last)])
+    del row, slot, lo, hi, edges, values, errors  # not held through the rounds
 
-def _adaptive(a, b, *, rel_tol=1e-8, abs_tol=0.0, breakpoints=()):
-    """`adaptive_quad` as a lockstep integral of component 0."""
-    if not (b > a):
-        raise ValueError(f"need b > a, got [{a}, {b}]")
-    edges = np.array([a, *sorted(p for p in set(breakpoints) if a < p < b), b], dtype=float)
-    # the seeds in requests of at most one block
-    lo, hi, n, parts = edges[:-1], edges[1:], _BLOCK_PANELS, []
-    for i in range(0, len(lo), n):
-        parts.append((yield from _seed(lo[i : i + n], hi[i : i + n])))
-    refine = _refine(np.concatenate(parts, axis=2), rel_tol, abs_tol)
-    del parts  # the refinement holds what it needs
-    return (yield from refine)
+    def settle():
+        """End the open rows whose component converged or failed, or move them
+        on to component 1; a boolean mask of the ended ones, or None."""
+        ended, rows = None, slice(None)  # all open rows, then those moved on
+        while True:
+            total, error = sums[rows].T
+            # open: finite sums short of the tolerance, and panels to spare
+            going = (error > np.maximum(rel_tol * np.abs(total), abs_tol)) & (error < np.inf)
+            if most + rounds >= _MAX_PANELS:  # a row may be out of panels
+                going &= k[rows] + rounds < _MAX_PANELS
+            stop = (~going).nonzero()[0]
+            if not len(stop):
+                return ended
+            rows = at[rows][stop]
+            if ended is None:
+                ended = np.zeros(len(ids), dtype=bool)
+            ended[rows] = True
+            # the live panels of every row in `rows`, one row after the other
+            live = pick[rows] > -np.inf
+            panels, ends = pool[place[rows][live]], np.cumsum(live.sum(axis=1)).tolist()
+            go_on = []
+            for r, i, t, e, a, b in zip(*(x.tolist() for x in (rows, ids[rows], total[stop],
+                                                                error[stop])), [0, *ends], ends):
+                if not (math.isfinite(t) and math.isfinite(e)):
+                    outcome = ConvergenceError(
+                        f"quadrature estimate {t} with error bound {e} is not finite "
+                        "(integrand returned NaN or inf)", estimate=t, error=e)
+                elif e <= max(rel_tol * abs(t), abs_tol):
+                    outcome = QuadResult(value=t, error=e, n_panels=b - a,
+                                         panels=panels[a:b].transpose(1, 2, 0))
+                else:
+                    outcome = ConvergenceError(
+                        f"quadrature did not converge within {_MAX_PANELS} panels "
+                        f"(estimate {t:.6e}, error bound {e:.2e})", estimate=t, error=e)
+                if close(i, outcome):
+                    go_on.append(r)
+            if not go_on:
+                return ended
+            rows = np.array(go_on)
+            ended[rows] = False
+            comp[rows] = 1
+            live = pick[rows, :s] > -np.inf
+            panels = pool[place[rows, :s], 1, 2:]  # (row, slot, value/error)
+            pick[rows, :s] = np.where(live, panels[..., 1], -np.inf)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums[rows] = np.add.accumulate(
+                    np.where(live[..., None], panels, 0.0), axis=1)[:, -1]
+
+    at = np.arange(len(ids))
+    pairs, owner = at.reshape(-1, 1) * 2 + [0, 1], np.concatenate([ids, ids])
+    while (ended := settle()) is None or not ended.all():
+        if ended is not None:
+            ids, k, comp, sums, place, pick = (
+                x[~ended] for x in (ids, k, comp, sums, place, pick))
+            at = np.arange(len(ids))
+            pairs, owner = at.reshape(-1, 1) * 2 + [0, 1], np.concatenate([ids, ids])
+        # bisect every open row's worst panel, the first made among equals
+        worst = pick.argmax(axis=1)
+        pick[at, worst] = -np.inf
+        popped = pool[place[at, worst], comp]  # (row, lo/hi/value/error)
+        edges = np.empty((2, 2, len(ids)))  # (lo/hi, left/right, row)
+        edges[0, 0], edges[1, 1] = popped[:, 0], popped[:, 1]
+        edges[0, 1] = edges[1, 0] = 0.5 * (popped[:, 0] + popped[:, 1])
+        g = _evaluate(f, edges[0].ravel(), edges[1].ravel(), owner)
+        if made + 2 * len(ids) > len(pool):
+            pool = np.concatenate([pool, np.empty_like(pool)])
+        if s + 2 > pick.shape[1]:
+            place = np.concatenate([place, np.zeros_like(place)], axis=1)
+            pick = np.concatenate([pick, np.full_like(pick, -np.inf)], axis=1)
+        new = pool[made:made + 2 * len(ids)].reshape(len(ids), 2, -1, 4)  # (row, left/right, ...)
+        new[..., :2] = edges.transpose(2, 1, 0)[:, :, None]
+        new[..., 2:] = g.reshape(2, -1, 2, len(ids)).transpose(3, 2, 1, 0)
+        place[:, s:s + 2] = made + pairs
+        new = new[at, :, comp, 2:]  # the refined component's (row, left/right, value/error)
+        pick[:, s:s + 2] = new[..., 1]
+        made, s, rounds = made + 2 * len(ids), s + 2, rounds + 1
+        # + left, + right, - the bisected panel
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = sums + new[:, 0] + new[:, 1] - popped[:, 2:]
+    return out
 
 
 def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-8, abs_tol: float = 0.0,
@@ -198,11 +268,13 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-8, abs_tol: floa
     `breakpoints` seed panel edges at known kinks or sharp features (barrier
     momentum, resonances).  Raises ConvergenceError carrying the achieved
     estimate if `_MAX_PANELS` panels do not meet the tolerance, or as soon as
-    the estimate or its error bound is not finite.  Each bisection scans the
-    live panels for the worst, so n panels cost O(n^2) up to `_MAX_PANELS`.
+    the estimate or its error bound is not finite.  Each bisection takes an
+    argmax over every panel made so far, so n panels cost O(n^2) array work,
+    in C, up to `_MAX_PANELS`.
     """
-    gen = _adaptive(a, b, rel_tol=rel_tol, abs_tol=abs_tol, breakpoints=breakpoints)
-    return _first_error(_lockstep(lambda x, _: f(x), [gen]))[0]
+    (res,), = _lockstep(lambda x, _: f(x), [(a, b, breakpoints)], rel_tol=rel_tol,
+                        abs_tol=abs_tol)
+    return _first_error([res])[0]
 
 
 def integral_to_zero(f, eps: float, *, rel_tol: float = 1e-8, reference: float) -> float:

@@ -36,7 +36,7 @@ from . import _kernel
 from .boundstates import is_at_threshold
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
-from .quadrature import _adaptive, _first_error, _lockstep, _refine
+from .quadrature import _first_error, _lockstep
 
 # packet momentum support: beyond p0 + _SUPPORT_SIGMAS * dp the Gaussian
 # mass is below 1e-16 of the total
@@ -213,31 +213,34 @@ def _tails(spec, consts, pots):
     return p_c, p_t, moment, log_coef
 
 
-def _from_p_c(spec, pot, consts, p_c, p_hi, rel_tol=_REL_TOL):
-    """Lockstep integral of component 0 over [p_c, p_hi], seeded at p_c 2^j up
-    to the packet's low cutoff eps, at eps and at the resonances of `pot` between."""
+def _from_p_c(spec, pot, consts, p_c, p_hi):
+    """The lockstep interval [p_c, p_hi] with its breakpoints: p_c 2^j up to
+    the packet's low cutoff eps, eps and the resonances of `pot` between."""
     eps = _cutoff(spec, consts)
     low, p = [], 2.0 * p_c
     while p < eps:
         low.append(p)
         p *= 2.0
-    return _adaptive(p_c, p_hi, rel_tol=rel_tol,
-                     breakpoints=low + [eps] + _resonance_breakpoints(pot, consts, eps, p_hi))
+    return p_c, p_hi, low + [eps] + _resonance_breakpoints(pot, consts, eps, p_hi)
 
 
-def _packet_integrals(spec, consts, pots, integrals, moment=False) -> list:
-    """Lockstep results (or exceptions) of `integrals` over `pots`, all of one
-    width, one kernel call per block of nodes: integral i integrates component
-    0, |phi_in|^2 |T|^2 over pots[i], or, where `moment` adds it, component 1,
-    that times (a - x0 + dPhi_T/dk)/p."""
+def _packet_integrals(spec, consts, pots, intervals, rel_tol=_REL_TOL, gate=None) -> list:
+    """`_lockstep` outcomes of `intervals` over `pots`, all of one width, one
+    kernel call per block of nodes: row i integrates component 0, |phi_in|^2
+    |T|^2 over pots[i], and where a `gate` adds it, then component 1, that
+    times (a - x0 + dPhi_T/dk)/p.  Without a gate |D|^2 comes from
+    `_kernel.denominator`, which skips the slope's terms."""
     g, width = np.array([pot.strength(consts) for pot in pots]), pots[0].width
     aprime = width / 2.0 - spec.x0
 
     def f(p, owner):
+        if gate is None:
+            return packet_weight(spec, p, consts) / _kernel.denominator(
+                g[owner], width, p / consts.hbar)[2]
         wgt, dphi = _transmitted_weight(spec, consts, g[owner], width, p)
-        return np.stack([wgt, wgt * (aprime + dphi) / p]) if moment else wgt
+        return np.stack([wgt, wgt * (aprime + dphi) / p])
 
-    return _lockstep(f, integrals)
+    return _lockstep(f, intervals, rel_tol=rel_tol, gate=gate)
 
 
 def _require_left_start(spec, pot) -> None:
@@ -269,8 +272,9 @@ def transmission_probability(
 ) -> float:
     """P_T = integral |phi_in|^2 |T|^2 dp over (0, inf)."""
     (p_c,), (tail,) = _tails(spec, consts, [pot])[:2]
-    integral = _from_p_c(spec, pot, consts, p_c, spec.p_max(consts))
-    return _first_error(_packet_integrals(spec, consts, [pot], [integral]))[0].value + tail
+    (main,), = _packet_integrals(spec, consts, [pot],
+                                 [_from_p_c(spec, pot, consts, p_c, spec.p_max(consts))])
+    return _first_error([main])[0].value + tail
 
 
 def classical_reference_time(
@@ -307,48 +311,43 @@ def mean_exit_time(
 
 def _exit_times(spec, pots, consts) -> list[tuple]:
     """(P_T, `mean_exit_time` report) per potential of one width, in lockstep;
-    either may be the exception a serial run raises, and a refused row has P_T."""
+    either may be the exception a serial run raises, and a refused row has P_T.
+    A row's P_T over [p_c, p_max] gets its closed-form tail, and its time
+    moment starts from the panels P_T ended on, in the round P_T converged."""
     _require_left_start(spec, pots[0])
-    rows = [_exit_time_row(spec, pot, consts, *tail) for pot, tail in
-            zip(pots, zip(*_tails(spec, consts, pots)))]
-    return _packet_integrals(spec, consts, pots, rows, moment=True)
+    p_c, p_t_tail, moment_tail, log_coef = _tails(spec, consts, pots)
 
-
-def _exit_time_row(spec, pot, consts, p_c, p_t_tail, moment_tail, log_coef):
-    """One row of `_exit_times`: P_T over [p_c, p_max] plus its closed-form
-    tail, then the time moment, started from the panels P_T evaluated."""
-    try:
-        main = yield from _from_p_c(spec, pot, consts, p_c, spec.p_max(consts))
-        p_t, panels = main.value + p_t_tail, main.panels
-        del main  # else held while the moment runs
-    except (ConvergenceError, ValueError) as exc:
-        p_t = exc
-    try:
+    def gate(i, main):
         # inside `is_at_threshold`'s band alpha is small but not 0, and the
         # closed-form tail finite, so an exact threshold is refused before the
         # time moment unless the packet vanishes at p = 0
+        pot = pots[i]
         if pot.v0 < 0 and is_at_threshold(pot, consts) and (
                 packet_weight(spec, 1e-12, consts) > 1e-280):
             raise ThresholdDivergenceError(
                 "well is at a bound-state threshold and the packet does not vanish "
                 "at p = 0: the mean exit time diverges")
-        _require_transmitted(_first_error([p_t])[0])
-        moment = _refine(panels, _REL_TOL, 0.0, 1)
-        del panels  # the refinement copies them into its own store
-        t_int = (yield from moment).value
-        # |T(0)| = 1: the moment grows by log_coef per halving of p_c, which
-        # ends the integral only below half of rel_tol of it
-        if log_coef > 0.5 * _REL_TOL * abs(t_int):
-            raise ThresholdDivergenceError(
-                f"time moment grows by {log_coef:.3e} per halving of the cutoff "
-                f"{p_c:.3e} (estimate {t_int:.6e}): |T(0)| = 1 and the packet does "
-                "not vanish at p = 0", estimate=t_int, error=log_coef)
-        t_int += moment_tail
-    except (ConvergenceError, ValueError) as exc:
-        return p_t, exc
-    t_out = consts.mass * t_int / p_t
-    t_cl, defined = classical_reference_time(spec, pot, consts)
-    return p_t, PassageTimeReport(p_t, t_out, t_cl, t_out - t_cl, defined)
+        _require_transmitted(_first_error([main])[0].value + p_t_tail[i])
+
+    intervals = [_from_p_c(spec, pot, consts, p, spec.p_max(consts)) for pot, p in zip(pots, p_c)]
+    rows = []
+    for i, (main, moment) in enumerate(_packet_integrals(spec, consts, pots, intervals, gate=gate)):
+        p_t = main if isinstance(main, Exception) else main.value + p_t_tail[i]
+        if not isinstance(moment, Exception):
+            t_int = moment.value
+            # |T(0)| = 1: the moment grows by log_coef per halving of p_c, which
+            # ends the integral only below half of rel_tol of it
+            if log_coef[i] > 0.5 * _REL_TOL * abs(t_int):
+                moment = ThresholdDivergenceError(
+                    f"time moment grows by {log_coef[i]:.3e} per halving of the cutoff "
+                    f"{p_c[i]:.3e} (estimate {t_int:.6e}): |T(0)| = 1 and the packet does "
+                    "not vanish at p = 0", estimate=t_int, error=log_coef[i])
+            else:
+                t_out = consts.mass * (t_int + moment_tail[i]) / p_t
+                t_cl, defined = classical_reference_time(spec, pots[i], consts)
+                moment = PassageTimeReport(p_t, t_out, t_cl, t_out - t_cl, defined)
+        rows.append((p_t, moment))
+    return rows
 
 
 def _bulk_wave(spec, pot, consts, p, t):
@@ -570,10 +569,11 @@ def crossover_width_empirical(
         # a wide trial overflows the kernel where |T|^2 = 0 (a NaN in it still raises)
         with np.errstate(over="ignore", invalid="ignore"):
             (p_c,), (tail,) = _tails(spec, consts, [trial])[:2]
-            below, above = _first_error(_packet_integrals(spec, consts, [trial] * 2, [
-                _from_p_c(spec, trial, consts, p_c, p_b, _SPLIT_REL_TOL),
-                _adaptive(p_b, p_hi, rel_tol=_SPLIT_REL_TOL,
-                          breakpoints=_resonance_breakpoints(trial, consts, p_b, p_hi))]))
+            (below,), (above,) = _packet_integrals(spec, consts, [trial] * 2, [
+                _from_p_c(spec, trial, consts, p_c, p_b),
+                (p_b, p_hi, _resonance_breakpoints(trial, consts, p_b, p_hi))],
+                rel_tol=_SPLIT_REL_TOL)
+            below, above = _first_error([below, above])
         if not above.value > 0:
             raise ConvergenceError(
                 f"above-barrier transmittance underflows to {above.value} at d = {width}: "

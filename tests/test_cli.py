@@ -248,8 +248,8 @@ def test_fig3_kernel_call_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hartman._kernel, "transmission_grid", counting)
     assert run_cli(["packet-sweep", "--preset", "fig3", "--out", str(tmp_path / "f.csv")]) == 0
-    assert len(sizes) <= 30
-    assert sum(sizes) <= 50_000
+    assert len(sizes) <= 20
+    assert sum(sizes) <= 40_000
     assert max(sizes) <= 4096
 
 

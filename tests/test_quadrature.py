@@ -7,8 +7,7 @@ from scipy.special import roots_legendre
 
 from hartman import quadrature
 from hartman.errors import ConvergenceError, ThresholdDivergenceError
-from hartman.quadrature import (_BLOCK_PANELS, _adaptive, _lockstep, _refine, adaptive_quad,
-                               integral_to_zero)
+from hartman.quadrature import _BLOCK_PANELS, _lockstep, adaptive_quad, integral_to_zero
 
 
 def _counting(f):
@@ -184,39 +183,47 @@ def test_integral_to_zero_converges_below_a_narrow_peak():
 
 def test_refine_restarts_from_its_carried_panels():
     """A refinement of component 0 returns every component on its final
-    panels; a refinement of component 1 started there, with component 1
-    equal to component 0, is already converged: it returns at once with the
-    same panels and, up to the order of the sums, the same value."""
+    panels; the refinement of component 1 started there, with component 1
+    equal to component 0, is already converged: it bisects nothing and
+    returns the same panels and, up to the order of the sums, the same value."""
     f = lambda x: np.sin(40.0 * x) * np.exp(-x)
-    res = _lockstep(lambda x, _: np.stack([f(x), f(x)]),
-                    [_adaptive(0.0, 8.0, rel_tol=1e-10, breakpoints=[2.0])])[0]
+    calls = []
+
+    def both(x, _):
+        calls.append(len(x))
+        return np.stack([f(x), f(x)])
+
+    (res, again), = _lockstep(both, [(0.0, 8.0, [2.0])], rel_tol=1e-10,
+                              gate=lambda i, outcome: None)
     assert res == adaptive_quad(f, 0.0, 8.0, rel_tol=1e-10, breakpoints=[2.0])
     assert res.panels.shape == (2, 4, res.n_panels) and res.n_panels > 20
-    restart = _refine(res.panels, 1e-10, 0.0, on=1)
-    with pytest.raises(StopIteration) as stop:
-        next(restart)  # no bisection requested
-    again = stop.value.value
+    assert len(calls) == 1 + (res.n_panels - 2)  # the 2 seeds, then component 0's bisections
     assert again.n_panels == res.n_panels
     assert again.panels.tobytes() == res.panels.tobytes()
     assert again.value == pytest.approx(res.value, rel=1e-14, abs=1e-16)
     assert again.error == pytest.approx(res.error, rel=1e-12)
 
 
-def test_refine_bisects_equal_errors_first_made_first():
+def test_refine_bisects_equal_errors_first_made_first(monkeypatch):
     """Among panels of equal error the one made first is bisected first: the
     seed [0, 1], then the seed [1, 2] before [0, 1]'s children, which are
     bisected left before right.  Every panel here has error 0.25 exactly."""
-    seeds = np.array([[[0.0, 1.0], [1.0, 2.0], [1.0, 1.0], [0.25, 0.25]]])  # lo, hi, value, error
-    reply = np.array([[[0.5, 0.5]], [[0.25, 0.25]]])  # each half: value 0.5, error 0.25
-    refine = _refine(seeds, 1e-12, 0.0)
-    lo, hi = next(refine)
-    bisected = []
-    for _ in range(5):
-        bisected.append((lo[0], hi[-1]))
-        assert len(lo) == 2 and lo[1] == hi[0]  # the two halves of one panel
-        lo, hi = refine.send(reply)
-    refine.close()
-    assert bisected == [(0.0, 1.0), (1.0, 2.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.5)]
+    asked = []
+
+    def evaluate(f, lo, hi, owner):  # each panel: value 0.5, error 0.25
+        asked.append((lo, hi))
+        return np.stack([np.full((1, len(lo)), 0.5), np.full((1, len(lo)), 0.25)])
+
+    monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 7)
+    (out,), = _lockstep(None, [(0.0, 2.0, [1.0])], rel_tol=1e-12)
+    assert isinstance(out, ConvergenceError)
+    (lo, hi), *halves = asked
+    assert lo.tolist() == [0.0, 1.0] and hi.tolist() == [1.0, 2.0]
+    for lo, hi in halves:
+        assert len(lo) == 2 and lo[1] == hi[0]  # the two halves of one panel, left first
+    assert [(lo[0], hi[-1]) for lo, hi in halves] == [
+        (0.0, 1.0), (1.0, 2.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.5)]
 
 
 def test_all_nan_integrand_raises():
@@ -252,42 +259,64 @@ def test_lockstep_matches_integrals_run_alone():
         sizes.append(len(x))
         return np.exp(-3.0 * (x - centers[owner % 60]) ** 2)
 
-    integrals = [_adaptive(0.0, 10.0, rel_tol=1e-10, breakpoints=[c]) for c in centers]
-    integrals[7] = _adaptive(1.0, 1.0)
-    got = _lockstep(f, integrals)
+    intervals = [(0.0, 10.0, [c]) for c in centers]
+    intervals[7] = (1.0, 1.0, ())
+    got = [out for out, in _lockstep(f, intervals, rel_tol=1e-10)]
     assert isinstance(got[7], ValueError)
     for i, c in enumerate(centers):
         if i != 7:
             want = adaptive_quad(lambda x: np.exp(-3.0 * (x - c) ** 2), 0.0, 10.0,
                                  rel_tol=1e-10, breakpoints=[c])
             assert got[i] == want
+            assert got[i].panels.tobytes() == want.panels.tobytes()
     assert max(sizes) <= 4096
     assert len(sizes) < 100
 
 
+def test_row_out_of_panels_stays_in_its_row():
+    """An integral that exhausts `_MAX_PANELS` in a lockstep run gets its own
+    ConvergenceError, with the estimate and error bound it reaches alone; the
+    integrals beside it are bitwise what they give alone."""
+    hard = lambda x: np.abs(np.sin(1.0 / x))
+    smooth = lambda x: np.exp(-3.0 * (x - 0.4) ** 2)
+    intervals = [(0.0, 1.0, [0.4]), (1e-9, 1.0, ()), (0.1, 2.0, ())]
+    got = [out for out, in _lockstep(
+        lambda x, owner: np.where(owner == 1, hard(x), smooth(x)), intervals, rel_tol=1e-13)]
+    with pytest.raises(ConvergenceError, match="within 4000 panels") as alone:
+        adaptive_quad(hard, 1e-9, 1.0, rel_tol=1e-13)
+    assert isinstance(got[1], ConvergenceError) and got[1].args == alone.value.args
+    assert (got[1].estimate, got[1].error) == (alone.value.estimate, alone.value.error)
+    for i in (0, 2):
+        a, b, breakpoints = intervals[i]
+        want = adaptive_quad(smooth, a, b, rel_tol=1e-13, breakpoints=breakpoints)
+        assert got[i] == want and got[i].panels.tobytes() == want.panels.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 24])
 def test_lockstep_reply_does_not_depend_on_place(n):
-    """A request's (value, error) reply is bitwise the same whether it is reduced
-    alone or first, middle or last among other requests in one block, or in
-    a block after a full one (a BLAS product's row sums vary with the rows
+    """A panel's value and error are bitwise the same whether it is reduced
+    alone or first, middle or last among other panels in one block, or in a
+    block after a full one (a BLAS product's row sums vary with the rows
     around them)."""
-
-    def ask(lo, hi):
-        return (yield np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
 
     def other(size, shift):
         lo = np.linspace(shift, shift + 3.0, size)
-        return ask(lo, lo + 0.37)
+        return lo, lo + 0.37
 
     def f(x, _):
         return np.sin(3.0 * x) * np.exp(-x) / (1.0 + x * x)
 
+    def evaluate(parts):
+        lo, hi = map(np.concatenate, zip(*parts))
+        return quadrature._evaluate(f, lo, hi, np.zeros(len(lo), dtype=int))
+
     mine = np.linspace(0.1, 2.0, n), np.linspace(0.3, 2.2, n) ** 1.5
-    want = _lockstep(f, [ask(*mine)])[0]
+    want = evaluate([mine])
     layouts = [(0, [other(3, 1.0), other(7, 2.0)]), (1, [other(3, 1.0), other(7, 2.0)]),
                (1, [other(2, 1.5), other(5, 2.5)]), (2, [other(1, 4.0), other(7, 2.0)]),
                (1, [other(_BLOCK_PANELS - 2, 0.5)])]
     for place, rest in layouts:
-        rest.insert(place, ask(*mine))
-        got = _lockstep(f, rest)[place]
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (place, len(rest))
+        start = sum(len(lo) for lo, _ in rest[:place])
+        rest.insert(place, mine)
+        got = evaluate(rest)[..., start:start + n]
+        assert got.tobytes() == want.tobytes(), (place, len(rest))

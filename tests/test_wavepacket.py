@@ -351,8 +351,9 @@ class TestLowMomentumTail:
             assert p_c == wavepacket._cutoff(spec, ATOMIC) * 2.0**-60
             w0 = wavepacket.packet_weight(spec, 0.0)
             assert log_coef == pytest.approx(w0 * (1.0 + 30.0) * math.log(2.0), rel=1e-14)
-            main, = _lockstep(lambda p, _: wavepacket.packet_weight(spec, p) * 31.0 / p,
-                              [wavepacket._from_p_c(spec, pot, ATOMIC, p_c, spec.p_max())])
+            (main,), = _lockstep(lambda p, _: wavepacket.packet_weight(spec, p) * 31.0 / p,
+                                 [wavepacket._from_p_c(spec, pot, ATOMIC, p_c, spec.p_max())],
+                                 rel_tol=wavepacket._REL_TOL)
             diverges = log_coef > 0.5 * wavepacket._REL_TOL * main.value
             try:
                 rep = mean_exit_time(spec, pot)
