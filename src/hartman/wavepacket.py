@@ -228,19 +228,15 @@ def _packet_integrals(spec, consts, pots, intervals, rel_tol=_REL_TOL, gate=None
     """`_lockstep` outcomes of `intervals` over `pots`, all of one width, one
     kernel call per block of nodes: row i integrates component 0, |phi_in|^2
     |T|^2 over pots[i], and where a `gate` adds it, then component 1, that
-    times (a - x0 + dPhi_T/dk)/p.  Without a gate |D|^2 comes from
-    `_kernel.denominator`, which skips the slope's terms."""
+    times (a - x0 + dPhi_T/dk)/p.  The results carry no panels."""
     g, width = np.array([pot.strength(consts) for pot in pots]), pots[0].width
     aprime = width / 2.0 - spec.x0
 
     def f(p, owner):
-        if gate is None:
-            return packet_weight(spec, p, consts) / _kernel.denominator(
-                g[owner], width, p / consts.hbar)[2]
         wgt, dphi = _transmitted_weight(spec, consts, g[owner], width, p)
-        return np.stack([wgt, wgt * (aprime + dphi) / p])
+        return wgt if gate is None else np.stack([wgt, wgt * (aprime + dphi) / p])
 
-    return _lockstep(f, intervals, rel_tol=rel_tol, gate=gate)
+    return _lockstep(f, intervals, rel_tol=rel_tol, gate=gate, panels=False)
 
 
 def _require_left_start(spec, pot) -> None:

@@ -204,6 +204,23 @@ def test_refine_restarts_from_its_carried_panels():
     assert again.error == pytest.approx(res.error, rel=1e-12)
 
 
+def test_refine_switches_to_component_1_errors():
+    """Component 1 restarts from component 0's final panels and bisects by its
+    own errors: here its worst panel is a seed that component 0 never
+    touched.  It ends on the panels a lone refinement of component 1 from
+    the same panels ends on."""
+    c0 = lambda x: np.exp(-200.0 * (x - 0.5) ** 2)
+    c1 = lambda x: np.exp(-x) + 0.3 * np.sin(25.0 * x) * np.exp(-4.0 * (x - 2.5) ** 2)
+    (res, again), = _lockstep(lambda x, _: np.stack([c0(x), c1(x)]), [(0.0, 3.0, [1.0, 2.0])],
+                              rel_tol=1e-10, gate=lambda i, outcome: None)
+    panels = lambda r: sorted(zip(*r.panels[0, :2].tolist()))
+    (alone,), = _lockstep(lambda x, _: np.stack([c1(x), c0(x)]),
+                          [(0.0, 3.0, [lo for lo, _ in panels(res)][1:])], rel_tol=1e-10)
+    assert (2.0, 3.0) in panels(res) and (2.0, 3.0) not in panels(again)
+    assert panels(again) == panels(alone)
+    assert again.value == pytest.approx(alone.value, rel=1e-14)
+
+
 def test_refine_bisects_equal_errors_first_made_first(monkeypatch):
     """Among panels of equal error the one made first is bisected first: the
     seed [0, 1], then the seed [1, 2] before [0, 1]'s children, which are
@@ -271,6 +288,22 @@ def test_lockstep_matches_integrals_run_alone():
             assert got[i].panels.tobytes() == want.panels.tobytes()
     assert max(sizes) <= 4096
     assert len(sizes) < 100
+
+
+def test_lockstep_rows_of_many_seeds_match_lone_runs():
+    """Rows of very different seed counts, 40 seeds beside one, give
+    bitwise what each gives alone, whichever rows beside them end first."""
+    centers = np.linspace(0.5, 9.5, 12)
+
+    def f(x, owner):
+        return np.exp(-3.0 * (x - centers[owner]) ** 2) + 0.1 * np.sin(7.0 * x)
+
+    intervals = [(0.0, 10.0, [c] if i % 5 else list(np.geomspace(1e-6, c, 40)))
+                 for i, c in enumerate(centers)]
+    got = [out for out, in _lockstep(f, intervals, rel_tol=1e-10)]
+    for i, (a, b, breakpoints) in enumerate(intervals):
+        want = adaptive_quad(lambda x: f(x, i), a, b, rel_tol=1e-10, breakpoints=breakpoints)
+        assert got[i] == want and got[i].panels.tobytes() == want.panels.tobytes()
 
 
 def test_row_out_of_panels_stays_in_its_row():
