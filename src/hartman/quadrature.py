@@ -8,17 +8,19 @@ the summed error estimate meets the tolerance, so a panel costs 15 integrand
 values and a bisection 30.
 
 `_lockstep` refines many integrals, its rows, at once.  Every panel made
-goes into one pool.  Each open row has slots holding a panel's place in the
-pool and its error: slot 0 its worst live seed, then the halves its
-bisections made, two a round, in the order they were made.  A round is a few
+goes into one pool.  Each open row has slots holding its panels' places in
+the pool and their errors, in the order the panels were made: its seeds,
+which end at one slot common to all rows, then the halves its bisections
+made, two a round, in the same two slots for every row.  A round is a few
 array operations over all open rows: the first largest error in each row's
 slots picks its worst panel, one integrand call per block of nodes evaluates
 the halves of all of them, and each row's sums are updated elementwise in
-the order a lone refinement adds its floats.  So a row's panels and sums do not depend on
-the rows beside it, and `adaptive_quad` is one row.  A row keeps every
-component of the integrand on its panels; a packet row refines P_T
-(component 0) and then, from the same panels and in the round P_T converges,
-its time moment (component 1), so each panel is evaluated once for both.
+the order a lone refinement adds its floats.  So a row's panels and sums do
+not depend on the rows beside it, and `adaptive_quad` is one row.  A row
+keeps every component of the integrand on its panels; a packet row refines
+P_T (component 0) and then, from the same panels and in the round P_T
+converges, its time moment (component 1), so each panel is evaluated once
+for both.
 
 `integral_to_zero` extends a finite-interval result down to p = 0 by halving
 the lower cutoff until the added mass converges, one serial `adaptive_quad`
@@ -30,7 +32,7 @@ integrals do not use it: their tail below the lowest panel is closed-form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,10 +62,6 @@ class QuadResult:
     value: float
     error: float
     n_panels: int
-    # every component on the final panels, (component, 4, panel): lo, hi,
-    # value and error, the panels in the order they were made; None where
-    # the caller did not ask for them
-    panels: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _evaluate(f, lo, hi, owner):
@@ -107,10 +105,19 @@ def _first_error(results) -> list:
     return results
 
 
-def _lockstep(f, intervals, *, rel_tol, abs_tol=0.0, gate=None, panels=True) -> list[list]:
-    """Each row's outcomes, one per component it refined: a QuadResult, with
-    its `panels` where `panels` is true, or the ConvergenceError or
-    ValueError that ended it.
+def _live_sums(terms, live):
+    """Each row's sums of (row, slot, value/error) `terms` over its live slots
+    in slot order: one sequential add along the slots, the dead ones as 0.0,
+    which is the sum of the live terms one after the other.  A sum that
+    overflows or meets inf - inf is inf or NaN without a warning, as a Python
+    float's would be."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.accumulate(np.where(live[..., None], terms, 0.0), axis=1)[:, -1]
+
+
+def _lockstep(f, intervals, *, rel_tol, abs_tol=0.0, gate=None) -> list[list]:
+    """Each row's outcomes, one per component it refined: a QuadResult, or
+    the ConvergenceError or ValueError that ended it.
 
     Row i integrates f (see `_evaluate`) over intervals[i] = (a, b,
     breakpoints), seeded at the breakpoints inside (a, b), and refines
@@ -122,9 +129,11 @@ def _lockstep(f, intervals, *, rel_tol, abs_tol=0.0, gate=None, panels=True) -> 
     exception that ended component 0.
 
     The pool holds the seeds, one row after the other, then each round's
-    halves, the left ones of all open rows before the right ones; a row's
-    live panels in the order they were made are its live seeds, then its
-    live halves in slot order."""
+    halves, the left ones of all open rows before the right ones.  A row's
+    seeds fill its slots up to s - 1, s the most seeds of any row, and round
+    j's halves slots s + 2j and s + 2j + 1; a slot holds a pool place and the
+    refined component's error, -inf where the panel is not live.  Rows are
+    dropped from the slot arrays as they end."""
     out = [[] for _ in intervals]
 
     def close(i, outcome) -> bool:
@@ -151,45 +160,38 @@ def _lockstep(f, intervals, *, rel_tol, abs_tol=0.0, gate=None, panels=True) -> 
     if not ids:
         return out
     ids = np.array(ids)
-    k = np.array([len(e) - 1 for e in edges])  # seeds per row
+    n = [len(e) - 1 for e in edges]  # seeds per row
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
-    g = _evaluate(f, lo, hi, np.repeat(ids, k))
+    g = _evaluate(f, lo, hi, np.repeat(ids, n))
     # the pool: per panel lo, hi, then value and error of each component
     made, ncomp = len(lo), g.shape[1]
     pool = np.empty((made + 2 * len(ids), 2 + 2 * ncomp))
     pool[:made, 0], pool[:made, 1] = lo, hi
     pool[:made, 2:] = g.transpose(2, 1, 0).reshape(made, -1)
-    # per seed: its row and the error of the component its row refines, -inf
-    # once it is bisected or its row ended.  Per open row: its first seed,
-    # the pool columns of the value and error it refines, and their sums,
-    # first sum() of its seeds; and slots, holding a panel's place in the pool
-    # and its error, -inf where the panel is not live: slot 0 the worst live
-    # seed (the first made among equals), then the halves, two a round.  A
-    # row with a non-finite error ends before its live panels are read, and a
-    # sum that overflows or meets inf - inf ends its row without a warning, as
-    # a Python float would.  Every open row bisects once a round: it has
-    # k + rounds live panels.  Places and slot numbers are kept and computed
-    # as floats (exact below 2^53) and cast to index: NumPy's integer
-    # arithmetic, comparison, argmax, argsort and cumsum loops are code the
-    # library's other paths do not run, and each would add its pages to a
-    # run's resident memory.
-    starts = [0]
-    for e in edges:
-        starts.append(starts[-1] + len(e) - 1)
-    seed_id, seed_err, first = np.repeat(ids, k), g[1, 0].copy(), np.array(starts[:-1])
-    cols = np.repeat([[2, 3]], len(ids), axis=0)
-    place = np.zeros((len(ids), 9))
+    # per open row: the pool columns of the value and error it refines, their
+    # sums, and its slots (place and pick).  A row with a non-finite error
+    # ends before its live panels are read.  Every open row bisects once a
+    # round: it has k + rounds live panels.  Places and slot numbers are kept
+    # and computed as floats (exact below 2^53) and cast to index: NumPy's
+    # integer arithmetic, comparison, argmax, argsort and cumsum loops are
+    # code the library's other paths do not run, and each would add its
+    # pages to a run's resident memory.
+    s = most = max(n)
+    k, slots = np.array(n, dtype=float), np.arange(s + 8, dtype=float)
+    seeds = slots[:s] >= s - k[:, None]  # (row, slot)
+    place = np.zeros((len(ids), len(slots)))
+    place[:, :s] = np.where(seeds, slots[:s] + (np.cumsum(k) - s)[:, None], 0.0)
+    first = pool[place[:, :s].astype(int), 2:4]  # component 0's (row, slot, value/error)
     pick = np.full(place.shape, -np.inf)
-    s, rounds, most, stale = 1, 0, int(k.max()), True
-    values, errors = g[:, 0].tolist()
-    sums = np.array([(sum(values[a:b]), sum(errors[a:b])) for a, b in zip(starts, starts[1:])])
-    del lo, hi, edges, g, values, errors  # not held through the rounds
+    pick[:, :s] = np.where(seeds, first[..., 1], -np.inf)
+    cols = np.repeat([[2, 3]], len(ids), axis=0)
+    sums, rounds = _live_sums(first, seeds), 0
+    del lo, hi, edges, g, n, seeds, first  # not held through the rounds
 
     def settle():
         """End the open rows whose component converged or failed, or move them
         on to component 1; a boolean mask of the ended ones, or None."""
-        nonlocal stale
         ended, rows = None, slice(None)  # all open rows, then those moved on
         while True:
             total, error = sums[rows].T
@@ -204,92 +206,45 @@ def _lockstep(f, intervals, *, rel_tol, abs_tol=0.0, gate=None, panels=True) -> 
             if ended is None:
                 ended = np.zeros(len(ids), dtype=bool)
             ended[rows] = True
-            # the live panels of every row in `rows`: its seeds, then its
-            # halves, each in the order they were made; bounds[j] is where
-            # row j's begin among `seeds` and among `halves`
-            mine, stopped = np.zeros(len(out), dtype=bool), ids[rows]
-            mine[stopped] = True
-            theirs = mine[seed_id]
-            seeds = np.flatnonzero(theirs & (seed_err > -np.inf))
-            seed_err[theirs] = -np.inf
-            live = pick[rows, 1:] > -np.inf
-            halves = place[rows, 1:][live].astype(int)
-            number = np.zeros(len(out), dtype=int)
-            number[stopped] = np.arange(len(rows))
-            bounds = [(0, 0)]
-            for a, b in zip(*(np.bincount(x, minlength=len(rows)).tolist()
-                              for x in (number[seed_id[seeds]], live.nonzero()[0]))):
-                bounds.append((bounds[-1][0] + a, bounds[-1][1] + b))
-            if panels:  # QuadResult.panels of them all, (component, 4, panel)
-                layout = pool[np.concatenate([
-                    part for (sa, ha), (sb, hb) in zip(bounds, bounds[1:])
-                    for part in (seeds[sa:sb], halves[ha:hb])])].T
-                layout = np.concatenate([np.broadcast_to(layout[:2], (ncomp, *layout[:2].shape)),
-                                         layout[2:].reshape(ncomp, 2, -1)], axis=1)
-            if gate is not None:  # component 1's values and errors
-                moment = [pool[x, 4:6].T.tolist() for x in (seeds, halves)]
             go_on = []
-            for r, i, t, e, (sa, ha), (sb, hb) in zip(
-                    rows.tolist(), stopped.tolist(), total[stop].tolist(), error[stop].tolist(),
-                    bounds, bounds[1:]):
+            for r, i, t, e, seeded in zip(rows.tolist(), ids[rows].tolist(), total[stop].tolist(),
+                                          error[stop].tolist(), k[rows].tolist()):
                 if not (math.isfinite(t) and math.isfinite(e)):
                     outcome = ConvergenceError(
                         f"quadrature estimate {t} with error bound {e} is not finite "
                         "(integrand returned NaN or inf)", estimate=t, error=e)
                 elif e <= max(rel_tol * abs(t), abs_tol):
-                    outcome = QuadResult(value=t, error=e, n_panels=sb - sa + hb - ha, panels=(
-                        layout[:, :, sa + ha:sb + hb] if panels else None))
+                    outcome = QuadResult(value=t, error=e, n_panels=int(seeded) + rounds)
                 else:
                     outcome = ConvergenceError(
                         f"quadrature did not converge within {_MAX_PANELS} panels "
                         f"(estimate {t:.6e}, error bound {e:.2e})", estimate=t, error=e)
                 if close(i, outcome):
                     go_on.append(r)
-                    (sv, se), (hv, he) = moment
-                    sums[r] = sum(sv[sa:sb] + hv[ha:hb]), sum(se[sa:sb] + he[ha:hb])
             if not go_on:
                 return ended
             rows = np.array(go_on)
             ended[rows] = False
             cols[rows] = 4, 5
-            mine[stopped] = False
-            mine[ids[rows]] = True
-            seeds = seeds[mine[seed_id[seeds]]]
-            seed_err[seeds] = pool[seeds, 5]
-            r, c = (pick[rows, 1:] > -np.inf).nonzero()
-            pick[:, 1:][rows[r], c] = pool[place[:, 1:][rows[r], c].astype(int), 5]
-            stale = True
+            live = pick[rows] > -np.inf  # component 0 converged: its errors are finite
+            terms = pool[place[rows].astype(int), 4:6]
+            pick[rows] = np.where(live, terms[..., 1], -np.inf)
+            sums[rows] = _live_sums(terms, live)
 
     at = np.arange(len(ids))
     while (ended := settle()) is None or not ended.all():
         if ended is not None or rounds == 0:
             if ended is not None:
                 keep = ~ended
-                ids, k, first, cols, sums, place, pick = (
-                    x[keep] for x in (ids, k, first, cols, sums, place, pick))
+                ids, k, cols, sums, place, pick = (
+                    x[keep] for x in (ids, k, cols, sums, place, pick))
                 at = np.arange(len(ids))
             owner = np.concatenate([ids, ids])
             pairs = np.arange(2 * len(ids)).reshape(2, -1).T  # (row, left/right) in a round
-            # the seeds from each open row's first to the next one's, those of
-            # ended rows between them being -inf, numbered by place
-            starts = first.tolist()
-            spans = [b - a for a, b in zip(starts, starts[1:] + [len(seed_err)])]
-            offsets = np.array([a - starts[0] for a in starts])
-            numbered = np.arange(starts[0], len(seed_err), dtype=float)
-            slots = np.arange(pick.shape[1], dtype=float)
-        if stale:  # put each row's worst live seed, the first made among equals, in slot 0
-            top = np.maximum.reduceat(seed_err, first)
-            hit = np.where(seed_err[starts[0]:] == top.repeat(spans), numbered, np.inf)
-            place[:, 0], pick[:, 0] = np.minimum.reduceat(hit, offsets), top
         # bisect every open row's worst panel, the first made among equals
-        # (its seeds were made before its halves)
-        worst = np.where(pick == pick.max(axis=1)[:, None], slots, np.inf).min(axis=1)
-        seed, worst = worst == 0, worst.astype(int)
-        bisect = place[at, worst].astype(int)
+        worst = np.where(pick == pick.max(axis=1)[:, None], slots, np.inf).min(axis=1).astype(int)
+        popped = pool[place[at, worst].astype(int)]  # (row, lo/hi/value/error per component)
         pick[at, worst] = -np.inf
-        if stale := seed.any():
-            seed_err[bisect[seed]] = -np.inf
-        popped = pool[bisect]  # (row, lo/hi/value/error per component)
         if made + 2 * len(ids) > len(pool):
             pool = np.concatenate([pool, np.empty((max(2 * len(ids), len(pool) // 2),
                                                    pool.shape[1]))])
@@ -298,7 +253,7 @@ def _lockstep(f, intervals, *, rel_tol, abs_tol=0.0, gate=None, panels=True) -> 
         new[len(ids):, 0] = new[:len(ids), 1] = 0.5 * (popped[:, 0] + popped[:, 1])
         g = _evaluate(f, new[:, 0], new[:, 1], owner)
         new[:, 2:] = g.transpose(2, 1, 0).reshape(2 * len(ids), -1)
-        if s + 2 > pick.shape[1]:
+        if s + 2 > len(slots):
             place = np.concatenate([place, np.zeros_like(place)], axis=1)
             pick = np.concatenate([pick, np.full_like(pick, -np.inf)], axis=1)
             slots = np.arange(pick.shape[1], dtype=float)
@@ -320,7 +275,7 @@ def adaptive_quad(f, a: float, b: float, *, rel_tol: float = 1e-8, abs_tol: floa
     momentum, resonances).  Raises ConvergenceError carrying the achieved
     estimate if `_MAX_PANELS` panels do not meet the tolerance, or as soon as
     the estimate or its error bound is not finite.  Each bisection takes an
-    argmax over the halves made so far, so n panels cost O(n^2) array work,
+    argmax over every panel made so far, so n panels cost O(n^2) array work,
     in C, up to `_MAX_PANELS`.
     """
     (res,), = _lockstep(lambda x, _: f(x), [(a, b, breakpoints)], rel_tol=rel_tol,

@@ -45,7 +45,8 @@ _SUPPORT_SIGMAS = 9.0
 # start at p_c <= eps, geometric below eps
 _CUTOFF_FRACTION = 1e-3
 # the closed-form tail below the panels starts at hbar K/_TAIL_DEPTH, where
-# beta k^2/alpha <= 1.5e-5, and no deeper than eps _TAIL_FLOOR (60 halvings)
+# beta k^2/alpha <= 1.5e-5, and no deeper than eps _TAIL_FLOOR (60 halvings);
+# where K puts it at that floor, |T|^2 is flat and it starts at eps/_TAIL_DEPTH
 _TAIL_DEPTH = 256.0
 _TAIL_FLOOR = 2.0**-60
 _REL_TOL = 1e-8  # P_T and the exit-time moment
@@ -172,12 +173,15 @@ def _tails(spec, consts, pots):
     (a' + Phi_T'(0))(w0 p_c^2/2 + w1 p_c^3/3)/(hbar^2 alpha).  p_c is halved
     while the two-term |T|^2 = k^2/(alpha + beta k^2) and the kernel's differ
     by more than 1e-10 at it, and is never below eps 2^-60.  Where K puts p_c
-    there (alpha = 0: the free case) |T|^2 = 1/beta below it: P_T's tail is
-    (w0 p_c + w1 p_c^2/2)/beta, and the moment's integrand grows like
-    w0 (a' + Phi_T')/(beta p), with Phi_T' taken at p_c (0 when free): it adds
-    the log coefficient per halving of p_c, which the caller weighs against its
-    tolerance.  Where beta or alpha overflows (an opaque barrier, kappa0 d above
-    about 353) p_c = eps and both tails are 0, as |T|^2 underflows there."""
+    there (flat rows: alpha = 0 in the free case and at exact thresholds, or a
+    subnormal height) |T|^2 = 1/beta below eps, and p_c = eps/`_TAIL_DEPTH`:
+    P_T's tail is (w0 p_c + w1 p_c^2/2)/beta, off by the packet weight's
+    curvature (3e-19 of P_T on fig3's free row), and the moment's integrand
+    grows like w0 (a' + Phi_T')/(beta p), with Phi_T' taken at p_c (0 when
+    free): it adds the log coefficient per halving of p_c, which the caller
+    weighs against its tolerance.  Where beta or alpha overflows (an opaque
+    barrier, kappa0 d above about 353) p_c = eps and both tails are 0, as
+    |T|^2 underflows there."""
     hbar, d = consts.hbar, pots[0].width
     g = np.array([pot.strength(consts) for pot in pots])
     with np.errstate(over="ignore", invalid="ignore"):  # subnormal or opaque g: taken below
@@ -188,6 +192,7 @@ def _tails(spec, consts, pots):
     with np.errstate(invalid="ignore"):
         p_c = np.where(opaque, eps, np.clip(hbar * K / _TAIL_DEPTH, floor, eps))
     flat = ~opaque & (p_c == floor)
+    p_c[flat] = eps / _TAIL_DEPTH
     todo = ~(opaque | flat)
     while np.any(todo):
         rows = np.flatnonzero(todo)
@@ -228,7 +233,7 @@ def _packet_integrals(spec, consts, pots, intervals, rel_tol=_REL_TOL, gate=None
     """`_lockstep` outcomes of `intervals` over `pots`, all of one width, one
     kernel call per block of nodes: row i integrates component 0, |phi_in|^2
     |T|^2 over pots[i], and where a `gate` adds it, then component 1, that
-    times (a - x0 + dPhi_T/dk)/p.  The results carry no panels."""
+    times (a - x0 + dPhi_T/dk)/p."""
     g, width = np.array([pot.strength(consts) for pot in pots]), pots[0].width
     aprime = width / 2.0 - spec.x0
 
@@ -236,7 +241,7 @@ def _packet_integrals(spec, consts, pots, intervals, rel_tol=_REL_TOL, gate=None
         wgt, dphi = _transmitted_weight(spec, consts, g[owner], width, p)
         return wgt if gate is None else np.stack([wgt, wgt * (aprime + dphi) / p])
 
-    return _lockstep(f, intervals, rel_tol=rel_tol, gate=gate, panels=False)
+    return _lockstep(f, intervals, rel_tol=rel_tol, gate=gate)
 
 
 def _require_left_start(spec, pot) -> None:

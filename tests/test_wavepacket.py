@@ -26,7 +26,7 @@ from hartman import (
 )
 from hartman._kernel import W_CUT, scatter_grid
 from hartman.quadrature import _lockstep, adaptive_quad, integral_to_zero
-from hartman import _kernel, wavepacket
+from hartman import _kernel, quadrature, wavepacket
 from hartman.verify import CROSS_VALIDATION_CONFIGS, transmission_probability_simpson
 from hartman.wavepacket import _bulk_wave
 
@@ -261,7 +261,8 @@ class TestMeanExitTime:
 
 
 @pytest.mark.parametrize("pot, spec", list(CROSS_VALIDATION_CONFIGS) + [
-    (SquarePotential(-math.pi**2 / 8.0 * (1.0 + d), 1.0), FIG3_PACKET) for d in (1e-5, -1e-5)])
+    (SquarePotential(-math.pi**2 / 8.0 * (1.0 + d), 1.0), FIG3_PACKET) for d in (1e-5, -1e-5)] + [
+    (SquarePotential(0.0, 1.0), GaussianPacketSpec(0.65, 0.1, -30.0))])
 def test_moment_from_p_t_panels_matches_fresh_seeds(pot, spec):
     """The time moment starts from the panels P_T evaluated, and both end in
     the closed-form tail below p_c; integrated from fresh seeds over
@@ -315,14 +316,29 @@ class TestLowMomentumTail:
 
     def test_fig3_starts_at_k_over_256_without_halving(self):
         """On fig3's rows the two-term |T|^2 holds at min(eps, hbar K/256) to
-        1e-10, so no p_c is halved; the free row starts at eps 2^-60."""
+        1e-10, so no p_c is halved; the free row starts at eps/256."""
         pots = self._fig3_pots()
         p_c = wavepacket._tails(FIG3_PACKET, ATOMIC, pots)[0]
         eps = wavepacket._cutoff(FIG3_PACKET, ATOMIC)
         K = _kernel.low_k_limits(np.array([pot.strength() for pot in pots]), 2.0)[2]
         want = np.clip(K / wavepacket._TAIL_DEPTH, eps * wavepacket._TAIL_FLOOR, eps)
+        want[160] = eps / 256.0  # v0 = 0: K = 0 puts it at the floor
         assert p_c.tobytes() == want.tobytes()
-        assert p_c[160] == eps * 2.0**-60  # v0 = 0
+
+    def test_fig3_rows_seed_at_most_14_panels(self, monkeypatch):
+        """No fig3 row seeds more than 14 panels, the free row's 14 the most:
+        its p_c = eps/256 gives it 8 geometric panels below eps."""
+        seeds = []
+        inner = quadrature._evaluate
+
+        def evaluate(f, lo, hi, owner):
+            if not seeds:
+                seeds.extend(np.bincount(owner).tolist())
+            return inner(f, lo, hi, owner)
+
+        monkeypatch.setattr(quadrature, "_evaluate", evaluate)
+        wavepacket._exit_times(FIG3_PACKET, self._fig3_pots(), ATOMIC)
+        assert len(seeds) == 201 and max(seeds) == seeds[160] == 14
 
     def test_guard_halves_p_c_until_two_term_model_holds(self, monkeypatch):
         """Started at K itself, where k^2/(alpha + beta k^2) misses the kernel's
@@ -348,7 +364,7 @@ class TestLowMomentumTail:
         for k0 in (0.55, 0.6, 0.62, 0.65, 0.7, 2.0):
             spec = GaussianPacketSpec(k0, 0.1, -30.0)
             (p_c,), _, _, (log_coef,) = wavepacket._tails(spec, ATOMIC, [pot])
-            assert p_c == wavepacket._cutoff(spec, ATOMIC) * 2.0**-60
+            assert p_c == wavepacket._cutoff(spec, ATOMIC) / 256.0
             w0 = wavepacket.packet_weight(spec, 0.0)
             assert log_coef == pytest.approx(w0 * (1.0 + 30.0) * math.log(2.0), rel=1e-14)
             (main,), = _lockstep(lambda p, _: wavepacket.packet_weight(spec, p) * 31.0 / p,
