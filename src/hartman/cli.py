@@ -14,11 +14,9 @@ each option's type and default live in its add_argument call, and JSON output
 echoes every resolved value.  Output goes to
 --out (CSV or JSON; stdout when omitted), resolved against $HARTMAN_OUT_DIR
 for relative paths.  Identical configurations produce byte-identical files.
-`amplitudes` and `delay-sweep` are a few vectorized kernel calls each.
-`packet-sweep` runs its depths as the rows of one quadrature engine: a round
-bisects a panel of every open row with one kernel call per block of nodes,
-and a row goes on from P_T to its time moment in the round P_T converges.
-Every command runs in one process;
+The module parses, dispatches (`DATASETS`) and writes: the rows come from a
+phase table, `delays.delay_rows` and `wavepacket.packet_rows`, the sweeps
+over the depths of `v0_grid`.  Every command runs in one process;
 --jobs N is accepted and checked (N >= 1) but changes nothing.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid input, 3 numerical
@@ -34,15 +32,11 @@ import sys
 
 import numpy as np
 
-from . import _kernel
-from .boundstates import count_bound_states
-from .delays import oscillatory_delay_bound
-from .errors import ConvergenceError, ThresholdDivergenceError
+from .delays import delay_rows
+from .errors import ConvergenceError
 from .potential import PhysicalConstants, SquarePotential
-from .scattering import build_phase_table, eigenphases, require_finite
-from .quadrature import _first_error
-from .wavepacket import (GaussianPacketSpec, PassageTimeReport, _exit_times,
-                         classical_reference_time)
+from .scattering import build_phase_table
+from .wavepacket import GaussianPacketSpec, packet_rows
 
 PRESETS = {
     "fig1": {
@@ -127,61 +121,40 @@ PACKET_HEADER = ["v0", "p_t", "t_out", "t_classical", "t_subtracted",
                  "classical_defined", "diverged"]
 
 
-def delay_rows(v0s, k: float, width: float, consts: PhysicalConstants) -> list[tuple]:
-    """(v0, delta_t, bound_osc, bound_simple, n_b) per well depth or barrier
-    height, from one kernel call over the whole v0 grid."""
-    if not 0 < k < math.inf:
-        raise ValueError(f"--k must be positive and finite, got {k}")
-    pots = [SquarePotential(v0=v0, half_width=width / 2.0) for v0 in v0s]
-    g = np.array([pot.strength(consts) for pot in pots])
-    t, r, dphi, _, _ = _kernel.scatter_grid(g, width, np.full(len(g), k))
-    m, hbar = consts.mass, consts.hbar
-    delta_t = m * dphi / (hbar * k)
-    osc = oscillatory_delay_bound(k, width / 2.0, *eigenphases(t, r), consts)
-    require_finite(delta_t, osc, t=t)
-    simple = -m * width / (hbar * k)
-    return [
-        (pot.v0, dt, bound, simple, count_bound_states(pot, consts))
-        for pot, dt, bound in zip(pots, delta_t.tolist(), osc.tolist())
-    ]
-
-
-def _v0_grid(args: argparse.Namespace) -> list[float]:
-    if None in (args.v0_min, args.v0_max, args.v0_step):
+def v0_grid(v0_min: float, v0_max: float, v0_step: float) -> list[float]:
+    """The depths of a sweep: v0_min + n v0_step for n = 0, 1, ... up to v0_max."""
+    if None in (v0_min, v0_max, v0_step):
         raise ValueError("sweep requires --v0-min, --v0-max, --v0-step (or a preset)")
-    if not all(map(math.isfinite, (args.v0_min, args.v0_max, args.v0_step))):
+    if not all(map(math.isfinite, (v0_min, v0_max, v0_step))):
         raise ValueError("--v0-min, --v0-max and --v0-step must be finite")
-    if args.v0_step <= 0:
+    if v0_step <= 0:
         raise ValueError("--v0-step must be positive")
-    if args.v0_max < args.v0_min:
+    if v0_max < v0_min:
         raise ValueError("--v0-max must not be below --v0-min")
     # the largest n with v0_min + n step <= v0_max, up to 1e-9 of a step of rounding
-    n = math.floor((args.v0_max - args.v0_min) / args.v0_step + 1e-9)
-    return [args.v0_min + i * args.v0_step for i in range(n + 1)]
+    n = math.floor((v0_max - v0_min) / v0_step + 1e-9)
+    return [v0_min + i * v0_step for i in range(n + 1)]
 
 
 def cmd_delay_sweep(args: argparse.Namespace, consts: PhysicalConstants) -> list[tuple]:
-    return delay_rows(_v0_grid(args), args.k, args.width, consts)
+    return delay_rows(v0_grid(args.v0_min, args.v0_max, args.v0_step), args.k,
+                      args.width, consts)
 
 
 def cmd_packet_sweep(args: argparse.Namespace, consts: PhysicalConstants) -> list[tuple]:
-    """Packet-sweep rows, all depths in lockstep.  A row whose exit time
-    diverges is flagged with its P_T; the first other error is raised."""
     if None in (args.k0, args.delta_p, args.x0):
         raise ValueError("packet sweep requires --k0, --delta-p, --x0 (or a preset)")
-    v0s = _v0_grid(args)
+    v0s = v0_grid(args.v0_min, args.v0_max, args.v0_step)
     spec = GaussianPacketSpec(k0=args.k0, delta_p=args.delta_p, x0=args.x0)
-    pots = [SquarePotential(v0=v0, half_width=args.width / 2.0) for v0 in v0s]
-    rows = []
-    for v0, pot, (p_t, rep) in zip(v0s, pots, _exit_times(spec, pots, consts)):
-        diverged = isinstance(rep, ThresholdDivergenceError)
-        if diverged:
-            t_cl, defined = classical_reference_time(spec, pot, consts)
-            rep = PassageTimeReport(_first_error([p_t])[0], math.nan, t_cl, math.nan, defined)
-        rep = _first_error([rep])[0]
-        rows.append((v0, rep.p_t, rep.t_out, rep.t_classical, rep.t_subtracted,
-                     rep.classical_defined, diverged))
-    return rows
+    return packet_rows(v0s, spec, args.width, consts)
+
+
+# each dataset command's rows and their CSV header
+DATASETS = {
+    "amplitudes": (cmd_amplitudes, AMPLITUDE_HEADER),
+    "delay-sweep": (cmd_delay_sweep, DELAY_HEADER),
+    "packet-sweep": (cmd_packet_sweep, PACKET_HEADER),
+}
 
 
 def cmd_verify(args) -> int:
@@ -315,20 +288,12 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
         consts = PhysicalConstants(hbar=args.hbar, mass=args.mass)
+        rows_of, header = DATASETS[args.command]
         # an opaque barrier overflows the kernel's intermediates on the way to
         # a typed error; that error, not NumPy's warnings, is the report
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "amplitudes":
-                rows = cmd_amplitudes(args, consts)
-                write_dataset(args, AMPLITUDE_HEADER, rows)
-            elif args.command == "delay-sweep":
-                rows = cmd_delay_sweep(args, consts)
-                write_dataset(args, DELAY_HEADER, rows)
-            elif args.command == "packet-sweep":
-                rows = cmd_packet_sweep(args, consts)
-                write_dataset(args, PACKET_HEADER, rows)
-            else:  # pragma: no cover
-                parser.error(f"unknown command {args.command}")
+            rows = rows_of(args, consts)
+        write_dataset(args, header, rows)
         return 0
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")

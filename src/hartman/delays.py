@@ -29,15 +29,19 @@ floor_j being the `channel_floors` above (Wigner, Phys. Rev. 98, 145 (1955);
 the sin(2 theta_j)/(2k) term is Winful's self-interference delay, PRL 91,
 260401 (2003)); `smith_identity_check` compares the two sides.  The dwell
 time tau_D = (m/(hbar k)) * interior_norm is positive by construction.
+The delay dt and its oscillatory bound are formed once, in `_delays`, for
+`wigner_delay`, `causality_bounds`, the delay-sweep rows (`delay_rows`) and
+the crossing checks of `hartman.verify`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernel
-from .boundstates import solve_bound_states
+from .boundstates import count_bound_states, solve_bound_states
 from .potential import PhysicalConstants, SquarePotential
 from .scattering import PhaseTable, eigenphases, require_finite
 
@@ -68,13 +72,6 @@ class DwellRecord:
     interior_norm: float
 
 
-def _scatter_point(pot, consts, k):
-    t, r, dphi, dd0, dd1 = _kernel.scatter_grid(
-        pot.strength(consts), pot.width, np.array([float(k)])
-    )
-    return complex(t[0]), complex(r[0]), float(dphi[0]), float(dd0[0]), float(dd1[0])
-
-
 def channel_floors(k, half_width: float, delta0, delta1):
     """Oscillatory floors of the eigenphase derivatives, elementwise:
 
@@ -101,6 +98,18 @@ def oscillatory_delay_bound(k, half_width: float, delta0, delta1,
     return (consts.mass / (consts.hbar * k)) * (floor0 + floor1)
 
 
+def _delays(g, width: float, k, consts: PhysicalConstants):
+    """dPhi_T/dk, the delay dt = m dPhi_T/dk/(hbar k) and its
+    `oscillatory_delay_bound`, elementwise over strengths g and wavenumbers
+    k, from one kernel call; a value that is not finite, or T = 0, raises
+    ConvergenceError."""
+    t, r, dphi, _, _ = _kernel.scatter_grid(g, width, k)
+    delta_t = consts.mass * dphi / (consts.hbar * k)
+    osc = oscillatory_delay_bound(k, width / 2.0, *eigenphases(t, r), consts)
+    require_finite(delta_t, osc, t=t)
+    return dphi, delta_t, osc
+
+
 def _check_table(table: PhaseTable, pot: SquarePotential) -> None:
     if table.pot != pot:
         raise ValueError(
@@ -111,8 +120,8 @@ def _check_table(table: PhaseTable, pot: SquarePotential) -> None:
 def wigner_delay(table: PhaseTable, consts: PhysicalConstants, k: float) -> float:
     """dt = (m/(hbar k)) dPhi_T/dk, from the analytic derivative."""
     table.require(k)
-    _, _, dphi, _, _ = _scatter_point(table.pot, consts, k)
-    return consts.mass * dphi / (consts.hbar * k)
+    pot = table.pot
+    return float(_delays(pot.strength(consts), pot.width, np.array([float(k)]), consts)[1][0])
 
 
 def phase_time(
@@ -132,15 +141,11 @@ def causality_bounds(
     _check_table(table, pot)
     table.require(k)
     k = float(k)
-    a = pot.half_width
     d = pot.width
     m = consts.mass
-    hbar = consts.hbar
-    p = hbar * k
-
-    t, r, dphi, _, _ = _scatter_point(pot, consts, k)
-    delta_t = m * dphi / (hbar * k)
-    osc = float(oscillatory_delay_bound(k, a, *eigenphases(t, r), consts))
+    p = consts.hbar * k
+    dphi, delta_t, osc = (float(x[0]) for x in
+                          _delays(pot.strength(consts), d, np.array([k]), consts))
 
     n_b = 0
     bound_bs = None
@@ -164,6 +169,21 @@ def causality_bounds(
         n_bound_states=n_b,
         single_bound_state=n_b == 1,
     )
+
+
+def delay_rows(v0s, k: float, width: float, consts: PhysicalConstants) -> list[tuple]:
+    """The delay-sweep rows (v0, delta_t, bound_osc, bound_simple, n_b), one
+    per well depth or barrier height, from one kernel call over all of v0s."""
+    if not 0 < k < math.inf:
+        raise ValueError(f"--k must be positive and finite, got {k}")
+    pots = [SquarePotential(v0=v0, half_width=width / 2.0) for v0 in v0s]
+    g = np.array([pot.strength(consts) for pot in pots])
+    _, delta_t, osc = _delays(g, width, np.full(len(g), k), consts)
+    simple = -consts.mass * width / (consts.hbar * k)
+    return [
+        (pot.v0, dt, bound, simple, count_bound_states(pot, consts))
+        for pot, dt, bound in zip(pots, delta_t.tolist(), osc.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -310,10 +330,10 @@ def smith_identity_check(
     lhs = interior_norm(pot, consts, k, parity)
     k = float(k)
     j = _PARITIES.index(parity)
-    t, r, _, dd0, dd1 = _scatter_point(pot, consts, k)
+    t, r, _, dd0, dd1 = _kernel.scatter_grid(pot.strength(consts), pot.width, np.array([k]))
     require_finite(dd0, dd1, t=t)
     floor = channel_floors(k, pot.half_width, *eigenphases(t, r))[j]
-    rhs = (2.0 / consts.h) * ((dd0, dd1)[j] - float(floor))
+    rhs = (2.0 / consts.h) * float((dd0, dd1)[j][0] - floor[0])
     return SmithIdentityReport(
         k=k,
         parity=parity,

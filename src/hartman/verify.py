@@ -9,6 +9,9 @@ executes; each check returns a CheckResult with the measured extremes so
 failures are diagnosable, and `run_all_checks` adds its wall time.  A check
 that raises ConvergenceError or ValueError fails under its function's name,
 with the error in its detail, and the remaining checks still run.
+The crossing checks take dt from `delays` and the threshold-window check
+reads fig3's rows from `wavepacket.packet_rows`; `check_bound_chain` keeps
+its own dt = Phi_T'/k as the independent check of the bound chain.
 """
 from __future__ import annotations
 
@@ -21,23 +24,25 @@ import numpy as np
 from . import _kernel
 from .boundstates import (count_bound_states, levinson_check, low_momentum_limits,
                           solve_bound_states)
+from .cli import PRESETS, v0_grid
 from .delays import (
+    _delays,
     channel_floors,
     dwell_time,
     oscillatory_delay_bound,
     smith_identity_check,
     wigner_delay,
 )
-from .errors import ConvergenceError, ThresholdDivergenceError
+from .errors import ConvergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 from .scattering import (amplitudes, build_phase_table, default_k_max, eigenphases,
-                         require_finite, van_kampen_check)
+                         van_kampen_check)
 from .wavepacket import (
     GaussianPacketSpec,
-    _exit_times,
     mean_exit_time,
     mean_exit_time_via_flux,
     packet_amplitude,
+    packet_rows,
     transmission_probability,
     critical_width,
     crossover_width_empirical,
@@ -47,6 +52,7 @@ DEFAULT_SEED = 20260808
 
 # crossing targets for the fixed-momentum delay sweep (k = 0.1, d = 2, m = 1)
 CROSSING_TARGETS = (-math.pi**2 / 32.0, -math.pi**2 / 8.0)
+_CROSSING_K, _CROSSING_WIDTH = 0.1, 2.0
 
 # configurations spanning barrier / well / near-threshold for the
 # momentum-space vs time-domain cross-validation
@@ -104,12 +110,9 @@ def transmission_probability_simpson(
     spec: GaussianPacketSpec,
     pot: SquarePotential,
     consts: PhysicalConstants = ATOMIC,
-    n: int = 100_001,
 ) -> float:
-    """P_T on a fixed composite-Simpson grid; oracle for the adaptive route."""
-    if n % 2 == 0:
-        n += 1
-    p = np.linspace(1e-9, spec.p_max(consts), n)
+    """P_T by composite Simpson on 100,001 fixed momenta; oracle for the adaptive route."""
+    p = np.linspace(1e-9, spec.p_max(consts), 100_001)
     t, _, _, _, _ = _kernel.scatter_grid(
         pot.strength(consts), pot.width, p / consts.hbar
     )
@@ -207,10 +210,10 @@ def check_unitarity_and_symmetry() -> CheckResult:
     )
 
 
-def check_oracle_equivalence(n: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_oracle_equivalence() -> CheckResult:
     """Closed-form amplitudes vs the plane-wave matching solve."""
-    tol = 1e-10
-    rng = np.random.default_rng(seed)
+    n, tol = 100, 1e-10
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     for _ in range(n):
         pot = SquarePotential(rng.uniform(-10, 10), rng.uniform(0.1, 3.0))
@@ -337,11 +340,7 @@ def check_bound_chain() -> CheckResult:
 
 def check_simple_bound_violation() -> CheckResult:
     """A well in (-0.35, -0.25) beats -m d/p at k = 0.1 (d = 2, m = 1)."""
-    k = 0.1
-    d = 2.0
-    v0s = np.linspace(-0.35, -0.25, 201)
-    dts = _delay_at(v0s, k, d)
-    margin = float((dts - (-d / k)).min())
+    margin = float(_simple_margin(np.linspace(-0.35, -0.25, 201)).min())
     return CheckResult(
         "simple bound violated near first crossing",
         margin < 0.0,
@@ -349,27 +348,24 @@ def check_simple_bound_violation() -> CheckResult:
     )
 
 
-def _delay_at(v0, k: float, d: float):
-    """delta_t at momentum k (hbar = m = 1) for one v0 or an array of them."""
+def _simple_margin(v0):
+    """delta_t + m d/p at k = 0.1 and d = 2 (hbar = m = 1), for one v0 or an array."""
     v0 = np.asarray(v0, dtype=float)
-    return _kernel.scatter_grid(2.0 * v0, d, np.full(v0.shape, k))[2] / k
+    dt = _delays(2.0 * v0, _CROSSING_WIDTH, np.full(v0.shape, _CROSSING_K), ATOMIC)[1]
+    return dt + _CROSSING_WIDTH / _CROSSING_K
 
 
-def find_simple_bound_crossings(
-    k: float = 0.1, d: float = 2.0, v_lo: float = -2.0, v_hi: float = 0.0,
-    step: float = 1e-3,
-) -> list[float]:
-    """Roots of delta_t(v0) + m d/p at fixed momentum, by scan + bisection."""
-    v0s = np.arange(v_lo, v_hi, step)
-    vals = _delay_at(v0s, k, d) + d / k
-    require_finite(vals)
+def find_simple_bound_crossings() -> list[float]:
+    """Roots of `_simple_margin` by a scan of step 1e-3 over [-2, 0) and bisection."""
+    v0s = np.arange(-2.0, 0.0, 1e-3)
+    vals = _simple_margin(v0s)
     out = []
     for i in np.nonzero(np.diff(np.sign(vals)))[0]:
         lo, hi = v0s[i], v0s[i + 1]
         flo = vals[i]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fm = _delay_at(mid, k, d) + d / k
+            fm = _simple_margin(mid)
             if (fm > 0) == (flo > 0):
                 lo, flo = mid, fm
             else:
@@ -461,10 +457,10 @@ def check_low_momentum_slopes() -> CheckResult:
     )
 
 
-def check_smith_identity_and_dwell(n: int = 50, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_smith_identity_and_dwell() -> CheckResult:
     """Boundary-derivative identity within 1e-6 and dwell times positive."""
-    tol = 1e-6
-    rng = np.random.default_rng(seed)
+    n, tol = 50, 1e-6
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     min_dwell = math.inf
     for _ in range(n):
@@ -481,11 +477,11 @@ def check_smith_identity_and_dwell(n: int = 50, seed: int = DEFAULT_SEED) -> Che
     )
 
 
-def check_bound_state_count_consistency(n: int = 200, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Solver level count equals the threshold formula; residuals tiny."""
-    rng = np.random.default_rng(seed)
+def check_bound_state_count_consistency() -> CheckResult:
+    """Solver level count equals the threshold formula on 200 random wells."""
+    rng = np.random.default_rng(DEFAULT_SEED)
     checked = 0
-    for _ in range(n):
+    for _ in range(200):
         v0 = rng.uniform(-20.0, -1e-3)
         a = rng.uniform(0.1, 5.0)
         pot = SquarePotential(v0, a)
@@ -505,10 +501,10 @@ def check_bound_state_count_consistency(n: int = 200, seed: int = DEFAULT_SEED) 
     )
 
 
-def check_van_kampen(n: int = 100, seed: int = DEFAULT_SEED) -> CheckResult:
+def check_van_kampen() -> CheckResult:
     """|e^{ikd} S_j| <= 1 on upper-half-plane samples for a barrier."""
-    tol = 1e-10
-    rng = np.random.default_rng(seed)
+    n, tol = 100, 1e-10
+    rng = np.random.default_rng(DEFAULT_SEED)
     samples = [
         complex(rng.uniform(-6.0, 6.0), rng.uniform(0.0, 4.0)) for _ in range(n)
     ]
@@ -567,25 +563,17 @@ def check_exit_time_cross_validation() -> CheckResult:
     )
 
 
-def check_threshold_enhancement(step: float = 0.01) -> CheckResult:
+def check_threshold_enhancement() -> CheckResult:
     """Windows with t_subtracted < 0 and P_T > 0.5 near the first two
-    enhancement depths of the reference packet sweep."""
-    spec = GaussianPacketSpec(math.pi / 8, 1.0, -41.0)
+    enhancement depths, in the rows of `packet-sweep --preset fig3`."""
+    fig3 = PRESETS["fig3"]
+    spec = GaussianPacketSpec(fig3["k0"], fig3["delta_p"], fig3["x0"])
     start = time.perf_counter()
     hits: dict[float, bool] = {t: False for t in CROSSING_TARGETS}
-    v0s, v0 = [], -1.6
-    while v0 <= 0.4 + 1e-12:
-        if abs(v0) > 1e-12:
-            v0s.append(v0)
-        v0 += step
-    # one lockstep batch of all depths; rows whose exit time diverges are skipped
-    pots = [SquarePotential(v0, 1.0) for v0 in v0s]
-    for v0, (_, rep) in zip(v0s, _exit_times(spec, pots, ATOMIC)):
-        if isinstance(rep, ThresholdDivergenceError):
-            continue
-        if isinstance(rep, Exception):
-            raise rep
-        if rep.t_subtracted < 0 and rep.p_t > 0.5:
+    v0s = v0_grid(fig3["v0_min"], fig3["v0_max"], fig3["v0_step"])
+    # a diverged row's t_subtracted is NaN, so it opens no window
+    for v0, p_t, _, _, t_sub, _, _ in packet_rows(v0s, spec, fig3["width"], ATOMIC):
+        if t_sub < 0 and p_t > 0.5:
             for target in hits:
                 if abs(v0 - target) <= 0.25:
                     hits[target] = True

@@ -23,6 +23,8 @@ and each integral ends in a closed form below p_c = min(eps, hbar K/256)
 (`_tails`).  At a threshold alpha = 0 and |T(0)| = 1, and the mean exit
 time diverges for any packet with phi_in(0) != 0, which is detected and
 reported rather than silently truncated.
+`packet_rows` forms a sweep's rows once, for the `packet-sweep` command and
+the threshold-window check of `hartman.verify`.
 """
 from __future__ import annotations
 
@@ -348,6 +350,25 @@ def _exit_times(spec, pots, consts) -> list[tuple]:
                 t_cl, defined = classical_reference_time(spec, pots[i], consts)
                 moment = PassageTimeReport(p_t, t_out, t_cl, t_out - t_cl, defined)
         rows.append((p_t, moment))
+    return rows
+
+
+def packet_rows(v0s, spec: GaussianPacketSpec, width: float,
+                consts: PhysicalConstants = ATOMIC) -> list[tuple]:
+    """The packet-sweep rows (v0, P_T, t_out, t_classical, t_subtracted,
+    classical_defined, diverged), one per well depth or barrier height, all
+    in lockstep.  A row whose exit time diverges keeps its P_T, with NaN
+    times and the flag set; the first other error is raised."""
+    pots = [SquarePotential(v0=v0, half_width=width / 2.0) for v0 in v0s]
+    rows = []
+    for v0, pot, (p_t, rep) in zip(v0s, pots, _exit_times(spec, pots, consts)):
+        diverged = isinstance(rep, ThresholdDivergenceError)
+        if diverged:
+            t_cl, defined = classical_reference_time(spec, pot, consts)
+            rep = PassageTimeReport(_first_error([p_t])[0], math.nan, t_cl, math.nan, defined)
+        rep = _first_error([rep])[0]
+        rows.append((v0, rep.p_t, rep.t_out, rep.t_classical, rep.t_subtracted,
+                     rep.classical_defined, diverged))
     return rows
 
 

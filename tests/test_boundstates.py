@@ -57,6 +57,7 @@ class TestCount:
     def test_no_well_no_states(self):
         assert count_bound_states(SquarePotential(5.0, 1.0), ATOMIC) == 0
         assert count_bound_states(SquarePotential(0.0, 1.0), ATOMIC) == 0
+        assert not is_at_threshold(SquarePotential(5.0, 1.0), ATOMIC)
 
     def test_single_level(self):
         # 2 sqrt(2)/pi ~ 0.900 < 1
@@ -153,6 +154,10 @@ class TestSolver:
     def test_barrier_rejected(self):
         with pytest.raises(ValueError):
             solve_bound_states(SquarePotential(2.0, 1.0), ATOMIC)
+
+    def test_free_case_has_empty_spectrum(self):
+        spec = solve_bound_states(SquarePotential(0.0, 1.0), ATOMIC)
+        assert spec.n_b == 0 and spec.levels == () and not spec.at_threshold
 
     @pytest.mark.parametrize("v0", [-2.0e3, -2.0e4, -5.0e5])
     def test_deep_well_level_count(self, v0):

@@ -13,7 +13,8 @@ import pytest
 import hartman.cli
 from hartman import (GaussianPacketSpec, mean_exit_time, threshold_depths,
                      transmission_probability, verify)
-from hartman.cli import build_parser, delay_rows, main
+from hartman.cli import build_parser, main
+from hartman.delays import delay_rows
 from hartman.potential import ATOMIC, SquarePotential
 from hartman.verify import transfer_matrix_amplitudes
 
@@ -371,6 +372,13 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys):
     assert run_cli(["delay-sweep", "--k", "abc"]) == 2
 
 
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k 0.2\n", encoding="utf-8")
+    assert run_cli(["delay-sweep", "--config", str(cfg)]) == 2
+    assert "need key=value" in capsys.readouterr().err
+
+
 def test_config_file_missing_exits_2(tmp_path, capsys):
     """A --config path that does not exist ended in a FileNotFoundError
     traceback; it exits 2 with one error line and writes nothing."""
@@ -523,6 +531,18 @@ def test_invalid_input_exit_code():
     assert run_cli(["packet-sweep", "--v0-min", "0", "--v0-max", "0",
                     "--v0-step", "1", "--k0", "1", "--delta-p", "0.1",
                     "--x0", "5"]) == 2  # packet starts right of the barrier
+
+
+@pytest.mark.parametrize("args, message", [
+    (["amplitudes", "--v0", "5"], "requires --width"),
+    (["delay-sweep", "--v0-min", "0", "--v0-step", "0.5"], "requires --v0-min"),
+    (["packet-sweep", "--v0-min", "0", "--v0-max", "1", "--v0-step", "0.5", "--k0", "1",
+      "--delta-p", "0.1"], "requires --k0"),
+], ids=["amplitudes_width", "sweep_grid", "packet_spec"])
+def test_missing_values_exit_2(capsys, args, message):
+    """A value with no default, from no flag, preset or config file."""
+    assert run_cli(args) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_opaque_barrier_error_without_numpy_warnings(capsys):

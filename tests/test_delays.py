@@ -265,6 +265,11 @@ class TestDwellTime:
         with pytest.raises(ValueError):
             dwell_time(FREE, ATOMIC, 1.0, "mixed")
 
+    @pytest.mark.parametrize("k", [0.0, -1.0])
+    def test_nonpositive_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be positive"):
+            interior_norm(FREE, ATOMIC, k, "even")
+
 
 def _boundary_values(pot, k, parity, delta_ref=None):
     """psi_j(a), psi_j'(a) and delta_j from the outside form (amplitude

@@ -2,6 +2,7 @@
 scattering kernel and the packet transmission probability."""
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 
 from hartman import (
     ATOMIC,
+    ConvergenceError,
     GaussianPacketSpec,
     SquarePotential,
+    amplitudes,
+    build_phase_table,
     low_momentum_limits,
     solve_bound_states,
     transmission_probability,
@@ -83,13 +87,32 @@ def test_kernel_unitary_and_real(v0, a, k):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="cosh/sinh overflow above kappa d ~ 710 (ROADMAP item 2)",
+    reason="|D|^2 overflows from kappa d ~ 355 and cosh/sinh from kappa d ~ 710, "
+    "so dPhi_T/dk is inf/inf (ROADMAP item 2)",
 )
 def test_kernel_finite_for_opaque_barrier():
     pot = SquarePotential(5.0, 300.0)  # kappa d ~ 1900 at k = 0.5
     with np.errstate(all="ignore"):
         values = scatter_grid(pot.strength(ATOMIC), pot.width, np.array([0.5]))
     assert all(np.all(np.isfinite(v)) for v in values)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeWarning,
+    reason="the kernel forms cosh(kappa d), which overflows with a NumPy RuntimeWarning "
+    "before the typed error; the overflow-free kernel of ROADMAP item 2 forms no such value",
+)
+def test_opaque_barrier_raises_typed_error_without_warning():
+    """With NumPy's warnings as errors, an opaque barrier (kappa d ~ 2,500
+    at k = 0.5) still ends in the documented ConvergenceError."""
+    pot = SquarePotential(5.0, 400.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConvergenceError):
+            amplitudes(pot, ATOMIC, 0.5)
+        with pytest.raises(ConvergenceError):
+            build_phase_table(pot, ATOMIC, 0.01)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

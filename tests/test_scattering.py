@@ -245,6 +245,15 @@ def test_removable_singularity_at_barrier_top():
     assert diffs[1e-8] < 2e-2 * diffs[1e-6]
 
 
+def test_matching_oracle_at_barrier_top():
+    """At E = v0 exactly (g = 4, k = 2) the matching oracle takes its {1, x}
+    inside basis, and it agrees with the kernel there."""
+    pot = SquarePotential(2.0, 0.75)
+    t_o, r_o = transfer_matrix_amplitudes(pot, ATOMIC, 2.0)
+    amp = amplitudes(pot, ATOMIC, 2.0)
+    assert abs(amp.t - t_o) < 1e-13 and abs(amp.r - r_o) < 1e-13
+
+
 def test_k_zero_rejected():
     with pytest.raises(ValueError):
         amplitudes(WELL1, ATOMIC, 0.0)
@@ -374,6 +383,12 @@ class TestPhaseTable:
         assert wide.any()
         assert np.all(k[1:][wide] == np.nextafter(k[:-1][wide], np.inf))
 
+    @pytest.mark.parametrize("k_min, k_max, samples", [(1.0, 1.0, 10), (2.0, 1.0, 10),
+                                                        (0.1, 1.0, 1)])
+    def test_bad_grid_rejected(self, k_min, k_max, samples):
+        with pytest.raises(ValueError):
+            build_phase_table(BARRIER5_HALF, ATOMIC, k_min, k_max, samples=samples)
+
     def test_opaque_barrier_raises(self):
         """|D|^2 overflows above kappa d ~ 355: a typed error, not NaN or a
         wrong finite phase."""
@@ -442,6 +457,10 @@ class TestVanKampen:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(ValueError):
             van_kampen_check(BARRIER5_HALF, ATOMIC, [1.0 - 0.1j])
+
+    def test_zero_sample_rejected(self):
+        with pytest.raises(ValueError, match="k = 0"):
+            van_kampen_check(BARRIER5_HALF, ATOMIC, [0j])
 
     def test_opaque_barrier_raises(self):
         """kappa d ~ 2,500: the kernel overflows to NaN, which ends in a

@@ -4,6 +4,11 @@ import numpy as np
 from hartman import _kernel, verify
 
 
+def test_monotone_filtering_passes():
+    result = verify.check_monotone_filtering()
+    assert result.passed, result.line()
+
+
 def test_nan_from_kernel_fails_checks(monkeypatch):
     """One NaN per kernel call reaches each check's running extreme: the
     check fails and reports nan instead of the extreme of the finite rest."""

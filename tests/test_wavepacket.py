@@ -38,15 +38,18 @@ NARROW = GaussianPacketSpec(k0=2.0, delta_p=0.1, x0=-30.0)
     "build",
     [
         lambda: SquarePotential(1.0, math.inf),
+        lambda: SquarePotential(math.inf, 1.0),
         lambda: GaussianPacketSpec(math.inf, 1.0, -5.0),
         lambda: GaussianPacketSpec(1.0, math.inf, -5.0),
+        lambda: GaussianPacketSpec(1.0, 1.0, -math.inf),
         lambda: PhysicalConstants(hbar=math.inf),
         lambda: PhysicalConstants(mass=math.inf),
     ],
-    ids=["half_width", "k0", "delta_p", "hbar", "mass"],
+    ids=["half_width", "v0", "k0", "delta_p", "x0", "hbar", "mass"],
 )
 def test_infinite_inputs_rejected(build):
-    """An infinite width, momentum or constant would give NaN amplitudes."""
+    """An infinite width, height, momentum, position or constant would give
+    NaN amplitudes."""
     with pytest.raises(ValueError):
         build()
 
@@ -104,7 +107,7 @@ class TestTransmissionProbability:
     def test_matches_fixed_grid_oracle(self):
         pot = SquarePotential(5.0, 1.0)
         pt = transmission_probability(FIG3_PACKET, pot)
-        oracle = transmission_probability_simpson(FIG3_PACKET, pot, n=100_001)
+        oracle = transmission_probability_simpson(FIG3_PACKET, pot)
         assert pt == pytest.approx(oracle, abs=1e-6)
 
     def test_never_exceeds_one(self):
@@ -447,6 +450,10 @@ class TestExitTimeBatch:
 
 
 class TestFluxOracle:
+    def test_reversed_window_rejected(self):
+        with pytest.raises(ValueError, match="invalid time window"):
+            mean_exit_time_via_flux(NARROW, SquarePotential(0.0, 1.0), t_window=(5.0, 1.0))
+
     def test_free_narrow_matches_analytic_arrival(self):
         t_flux = mean_exit_time_via_flux(NARROW, SquarePotential(0.0, 1.0))
         p = np.linspace(NARROW.k0 - 9 * 0.1, NARROW.k0 + 9 * 0.1, 200_001)
