@@ -17,7 +17,12 @@ R = -i (g S1 / 2k) T at any k != 0.  For real k (A = Re D, B = Im D):
 Entry points, each one pass over an array of k: `denominator` (A, B, |D|^2
 from C and S1 alone), `transmission_grid` (adds S2 and dPhi_T/dk),
 `scatter_grid` (T, R and the eigenphase slopes) and `complex_amplitudes`
-(T and R at complex k); `trig_triplet` gives C, S1, S2 of any mu.
+(T and R at complex k); `trig_triplet` gives C, S1, S2 of any mu.  A real
+grid with no point in the series window and every mu of one sign (all
+tunnelling or all propagating, as is every one-point call) takes plain
+ufuncs; a grid that mixes signs, reaches into the window or is complex
+takes masked ufuncs, branch by branch.  Each point gets the same bits on
+either path.
 """
 from __future__ import annotations
 
@@ -26,6 +31,9 @@ import numpy as np
 # series switch for |mu|*d^2; below it the direct forms lose digits to
 # cancellation, above it the 4-term series is exact to double precision
 W_CUT = 1e-3
+# the direct forms of C, S1: for mu > 0 or complex; for mu < 0, in |mu|^(1/2)
+_CIRCULAR = (np.cos, np.sin)
+_HYPERBOLIC = (np.cosh, np.sinh)
 
 
 def _branch(mask):
@@ -34,30 +42,44 @@ def _branch(mask):
     return ... if n == mask.size else mask if n else None
 
 
+def _direct(qd, q, cos, sin, C=None, S1=None, where=True):
+    """C = cos(qd) and S1 = sin(qd)/q of one direct branch (`_CIRCULAR` or
+    `_HYPERBOLIC`), as new arrays or into C and S1 where `where` holds."""
+    C = cos(qd, out=C, where=where)
+    return C, np.divide(sin(qd, out=S1, where=where), q, out=S1, where=where)
+
+
 def _trig_pair(mu, d):
     """mu as a real or complex array, its C and S1, and the `_branch` index of
-    the series window.  The direct forms are written in place: a branch that
-    covers the grid unmasked, each branch of a mixed grid as a masked ufunc."""
-    mu = np.asarray(mu, dtype=complex if np.iscomplexobj(mu) else float)
+    the series window.  A real grid outside the window whose mu all have one
+    sign takes plain ufuncs; any other grid is written in place, each branch
+    as a masked ufunc (so is a 0-d mu, which `out=` keeps 0-d)."""
+    real = not np.iscomplexobj(mu)
+    mu = np.asarray(mu, dtype=float if real else complex)
     w = mu * d * d
-    C = np.empty_like(mu)
-    S1 = np.empty_like(mu)
     small = np.abs(w) < W_CUT
     series = _branch(small)
+    forms = ()
     if series is not ...:
-        direct = ~small
-        if np.iscomplexobj(mu):
-            q, forms = np.sqrt(mu), ((direct, np.cos, np.sin),)
+        q = np.sqrt(np.abs(mu) if real else mu)
+        qd = q * d
+        if not real:
+            forms = ((~small, _CIRCULAR),)
         else:
             # a NaN takes the cosh branch and stays NaN
-            q, pos = np.sqrt(np.abs(mu)), mu > 0
-            forms = ((direct & pos, np.cos, np.sin), (direct & ~pos, np.cosh, np.sinh))
-        qd = q * d
-        for mask, cos, sin in forms:
-            if (sel := _branch(mask)) is not None:
-                where = True if sel is ... else sel
-                cos(qd, out=C, where=where)
-                np.divide(sin(qd, out=S1, where=where), q, out=S1, where=where)
+            pos = mu > 0.0
+            if series is None and mu.ndim and (side := _branch(pos)) is not pos:
+                return mu, *_direct(qd, q, *(_CIRCULAR if side is ... else _HYPERBOLIC)), None
+            neg = ~pos
+            if series is not None:
+                direct = ~small
+                pos, neg = direct & pos, direct & neg
+            forms = ((pos, _CIRCULAR), (neg, _HYPERBOLIC))
+    C = np.empty_like(mu)
+    S1 = np.empty_like(mu)
+    for mask, form in forms:
+        if (sel := _branch(mask)) is not None:
+            _direct(qd, q, *form, C, S1, True if sel is ... else sel)
     if series is not None:
         ws = w[series]
         C[series] = 1.0 + ws * (-0.5 + ws * (1.0 / 24 + ws * (-1.0 / 720)))
@@ -69,6 +91,8 @@ def trig_triplet(mu, width):
     """C, S1, S2 for an array of real or complex mu values at fixed width d."""
     d = float(width)
     mu, C, S1, series = _trig_pair(mu, d)
+    if series is None and mu.ndim:
+        return C, S1, (d * C - S1) / mu
     S2 = np.empty_like(mu)
     if series is not ...:
         np.divide(d * C - S1, mu, out=S2, where=True if series is None else ~series)
@@ -106,9 +130,9 @@ def low_k_limits(g, width):
     return alpha, beta, K, dd0 + dd1, dd0, dd1
 
 
-def _denominator(g, k, A, S1):
-    """B = Im D and |D|^2 at real k, from A = Re D = C and S1."""
-    B = -S1 * (2.0 * k * k - g) / (2.0 * k)
+def _denominator(k, h, A, S1):
+    """B = Im D and |D|^2 at real k, from h = 2k^2 - g, A = Re D = C and S1."""
+    B = -S1 * h / (2.0 * k)
     return B, A * A + B * B
 
 
@@ -116,8 +140,9 @@ def denominator(g, width, k):
     """A = Re D, B = Im D and |D|^2 (so |T|^2 = 1/|D|^2) on a grid of real
     nonzero wavenumbers, without the S2 and dPhi_T/dk of `transmission_grid`."""
     k = np.asarray(k, dtype=float)
-    _, A, S1, _ = _trig_pair(k * k - g, float(width))
-    return (A, *_denominator(g, k, A, S1))
+    kk = k * k
+    _, A, S1, _ = _trig_pair(kk - g, float(width))
+    return (A, *_denominator(k, 2.0 * kk - g, A, S1))
 
 
 def transmission_grid(g, width, k):
@@ -126,10 +151,12 @@ def transmission_grid(g, width, k):
     `scatter_grid` goes on from these to T, R and the eigenphase slopes."""
     k = np.asarray(k, dtype=float)
     d = float(width)
-    A, S1, S2 = trig_triplet(k * k - g, d)
-    B, den = _denominator(g, k, A, S1)
+    kk = k * k
+    h = 2.0 * kk - g
+    A, S1, S2 = trig_triplet(kk - g, d)
+    B, den = _denominator(k, h, A, S1)
     Ap = -d * k * S1
-    Bp = -0.5 * (S2 * (2.0 * k * k - g) + S1 * (2.0 + g / (k * k)))
+    Bp = -0.5 * (S2 * h + S1 * (2.0 + g / kk))
     dphi = -d - (Bp * A - Ap * B) / den
     return den, dphi, S1, S2, A, B
 

@@ -106,6 +106,35 @@ def count_bound_states(pot: SquarePotential, consts: PhysicalConstants = ATOMIC)
     return int(math.floor(x)) + 1
 
 
+def _level(pot: SquarePotential, consts: PhysicalConstants, n: int,
+           tol: float = 1e-12) -> BoundLevel:
+    """Level n <= n_b of a well, one bisection in phi (`solve_bound_states`)."""
+    a = pot.half_width
+    z0 = a * math.sqrt(2.0 * consts.mass * abs(pot.v0)) / consts.hbar
+    tol = max(tol, 8.0 * sys.float_info.epsilon * z0)
+    even = n % 2 == 1
+    target = (n - 1) * math.pi / 2.0
+    lo, hi = 0.0, math.pi / 2.0
+    phi = 0.5 * (lo + hi)
+    # z0 cos(phi) - phi - target, with z0 - target taken first: near a
+    # threshold phi is small and that difference is exact
+    while lo < phi < hi:
+        if (z0 - target) - phi - 2.0 * z0 * math.sin(0.5 * phi) ** 2 > 0.0:
+            lo = phi
+        else:
+            hi = phi
+        phi = 0.5 * (lo + hi)
+    z, chi = z0 * math.cos(phi), z0 * math.sin(phi)
+    f = z * math.sin(z) - chi * math.cos(z) if even else -z * math.cos(z) - chi * math.sin(z)
+    residual = abs(f) / max(z0, 1.0)
+    if residual > tol:
+        raise ConvergenceError(f"level {n} residual {residual:.3e} exceeds tol {tol:.1e}",
+                               estimate=chi / a, error=residual)
+    k_b = chi / a
+    return BoundLevel(parity="even" if even else "odd", k_b=k_b,
+                      energy=-((consts.hbar * k_b) ** 2) / (2.0 * consts.mass))
+
+
 def solve_bound_states(
     pot: SquarePotential,
     consts: PhysicalConstants = ATOMIC,
@@ -126,49 +155,9 @@ def solve_bound_states(
         if pot.v0 > 0:
             raise ValueError("bound states require a well (v0 < 0)")
         return BoundStateSpectrum(n_b=0, levels=())
-    a = pot.half_width
-    z0 = a * math.sqrt(2.0 * consts.mass * abs(pot.v0)) / consts.hbar
-    at_thr = is_at_threshold(pot, consts)
     n_b = count_bound_states(pot, consts)
-    tol = max(tol, 8.0 * sys.float_info.epsilon * z0)
-
-    levels = []
-    for n in range(1, n_b + 1):
-        even = n % 2 == 1
-        target = (n - 1) * math.pi / 2.0
-        lo, hi = 0.0, math.pi / 2.0
-        phi = 0.5 * (lo + hi)
-        # z0 cos(phi) - phi - target, with z0 - target taken first: near a
-        # threshold phi is small and that difference is exact
-        while lo < phi < hi:
-            if (z0 - target) - phi - 2.0 * z0 * math.sin(0.5 * phi) ** 2 > 0.0:
-                lo = phi
-            else:
-                hi = phi
-            phi = 0.5 * (lo + hi)
-        z, chi = z0 * math.cos(phi), z0 * math.sin(phi)
-
-        if even:
-            f = z * math.sin(z) - chi * math.cos(z)
-        else:
-            f = -z * math.cos(z) - chi * math.sin(z)
-        residual = abs(f) / max(z0, 1.0)
-        if residual > tol:
-            raise ConvergenceError(
-                f"level {n} residual {residual:.3e} exceeds tol {tol:.1e}",
-                estimate=chi / a,
-                error=residual,
-            )
-        k_b = chi / a
-        levels.append(
-            BoundLevel(
-                parity="even" if even else "odd",
-                k_b=k_b,
-                energy=-((consts.hbar * k_b) ** 2) / (2.0 * consts.mass),
-            )
-        )
-
-    return BoundStateSpectrum(n_b=n_b, levels=tuple(levels), at_threshold=at_thr)
+    levels = tuple(_level(pot, consts, n, tol) for n in range(1, n_b + 1))
+    return BoundStateSpectrum(n_b, levels, is_at_threshold(pot, consts))
 
 
 @dataclass(frozen=True)
@@ -191,6 +180,8 @@ def levinson_check(
     makes any finite k_min unrepresentative.  Opaque barriers whose |D|^2
     overflows at k_min raise ConvergenceError.
     """
+    if not 0 < k_min < math.inf:
+        raise ValueError(f"k_min must be positive and finite, got {k_min}")
     if pot.v0 < 0 and is_at_threshold(pot, consts):
         raise ValueError(
             "well is at a bound-state threshold; Phi_T(0) changes branch "

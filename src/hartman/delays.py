@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .boundstates import count_bound_states, solve_bound_states
+from .boundstates import _level, count_bound_states
 from .potential import PhysicalConstants, SquarePotential
 from .scattering import PhaseTable, eigenphases, require_finite
 
@@ -137,7 +137,8 @@ def phase_time(
 def causality_bounds(
     pot: SquarePotential, consts: PhysicalConstants, table: PhaseTable, k: float
 ) -> DelayRecord:
-    """Delay at k together with every bound it must respect."""
+    """Delay at k together with every bound it must respect.  The bound-state
+    bound reads only the shallowest level, so that is the one level solved."""
     _check_table(table, pot)
     table.require(k)
     k = float(k)
@@ -147,15 +148,13 @@ def causality_bounds(
     dphi, delta_t, osc = (float(x[0]) for x in
                           _delays(pot.strength(consts), d, np.array([k]), consts))
 
-    n_b = 0
+    n_b = count_bound_states(pot, consts) if pot.v0 < 0 else 0
     bound_bs = None
-    if pot.v0 < 0:
-        spectrum = solve_bound_states(pot, consts)
-        n_b = spectrum.n_b
-        if n_b >= 1:
-            k_b = min(level.k_b for level in spectrum.levels)
-            if k_b > 0:
-                bound_bs = -(m / p) * (d + 1.0 / k_b)
+    if n_b >= 1:
+        # the shallowest level, the last one by energy, has the smallest K_b
+        k_b = _level(pot, consts, n_b).k_b
+        if k_b > 0:
+            bound_bs = -(m / p) * (d + 1.0 / k_b)
 
     return DelayRecord(
         k=k,
@@ -271,8 +270,8 @@ def interior_norm(
     """
     if parity not in _PARITIES:
         raise ValueError(f"parity must be one of {_PARITIES}, got {parity!r}")
-    if not (k > 0):
-        raise ValueError(f"k must be positive, got {k}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     k = float(k)
     a = pot.half_width
     mu = k * k - pot.strength(consts)

@@ -24,6 +24,7 @@ k for causality checks.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -112,6 +113,8 @@ def amplitudes(pot: SquarePotential, consts: PhysicalConstants, k) -> Amplitudes
     if kc == 0:
         raise ValueError("amplitudes are defined only for k != 0 "
                          "(the k -> 0 limit is threshold-dependent)")
+    if not cmath.isfinite(kc):
+        raise ValueError(f"k must be finite, got {k}")
     g = pot.strength(consts)
     d = pot.width
     if kc.imag == 0.0:
@@ -171,7 +174,7 @@ def _phases(g: float, d: float, k) -> tuple[np.ndarray, ...]:
         phi_t = theta + np.angle(t * np.exp(-1j * theta))
         half = 0.5 * np.arctan((r / t).imag)
     out = (t, phi_t, 0.5 * phi_t + half, 0.5 * phi_t - half, dphi, dd0, dd1)
-    require_finite(*out, r, t=t)
+    require_finite(*out[1:], r, t=t)
     return out
 
 
@@ -191,8 +194,8 @@ def build_phase_table(
     """
     if k_max is None:
         k_max = default_k_max(pot, consts)
-    if not (0 < k_min < k_max):
-        raise ValueError(f"need 0 < k_min < k_max, got [{k_min}, {k_max}]")
+    if not 0 < k_min < k_max < math.inf:
+        raise ValueError(f"need 0 < k_min < k_max < inf, got [{k_min}, {k_max}]")
     if samples < 2:
         raise ValueError("samples must be at least 2")
 

@@ -199,6 +199,13 @@ class TestLevinson:
         with pytest.raises(ValueError):
             levinson_check(SquarePotential(v_thr, 1.0), ATOMIC)
 
+    @pytest.mark.parametrize("k_min", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_k_min_rejected(self, k_min):
+        """k_min = -1 returned a report with residual 4.09; 0 and inf ended in
+        a ConvergenceError that blamed an opaque barrier."""
+        with pytest.raises(ValueError, match="k_min must be positive and finite"):
+            levinson_check(SquarePotential(2.0, 1.0), ATOMIC, k_min=k_min)
+
     def test_residuals_for_multi_level_wells(self):
         """The wide a = 5 wells (21, 46 and 64 levels) need the exact phase
         anchor: with the principal-value anchor they raised or read 2 pi low.

@@ -401,6 +401,17 @@ def test_delay_sweep_rejects_bad_k(tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k_max", ["inf", "nan"])
+def test_amplitudes_rejects_non_finite_k_max(tmp_path, capsys, k_max):
+    """--k-max inf ended in a ConvergenceError, exit 3, that blamed an opaque
+    barrier."""
+    out = tmp_path / "a.csv"
+    assert run_cli(["amplitudes", "--v0", "5", "--width", "1", "--k-max", k_max,
+                    "--out", str(out)]) == 2
+    assert "k_max < inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_delay_sweep_opaque_barrier_exits_3(tmp_path, capsys):
     """An opaque barrier wrote a NaN delay and bound and exited 0."""
     out = tmp_path / "d.csv"

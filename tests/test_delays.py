@@ -20,6 +20,7 @@ from hartman import (
     phase_time,
     smith_identity_check,
     solve_bound_states,
+    threshold_depths,
     wigner_delay,
 )
 from hartman.delays import channel_floors, oscillatory_delay_bound
@@ -122,6 +123,37 @@ class TestCausalityBounds:
                 floor = -(1.0 / k) * (2.0 + 1.0 / k_b)
                 assert rec.delta_t >= floor - 1e-9
                 assert rec.bound_bound_state == pytest.approx(floor)
+
+
+    def test_one_level_solve_matches_full_spectrum(self):
+        """`causality_bounds` solves only the shallowest level; its bound-state
+        fields equal, bitwise, those formed from every level that
+        `solve_bound_states` returns, on random wells of 1 to about 900 levels
+        (v0 = -1e6, a = 1 holds 901) and on wells within 1e-8 to 1e-2
+        (relative) of the thresholds n = 1 to 3, on both sides."""
+        rng = np.random.default_rng(27)
+        pots = [SquarePotential(-1e6, 1.0)]
+        for _ in range(40):
+            a = rng.uniform(0.2, 2.0)
+            z0 = math.exp(rng.uniform(math.log(0.05), math.log(1400.0)))
+            pots.append(SquarePotential(-0.5 * (z0 / a) ** 2, a))
+        for _ in range(6):
+            a = rng.uniform(0.3, 2.0)
+            rels = [1e-8, 1e-2, 10.0 ** rng.uniform(-8.0, -2.0)]
+            pots += [SquarePotential(depth * (1.0 + sign * rel), a)
+                     for depth in threshold_depths(a, 3, ATOMIC)
+                     for rel in rels for sign in (-1.0, 1.0)]
+        for pot in pots:
+            k = rng.uniform(0.25, 5.0)
+            table = build_phase_table(pot, ATOMIC, 0.5 * k, 2.0 * k, samples=2)
+            record = causality_bounds(pot, ATOMIC, table, k)
+            spectrum = solve_bound_states(pot, ATOMIC)
+            k_b = min(level.k_b for level in spectrum.levels)
+            want = -(1.0 / k) * (pot.width + 1.0 / k_b) if k_b > 0 else None
+            assert repr(record.bound_bound_state) == repr(want), pot
+            assert record.n_bound_states == spectrum.n_b, pot
+            assert record.single_bound_state is (spectrum.n_b == 1), pot
+        assert max(len(solve_bound_states(pot, ATOMIC).levels) for pot in pots) == 901
 
 
 def test_oscillatory_bound_is_sum_of_channel_floors():
@@ -269,6 +301,14 @@ class TestDwellTime:
     def test_nonpositive_k_rejected(self, k):
         with pytest.raises(ValueError, match="k must be positive"):
             interior_norm(FREE, ATOMIC, k, "even")
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("check", [interior_norm, dwell_time, smith_identity_check])
+def test_non_finite_k_rejected(check, k):
+    """k = inf ended in a ConvergenceError that blamed an opaque barrier."""
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        check(BARRIER_D2, ATOMIC, k, "even")
 
 
 def _boundary_values(pot, k, parity, delta_ref=None):

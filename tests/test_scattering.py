@@ -159,6 +159,52 @@ def test_transmission_grid_is_scatter_grid_t_and_dphi():
         assert all(_same_bits(x, y) for x, y in zip(denominator(g, 1.5, ks), (a, b, den)))
 
 
+def test_one_branch_grids_match_masked_grids_bitwise():
+    """A real grid with no point in the series window and every mu of one sign
+    (all tunnelling or all propagating) takes plain ufuncs; each of its points
+    gets the bits that the masked branches give the same point inside a grid
+    with a series point and mu of both signs, through `trig_triplet` (real
+    and complex mu), `denominator`, `transmission_grid` and `scatter_grid`."""
+    rng = np.random.default_rng(27)
+    for n in (1, 1, 2, 57):
+        for _ in range(6):
+            g, d = rng.uniform(0.5, 30.0), rng.uniform(0.1, 3.0)
+            # w = mu d^2 log-uniform outside the window, -g d^2 < w for real k
+            w_tun = -np.exp(rng.uniform(math.log(2.0 * W_CUT), math.log(0.99 * g * d * d), n))
+            w_pro = np.exp(rng.uniform(math.log(2.0 * W_CUT), math.log(400.0), n))
+            series_w = rng.uniform(-0.9, 0.9) * W_CUT
+            for w, other in ((w_tun, w_pro[:1]), (w_pro, w_tun[:1])):
+                masked_w = np.concatenate([w, [series_w], other])
+                for mus, masked in ((w / d**2, masked_w / d**2),
+                                    (w * (1 + 1e-3j) / d**2, masked_w * (1 + 1e-3j) / d**2)):
+                    pairs = zip(trig_triplet(mus, d), trig_triplet(masked, d))
+                    assert all(_same_bits(x, y[:n]) for x, y in pairs), (g, d, mus)
+                ks, masked_ks = np.sqrt(g + w / d**2), np.sqrt(g + masked_w / d**2)
+                for entry in (denominator, transmission_grid, scatter_grid):
+                    pairs = zip(entry(g, d, ks), entry(g, d, masked_ks))
+                    assert all(_same_bits(x, y[:n]) for x, y in pairs), (entry, g, d, ks)
+
+
+def test_one_branch_nan_types_and_overflow_unchanged():
+    """On a one-branch grid a NaN mu stays NaN (it takes the cosh branch), a
+    0-d input keeps the output types of the masked path, and the cosh of an
+    opaque barrier still overflows with NumPy's RuntimeWarning."""
+    with np.errstate(invalid="ignore"):
+        for mu in (np.array([np.nan]), np.array([np.nan, -2.0])):
+            assert all(np.isnan(x[0]) for x in trig_triplet(mu, 1.5))
+    for g in (-2.0, 4.0):  # a propagating and a tunnelling 0-d point
+        k = np.float64(0.9)
+        assert all(type(x) is np.ndarray and x.shape == () for x in trig_triplet(k * k - g, 1.5))
+        types = [type(x) for x in denominator(g, 1.5, k)]
+        assert types == [np.ndarray, np.float64, np.float64]
+        types = [type(x) for x in transmission_grid(g, 1.5, k)]
+        assert types == [np.float64, np.float64, np.ndarray, np.ndarray, np.ndarray, np.float64]
+        types = [type(x) for x in scatter_grid(g, 1.5, k)]
+        assert types == [np.complex128, np.complex128, np.float64, np.float64, np.float64]
+    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="overflow"):
+        trig_triplet(np.array([-1e6]), 1.0)
+
+
 def test_free_particle_identity():
     amp = amplitudes(SquarePotential(0.0, 1.0), ATOMIC, 0.7)
     assert amp.t == pytest.approx(1.0, abs=1e-15)
@@ -257,6 +303,15 @@ def test_matching_oracle_at_barrier_top():
 def test_k_zero_rejected():
     with pytest.raises(ValueError):
         amplitudes(WELL1, ATOMIC, 0.0)
+
+
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+def test_non_finite_k_rejected(k):
+    """k = inf ended in a ConvergenceError that blamed an opaque barrier; a
+    negative real k stays valid."""
+    with pytest.raises(ValueError, match="k must be finite"):
+        amplitudes(BARRIER5_HALF, ATOMIC, k)
+    assert amplitudes(BARRIER5_HALF, ATOMIC, -1.0).k == -1.0
 
 
 def test_nondefault_units_consistency():
@@ -388,6 +443,12 @@ class TestPhaseTable:
     def test_bad_grid_rejected(self, k_min, k_max, samples):
         with pytest.raises(ValueError):
             build_phase_table(BARRIER5_HALF, ATOMIC, k_min, k_max, samples=samples)
+
+    @pytest.mark.parametrize("k_max", [math.inf, math.nan])
+    def test_non_finite_k_max_rejected(self, k_max):
+        """k_max = inf ended in a ConvergenceError that blamed an opaque barrier."""
+        with pytest.raises(ValueError, match="k_max < inf"):
+            build_phase_table(BARRIER5_HALF, ATOMIC, 0.1, k_max)
 
     def test_opaque_barrier_raises(self):
         """|D|^2 overflows above kappa d ~ 355: a typed error, not NaN or a
