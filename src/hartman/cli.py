@@ -16,7 +16,9 @@ echoes every resolved value.  Output goes to
 for relative paths.  Identical configurations produce byte-identical files.
 The module parses, dispatches (`DATASETS`) and writes: the rows come from a
 phase table, `delays.delay_rows` and `wavepacket.packet_rows`, the sweeps
-over the depths of `v0_grid`.  Every command runs in one process;
+over the depths of `v0_grid`.  Each command imports the module it calls
+when it runs, so `amplitudes` loads neither `delays` nor `wavepacket`, and
+`json` is imported only to write JSON.  Every command runs in one process;
 --jobs N is accepted and checked (N >= 1) but changes nothing.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid input, 3 numerical
@@ -25,18 +27,14 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
-from .delays import delay_rows
 from .errors import ConvergenceError
 from .potential import PhysicalConstants, SquarePotential
-from .scattering import build_phase_table
-from .wavepacket import GaussianPacketSpec, packet_rows
 
 PRESETS = {
     "fig1": {
@@ -62,28 +60,33 @@ def _resolve_out(out: str | None):
     return out
 
 
+def _json_value(x):
+    """A row value as JSON: bool, int, or a float, with null for NaN and
+    infinity (a diverged packet row), which JSON cannot represent."""
+    if isinstance(x, bool):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return float(x) if math.isfinite(x) else None
+
+
 def write_dataset(args: argparse.Namespace, header: list[str], rows: list[tuple]) -> None:
-    """Emit rows as CSV (UTF-8, LF, one header row) or JSON (metadata + rows)."""
+    """Emit rows as CSV (UTF-8, LF, one header row) or JSON (metadata + rows,
+    non-finite values as null)."""
     if args.format == "csv":
         # one %-format string per dataset, from the types of its first row
         fmt = ",".join("%d" if isinstance(x, (bool, int, np.integer))
                        else f"%.{args.precision}g" for x in next(iter(rows), ()))
         text = "\n".join([",".join(header)] + [fmt % tuple(row) for row in rows]) + "\n"
     else:
+        import json
+
         meta = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
         payload = {
             "metadata": meta,
-            "rows": [
-                {
-                    name: (bool(x) if isinstance(x, bool) else
-                           int(x) if isinstance(x, (int, np.integer)) else
-                           float(x))
-                    for name, x in zip(header, row)
-                }
-                for row in rows
-            ],
+            "rows": [{name: _json_value(x) for name, x in zip(header, row)} for row in rows],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     path = _resolve_out(args.out)
     if path is None:
         sys.stdout.write(text)
@@ -100,6 +103,8 @@ def cmd_amplitudes(args: argparse.Namespace, consts: PhysicalConstants) -> list[
     bisects where the phases move fast; with the adaptive flag off, only the
     uniform points are emitted (fixed-size datasets).
     """
+    from .scattering import build_phase_table
+
     if args.width is None:
         raise ValueError("amplitudes requires --width (or a preset)")
     k_min, k_hi, samples = args.k_min, args.k_max, args.samples
@@ -137,11 +142,15 @@ def v0_grid(v0_min: float, v0_max: float, v0_step: float) -> list[float]:
 
 
 def cmd_delay_sweep(args: argparse.Namespace, consts: PhysicalConstants) -> list[tuple]:
+    from .delays import delay_rows
+
     return delay_rows(v0_grid(args.v0_min, args.v0_max, args.v0_step), args.k,
                       args.width, consts)
 
 
 def cmd_packet_sweep(args: argparse.Namespace, consts: PhysicalConstants) -> list[tuple]:
+    from .wavepacket import GaussianPacketSpec, packet_rows
+
     if None in (args.k0, args.delta_p, args.x0):
         raise ValueError("packet sweep requires --k0, --delta-p, --x0 (or a preset)")
     v0s = v0_grid(args.v0_min, args.v0_max, args.v0_step)
@@ -162,6 +171,8 @@ def cmd_verify(args) -> int:
 
     results = run_all_checks(include_slow=not args.skip_slow)
     if args.format == "json":
+        import json
+
         payload = [
             {"name": r.name, "passed": bool(r.passed), "seconds": r.seconds,
              "detail": r.detail}

@@ -286,6 +286,25 @@ def test_json_output_with_metadata(tmp_path):
     assert row["t_subtracted"] < 0
 
 
+def test_fig3_json_is_strict_with_null_for_diverged_rows(tmp_path):
+    """fig3's JSON parses without NaN or Infinity constants; the diverged
+    free row carries null times, and every other row a finite time."""
+    out = tmp_path / "fig3.json"
+    assert run_cli(["packet-sweep", "--preset", "fig3", "--format", "json",
+                    "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    rows = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)["rows"]
+    assert len(rows) == 201
+    diverged = [r for r in rows if r["diverged"]]
+    assert [r["v0"] for r in diverged] == [0.0]
+    assert diverged[0]["t_out"] is None and diverged[0]["t_subtracted"] is None
+    assert math.isfinite(diverged[0]["p_t"])
+    assert all(math.isfinite(r["t_out"]) for r in rows if not r["diverged"])
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("HARTMAN_OUT_DIR", str(tmp_path))
     run_cli([
