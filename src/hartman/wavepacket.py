@@ -38,7 +38,7 @@ from . import _kernel
 from .boundstates import is_at_threshold
 from .errors import ConvergenceError, ThresholdDivergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
-from .quadrature import _first_error, _lockstep
+from .quadrature import _MAX_PANELS, _first_error, _lockstep
 
 # packet momentum support: beyond p0 + _SUPPORT_SIGMAS * dp the Gaussian
 # mass is below 1e-16 of the total
@@ -135,23 +135,6 @@ def packet_weight(spec, p, consts: PhysicalConstants = ATOMIC):
     return n * n * np.exp(-((arr - p0) ** 2) / (2.0 * spec.delta_p**2))
 
 
-def _resonance_breakpoints(pot, consts, p_lo, p_hi):
-    """Momenta of unit-transmission resonances q d = n pi, plus the barrier
-    momentum where the tunneling/propagating kink sits."""
-    g = pot.strength(consts)
-    d = pot.width
-    pts = []
-    if pot.v0 > 0:
-        pts.append(pot.barrier_momentum(consts))
-    k_hi = p_hi / consts.hbar
-    n_max = int(d * math.sqrt(max(k_hi * k_hi - g, 0.0)) / math.pi) + 1
-    for n in range(1, n_max + 1):
-        mu = (n * math.pi / d) ** 2 + g
-        if mu > 0:
-            pts.append(consts.hbar * math.sqrt(mu))
-    return [p for p in pts if p_lo < p < p_hi]
-
-
 def _transmitted_weight(spec, consts, g, width, p):
     """|phi_in|^2 |T|^2 = |phi_in|^2/|D|^2 and dPhi_T/dk at momenta p, from one kernel call."""
     p = np.asarray(p, dtype=float)
@@ -164,10 +147,10 @@ def _cutoff(spec, consts):
     return min(spec.p0(consts), spec.delta_p) * _CUTOFF_FRACTION
 
 
-def _tails(spec, consts, pots):
-    """The packet integrals below p_c in closed form, per potential of one width:
-    (p_c, P_T's tail, the time moment's tail, the moment's log coefficient),
-    from one `_kernel.low_k_limits` call over all rows.
+def _tails(spec, consts, g, d):
+    """The packet integrals below p_c in closed form, per strength g of one
+    width d: (p_c, P_T's tail, the time moment's tail, the moment's log
+    coefficient), from one `_kernel.low_k_limits` call over all rows.
 
     Below p_c = min(eps, hbar K/`_TAIL_DEPTH`) |T|^2 = p^2/(hbar^2 alpha) and
     dPhi_T/dk = Phi_T'(0) to 1.5e-5 relative, and w(p) = w0 + w1 p: the tails
@@ -184,8 +167,7 @@ def _tails(spec, consts, pots):
     weighs against its tolerance.  Where beta or alpha overflows (an opaque
     barrier, kappa0 d above about 353) p_c = eps and both tails are 0, as
     |T|^2 underflows there."""
-    hbar, d = consts.hbar, pots[0].width
-    g = np.array([pot.strength(consts) for pot in pots])
+    hbar = consts.hbar
     with np.errstate(over="ignore", invalid="ignore"):  # subnormal or opaque g: taken below
         alpha, beta, K, dphi0 = _kernel.low_k_limits(g, d)[:4]
     eps = _cutoff(spec, consts)
@@ -220,30 +202,51 @@ def _tails(spec, consts, pots):
     return p_c, p_t, moment, log_coef
 
 
-def _from_p_c(spec, pot, consts, p_c, p_hi):
-    """The lockstep interval [p_c, p_hi] with its breakpoints: p_c 2^j up to
-    the packet's low cutoff eps, eps and the resonances of `pot` between."""
-    eps = _cutoff(spec, consts)
-    low, p = [], 2.0 * p_c
-    while p < eps:
-        low.append(p)
-        p *= 2.0
-    return p_c, p_hi, low + [eps] + _resonance_breakpoints(pot, consts, eps, p_hi)
+def _intervals(spec, consts, g, width, lo, hi) -> list[tuple]:
+    """The `_lockstep` rows (lo, hi, breakpoints) of packet integrals over
+    strengths g of one width, for all rows at once: lo 2^j below the packet's
+    low cutoff eps, eps, and above eps the resonances q d = n pi at hbar
+    sqrt((n pi/d)^2 + g), n = 0 being the barrier momentum.  Each row's seeds
+    are counted in closed form first, n from where the resonances pass eps to
+    where they pass hi, rounded outward; a row of more seeds than
+    `_MAX_PANELS` raises ConvergenceError, and no array of them is formed."""
+    hbar, eps = consts.hbar, _cutoff(spec, consts)
+    g, lo, hi = np.broadcast_arrays(*np.atleast_1d(g, lo, hi))
+    with np.errstate(all="ignore"):  # NaN or inf seeds, which are dropped
+        n_low = np.maximum(np.ceil(np.log2(eps / lo)) - 1.0, 0.0)  # j >= 1 with lo 2^j < eps,
+        n_low += lo * np.float_power(2.0, n_low + 1.0) < eps  # one more where log2 rounds down
+        first, last = (np.floor(width * np.sqrt(np.maximum((p / hbar) ** 2 - g, 0.0)) / math.pi)
+                       for p in (eps, hi))
+        count = n_low + 1.0 + np.maximum(last - first + 2.0, 0.0)  # eps, n = first..last + 1
+    if not np.all(count < _MAX_PANELS):
+        raise ConvergenceError(f"a packet integral seeds {np.max(count) + 1.0:.6g} panels, "
+                               f"more than the budget of {_MAX_PANELS}")
+    end = np.cumsum(count)
+    lo_r, g_r, n_low, first, t = np.repeat([lo, g, n_low, first, end - count],
+                                           count.astype(int), axis=1)
+    t = np.arange(end[-1]) - t  # a seed's place in its row
+    k = t - n_low  # < 0: the low seeds, 0: eps, then n = first + k - 1
+    with np.errstate(all="ignore"):
+        p = np.select([k < 0, k == 0], [lo_r * np.float_power(2.0, t + 1.0), eps], hbar * np.sqrt(
+            np.float_power((first + k - 1.0) * math.pi / width, 2.0) + g_r))
+    keep = (k <= 0) | (p > eps)
+    ends = [0, *np.cumsum(keep, dtype=float)[(end - 1.0).astype(int)].astype(int).tolist()]
+    p = p[keep].tolist()
+    return [(a, b, p[s:e]) for a, b, s, e in zip(lo.tolist(), hi.tolist(), ends, ends[1:])]
 
 
-def _packet_integrals(spec, consts, pots, intervals, rel_tol=_REL_TOL, gate=None) -> list:
-    """`_lockstep` outcomes of `intervals` over `pots`, all of one width, one
-    kernel call per block of nodes: row i integrates component 0, |phi_in|^2
-    |T|^2 over pots[i], and where a `gate` adds it, then component 1, that
-    times (a - x0 + dPhi_T/dk)/p."""
-    g, width = np.array([pot.strength(consts) for pot in pots]), pots[0].width
+def _packet_integrals(spec, consts, g, width, lo, hi, rel_tol=_REL_TOL, gate=None) -> list:
+    """`_lockstep` outcomes of the rows [lo_i, hi_i] over strengths g of one
+    width, seeded by `_intervals`, one kernel call per block of nodes: row i
+    integrates component 0, |phi_in|^2 |T|^2 at g_i, and where a `gate` adds
+    it, then component 1, that times (a - x0 + dPhi_T/dk)/p."""
     aprime = width / 2.0 - spec.x0
 
     def f(p, owner):
         wgt, dphi = _transmitted_weight(spec, consts, g[owner], width, p)
         return wgt if gate is None else np.stack([wgt, wgt * (aprime + dphi) / p])
 
-    return _lockstep(f, intervals, rel_tol=rel_tol, gate=gate)
+    return _lockstep(f, _intervals(spec, consts, g, width, lo, hi), rel_tol=rel_tol, gate=gate)
 
 
 def _require_left_start(spec, pot) -> None:
@@ -274,9 +277,9 @@ def transmission_probability(
     consts: PhysicalConstants = ATOMIC,
 ) -> float:
     """P_T = integral |phi_in|^2 |T|^2 dp over (0, inf)."""
-    (p_c,), (tail,) = _tails(spec, consts, [pot])[:2]
-    (main,), = _packet_integrals(spec, consts, [pot],
-                                 [_from_p_c(spec, pot, consts, p_c, spec.p_max(consts))])
+    g = np.array([pot.strength(consts)])
+    p_c, (tail,) = _tails(spec, consts, g, pot.width)[:2]
+    (main,), = _packet_integrals(spec, consts, g, pot.width, p_c, spec.p_max(consts))
     return _first_error([main])[0].value + tail
 
 
@@ -318,23 +321,24 @@ def _exit_times(spec, pots, consts) -> list[tuple]:
     A row's P_T over [p_c, p_max] gets its closed-form tail, and its time
     moment starts from the panels P_T ended on, in the round P_T converged."""
     _require_left_start(spec, pots[0])
-    p_c, p_t_tail, moment_tail, log_coef = _tails(spec, consts, pots)
+    g, width = np.array([pot.strength(consts) for pot in pots]), pots[0].width
+    p_c, p_t_tail, moment_tail, log_coef = _tails(spec, consts, g, width)
+    # inside `is_at_threshold`'s band alpha is small but not 0, and the
+    # closed-form tail finite, so an exact threshold is refused before the
+    # time moment unless the packet vanishes at p = 0
+    at_zero = packet_weight(spec, 1e-12, consts) > 1e-280
 
     def gate(i, main):
-        # inside `is_at_threshold`'s band alpha is small but not 0, and the
-        # closed-form tail finite, so an exact threshold is refused before the
-        # time moment unless the packet vanishes at p = 0
         pot = pots[i]
-        if pot.v0 < 0 and is_at_threshold(pot, consts) and (
-                packet_weight(spec, 1e-12, consts) > 1e-280):
+        if at_zero and pot.v0 < 0 and is_at_threshold(pot, consts):
             raise ThresholdDivergenceError(
                 "well is at a bound-state threshold and the packet does not vanish "
                 "at p = 0: the mean exit time diverges")
         _require_transmitted(_first_error([main])[0].value + p_t_tail[i])
 
-    intervals = [_from_p_c(spec, pot, consts, p, spec.p_max(consts)) for pot, p in zip(pots, p_c)]
     rows = []
-    for i, (main, moment) in enumerate(_packet_integrals(spec, consts, pots, intervals, gate=gate)):
+    for i, (main, moment) in enumerate(
+            _packet_integrals(spec, consts, g, width, p_c, spec.p_max(consts), gate=gate)):
         p_t = main if isinstance(main, Exception) else main.value + p_t_tail[i]
         if not isinstance(moment, Exception):
             t_int = moment.value
@@ -584,17 +588,15 @@ def crossover_width_empirical(
     # the packet tail beyond p_b carries the whole above-barrier share, so
     # the upper limit must extend past p_b even when that tail is tiny
     p_hi = max(spec.p_max(consts), p_b + 6.0 * spec.delta_p)
+    g = np.full(2, pot.strength(consts))  # the rows below and above p_b
 
     def split_transmittance(width: float) -> float:
-        trial = SquarePotential(v0=pot.v0, half_width=width / 2.0)
         # every resonance lies above p_b, so `below` gets only the low breakpoints;
         # a wide trial overflows the kernel where |T|^2 = 0 (a NaN in it still raises)
         with np.errstate(over="ignore", invalid="ignore"):
-            (p_c,), (tail,) = _tails(spec, consts, [trial])[:2]
-            (below,), (above,) = _packet_integrals(spec, consts, [trial] * 2, [
-                _from_p_c(spec, trial, consts, p_c, p_b),
-                (p_b, p_hi, _resonance_breakpoints(trial, consts, p_b, p_hi))],
-                rel_tol=_SPLIT_REL_TOL)
+            (p_c,), (tail,) = _tails(spec, consts, g[:1], width)[:2]
+            (below,), (above,) = _packet_integrals(spec, consts, g, width, [p_c, p_b],
+                                                   [p_b, p_hi], rel_tol=_SPLIT_REL_TOL)
             below, above = _first_error([below, above])
         if not above.value > 0:
             raise ConvergenceError(

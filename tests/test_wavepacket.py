@@ -27,6 +27,7 @@ from hartman import (
 from hartman._kernel import W_CUT, scatter_grid
 from hartman.quadrature import _lockstep, adaptive_quad, integral_to_zero
 from hartman import _kernel, quadrature, wavepacket
+from hartman.cli import v0_grid
 from hartman.verify import CROSS_VALIDATION_CONFIGS, transmission_probability_simpson
 from hartman.wavepacket import _bulk_wave
 
@@ -282,7 +283,7 @@ def test_moment_from_p_t_panels_matches_fresh_seeds(pot, spec):
         return wgt * (aprime + dphi) / p
 
     eps, p_hi = wavepacket._cutoff(spec, ATOMIC), spec.p_max()
-    breaks = wavepacket._resonance_breakpoints(pot, ATOMIC, eps, p_hi)
+    (_, _, breaks), = wavepacket._intervals(spec, ATOMIC, g, pot.width, eps, p_hi)
     tol = wavepacket._REL_TOL
     fresh = []
     for f in (weight, moment):
@@ -320,10 +321,10 @@ class TestLowMomentumTail:
     def test_fig3_starts_at_k_over_256_without_halving(self):
         """On fig3's rows the two-term |T|^2 holds at min(eps, hbar K/256) to
         1e-10, so no p_c is halved; the free row starts at eps/256."""
-        pots = self._fig3_pots()
-        p_c = wavepacket._tails(FIG3_PACKET, ATOMIC, pots)[0]
+        g = np.array([pot.strength() for pot in self._fig3_pots()])
+        p_c = wavepacket._tails(FIG3_PACKET, ATOMIC, g, 2.0)[0]
         eps = wavepacket._cutoff(FIG3_PACKET, ATOMIC)
-        K = _kernel.low_k_limits(np.array([pot.strength() for pot in pots]), 2.0)[2]
+        K = _kernel.low_k_limits(g, 2.0)[2]
         want = np.clip(K / wavepacket._TAIL_DEPTH, eps * wavepacket._TAIL_FLOOR, eps)
         want[160] = eps / 256.0  # v0 = 0: K = 0 puts it at the floor
         assert p_c.tobytes() == want.tobytes()
@@ -349,7 +350,7 @@ class TestLowMomentumTail:
         monkeypatch.setattr(wavepacket, "_TAIL_DEPTH", 1.0)
         pots = [SquarePotential(-math.pi**2 / 8.0 * (1.0 + d), 1.0) for d in (1e-3, 1e-4, -1e-3)]
         g = np.array([pot.strength() for pot in pots])
-        p_c = wavepacket._tails(FIG3_PACKET, ATOMIC, pots)[0]
+        p_c = wavepacket._tails(FIG3_PACKET, ATOMIC, g, 2.0)[0]
         alpha, beta, K = _kernel.low_k_limits(g, 2.0)[:3]
         eps = wavepacket._cutoff(FIG3_PACKET, ATOMIC)
         assert np.all(p_c < np.minimum(K, eps)) and np.all(p_c > eps * 2.0**-60)
@@ -366,12 +367,13 @@ class TestLowMomentumTail:
         outcomes = []
         for k0 in (0.55, 0.6, 0.62, 0.65, 0.7, 2.0):
             spec = GaussianPacketSpec(k0, 0.1, -30.0)
-            (p_c,), _, _, (log_coef,) = wavepacket._tails(spec, ATOMIC, [pot])
+            (p_c,), _, _, (log_coef,) = wavepacket._tails(spec, ATOMIC, np.zeros(1), pot.width)
             assert p_c == wavepacket._cutoff(spec, ATOMIC) / 256.0
             w0 = wavepacket.packet_weight(spec, 0.0)
             assert log_coef == pytest.approx(w0 * (1.0 + 30.0) * math.log(2.0), rel=1e-14)
             (main,), = _lockstep(lambda p, _: wavepacket.packet_weight(spec, p) * 31.0 / p,
-                                 [wavepacket._from_p_c(spec, pot, ATOMIC, p_c, spec.p_max())],
+                                 wavepacket._intervals(spec, ATOMIC, 0.0, pot.width, p_c,
+                                                       spec.p_max()),
                                  rel_tol=wavepacket._REL_TOL)
             diverges = log_coef > 0.5 * wavepacket._REL_TOL * main.value
             try:
@@ -392,14 +394,83 @@ class TestLowMomentumTail:
         355 (d = 120): p_c = eps, both tails are 0, and P_T stays finite."""
         spec = GaussianPacketSpec(1.0, 0.1, -400.0)
         pots = [SquarePotential(5.0, a) for a in (55.872, 60.0, 64.0, 300.0)]
+        eps = wavepacket._cutoff(spec, ATOMIC)
         with np.errstate(all="ignore"):
-            p_c, p_t_tail, moment_tail, log_coef = wavepacket._tails(spec, ATOMIC, pots)
-            eps = wavepacket._cutoff(spec, ATOMIC)
-            assert np.all(p_c == eps)
-            assert not np.any(p_t_tail) and not np.any(moment_tail) and not np.any(log_coef)
             for pot in pots:
+                tails = wavepacket._tails(spec, ATOMIC, np.array([pot.strength()]), pot.width)
+                assert tails[0] == eps and not np.any(tails[1:])
                 p_t = transmission_probability(spec, pot)
                 assert math.isfinite(p_t) and 0.0 <= p_t < 1e-250
+
+
+def _reference_rows(spec, pots, lo, hi, consts=ATOMIC):
+    """The per-row loop `wavepacket._intervals` replaced: lo 2^j below eps, eps,
+    and above eps the barrier momentum and the resonances q d = n pi below hi."""
+    eps = wavepacket._cutoff(spec, consts)
+    rows = []
+    for pot, a, b in zip(pots, lo, hi):
+        low, p = [], 2.0 * a
+        while p < eps:
+            low.append(p)
+            p *= 2.0
+        g, d = pot.strength(consts), pot.width
+        pts = [pot.barrier_momentum(consts)] if pot.v0 > 0 else []
+        k_hi = b / consts.hbar
+        for n in range(1, int(d * math.sqrt(max(k_hi * k_hi - g, 0.0)) / math.pi) + 2):
+            mu = (n * math.pi / d) ** 2 + g
+            if mu > 0:
+                pts.append(consts.hbar * math.sqrt(mu))
+        rows.append((a, b, low + [eps] + [p for p in pts if eps < p < b]))
+    return rows
+
+
+def _edges(rows):
+    """The panel edges `_lockstep` seeds each row with."""
+    return [[a, *sorted(p for p in set(bp) if a < p < b), b] for a, b, bp in rows]
+
+
+class TestIntervals:
+    """`wavepacket._intervals` forms every row's seeds in arrays; they must be
+    the per-row loop's, bit for bit."""
+
+    @staticmethod
+    def _check(spec, pots, lo, hi):
+        g = np.array([pot.strength() for pot in pots])
+        rows = wavepacket._intervals(spec, ATOMIC, g, pots[0].width, lo, hi)
+        want = _edges(_reference_rows(spec, pots, np.broadcast_to(lo, len(pots)),
+                                      np.broadcast_to(hi, len(pots))))
+        assert [[x.hex() for x in e] for e in _edges(rows)] == [[x.hex() for x in e] for e in want]
+        return rows
+
+    def test_fig3_rows(self):
+        pots = [SquarePotential(v0, 1.0) for v0 in v0_grid(-1.6, 0.4, 0.01)]
+        g = np.array([pot.strength() for pot in pots])
+        p_c = wavepacket._tails(FIG3_PACKET, ATOMIC, g, 2.0)[0]
+        rows = self._check(FIG3_PACKET, pots, p_c, FIG3_PACKET.p_max())
+        assert len(rows) == 201 and max(len(_edges([r])[0]) - 1 for r in rows) == 14
+
+    @pytest.mark.parametrize("pot, spec", CROSS_VALIDATION_CONFIGS)
+    def test_cross_validation_rows(self, pot, spec):
+        p_c = wavepacket._tails(spec, ATOMIC, np.array([pot.strength()]), pot.width)[0]
+        self._check(spec, [pot], p_c, spec.p_max())
+
+    @pytest.mark.parametrize("width", [1e-3, 1.0, 41.14098217773437, 112.0, 4096.0])
+    def test_crossover_rows(self, width):
+        """Below p_b only the low seeds and eps; above it the resonances."""
+        spec, v0 = GaussianPacketSpec(1.0, 0.06, -200.0), 5.0
+        pot = SquarePotential(v0, width / 2.0)
+        p_b = pot.barrier_momentum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            (p_c,) = wavepacket._tails(spec, ATOMIC, np.array([pot.strength()]), width)[0]
+        self._check(spec, [pot, pot], [p_c, p_b], [p_b, max(spec.p_max(), p_b + 0.36)])
+
+    def test_too_many_seeds_raise_before_forming(self, monkeypatch):
+        """A row spanning more resonances than the panel budget raises
+        ConvergenceError from its closed-form count, with no array formed."""
+        monkeypatch.setattr(np, "repeat", None)  # the formation's first step
+        spec = GaussianPacketSpec(math.pi / 8, 1e150, -41.0)
+        with pytest.raises(ConvergenceError, match="more than the budget of 4000"):
+            wavepacket._intervals(spec, ATOMIC, [0.2], 2.0, [1e-3], spec.p_max())
 
 
 class TestExitTimeBatch:
