@@ -205,19 +205,22 @@ def _tails(spec, consts, g, d):
 def _intervals(spec, consts, g, width, lo, hi) -> list[tuple]:
     """The `_lockstep` rows (lo, hi, breakpoints) of packet integrals over
     strengths g of one width, for all rows at once: lo 2^j below the packet's
-    low cutoff eps, eps, and above eps the resonances q d = n pi at hbar
-    sqrt((n pi/d)^2 + g), n = 0 being the barrier momentum.  Each row's seeds
+    low cutoff eps, eps, and above eps the packet's lower support edge p0 -
+    9 dp and the resonances q d = n pi at hbar sqrt((n pi/d)^2 + g), n = 0
+    being the barrier momentum; the edge keeps a packet narrow against p0 from
+    falling between the nodes of a panel.  Each row's seeds
     are counted in closed form first, n from where the resonances pass eps to
     where they pass hi, rounded outward; a row of more seeds than
     `_MAX_PANELS` raises ConvergenceError, and no array of them is formed."""
     hbar, eps = consts.hbar, _cutoff(spec, consts)
+    edge = spec.p0(consts) - _SUPPORT_SIGMAS * spec.delta_p
     g, lo, hi = np.broadcast_arrays(*np.atleast_1d(g, lo, hi))
     with np.errstate(all="ignore"):  # NaN or inf seeds, which are dropped
         n_low = np.maximum(np.ceil(np.log2(eps / lo)) - 1.0, 0.0)  # j >= 1 with lo 2^j < eps,
         n_low += lo * np.float_power(2.0, n_low + 1.0) < eps  # one more where log2 rounds down
         first, last = (np.floor(width * np.sqrt(np.maximum((p / hbar) ** 2 - g, 0.0)) / math.pi)
                        for p in (eps, hi))
-        count = n_low + 1.0 + np.maximum(last - first + 2.0, 0.0)  # eps, n = first..last + 1
+        count = n_low + 2.0 + np.maximum(last - first + 2.0, 0.0)  # eps, edge, n = first..last + 1
     if not np.all(count < _MAX_PANELS):
         raise ConvergenceError(f"a packet integral seeds {np.max(count) + 1.0:.6g} panels, "
                                f"more than the budget of {_MAX_PANELS}")
@@ -225,10 +228,10 @@ def _intervals(spec, consts, g, width, lo, hi) -> list[tuple]:
     lo_r, g_r, n_low, first, t = np.repeat([lo, g, n_low, first, end - count],
                                            count.astype(int), axis=1)
     t = np.arange(end[-1]) - t  # a seed's place in its row
-    k = t - n_low  # < 0: the low seeds, 0: eps, then n = first + k - 1
+    k = t - n_low  # < 0: the low seeds, 0: eps, 1: the edge, then n = first + k - 2
     with np.errstate(all="ignore"):
-        p = np.select([k < 0, k == 0], [lo_r * np.float_power(2.0, t + 1.0), eps], hbar * np.sqrt(
-            np.float_power((first + k - 1.0) * math.pi / width, 2.0) + g_r))
+        p = np.select([k < 0, k == 0, k == 1], [lo_r * np.float_power(2.0, t + 1.0), eps, edge],
+                      hbar * np.sqrt(np.float_power((first + k - 2.0) * math.pi / width, 2.0) + g_r))
     keep = (k <= 0) | (p > eps)
     ends = [0, *np.cumsum(keep, dtype=float)[(end - 1.0).astype(int)].astype(int).tolist()]
     p = p[keep].tolist()

@@ -222,10 +222,25 @@ class TestMeanExitTime:
         assert rep.p_t == transmission_probability(FIG3_PACKET, pot)
 
     def test_vanishing_transmission_raises(self):
-        """P_T underflows to 0: no exit time rather than t_out = nan."""
-        spec = GaussianPacketSpec(0.5, 1e-9, -5.0)
-        with pytest.raises(ValueError, match="transmitted weight vanishes"):
-            mean_exit_time(spec, SquarePotential(1.0, 1.0))
+        """P_T underflows to 0 behind an opaque barrier: no exit time rather
+        than t_out = nan."""
+        spec = GaussianPacketSpec(0.5, 1e-9, -200.0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="weight vanishes"):
+            mean_exit_time(spec, SquarePotential(5.0, 120.0))
+
+    @pytest.mark.parametrize("dp", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    def test_narrow_packet_tends_to_stationary_phase(self, dp):
+        """As dp -> 0, P_T -> |T(p0)|^2 and t_out -> m(a - x0 + Phi_T'(k0))/p0:
+        the lower support edge p0 - 9 dp is seeded, so the nodes land inside
+        the packet.  They lie on the float grid of spacing ulp(p0), so P_T
+        agrees only to about ulp(p0)/dp."""
+        pot, spec = SquarePotential(0.1, 1.0), GaussianPacketSpec(math.pi / 8, dp, -41.0)
+        t, _, dphi, _, _ = scatter_grid(pot.strength(), pot.width, np.array([spec.k0]))
+        rep = mean_exit_time(spec, pot)
+        assert rep.p_t == transmission_probability(spec, pot)
+        assert rep.p_t == pytest.approx(abs(t[0]) ** 2, rel=1e-8 + math.ulp(spec.p0()) / dp)
+        assert rep.t_out == pytest.approx((pot.half_width - spec.x0 + dphi[0]) / spec.k0,
+                                          rel=1e-8)
 
     def test_free_divergence_detected_for_broad_packet(self):
         """v0 = 0 is the trivial threshold: T(0) = 1, so a packet with
@@ -405,7 +420,8 @@ class TestLowMomentumTail:
 
 def _reference_rows(spec, pots, lo, hi, consts=ATOMIC):
     """The per-row loop `wavepacket._intervals` replaced: lo 2^j below eps, eps,
-    and above eps the barrier momentum and the resonances q d = n pi below hi."""
+    and above eps the barrier momentum and the resonances q d = n pi below hi,
+    with the packet's lower support edge p0 - 9 dp, seeded since."""
     eps = wavepacket._cutoff(spec, consts)
     rows = []
     for pot, a, b in zip(pots, lo, hi):
@@ -414,7 +430,8 @@ def _reference_rows(spec, pots, lo, hi, consts=ATOMIC):
             low.append(p)
             p *= 2.0
         g, d = pot.strength(consts), pot.width
-        pts = [pot.barrier_momentum(consts)] if pot.v0 > 0 else []
+        pts = [spec.p0(consts) - 9.0 * spec.delta_p]
+        pts += [pot.barrier_momentum(consts)] if pot.v0 > 0 else []
         k_hi = b / consts.hbar
         for n in range(1, int(d * math.sqrt(max(k_hi * k_hi - g, 0.0)) / math.pi) + 2):
             mu = (n * math.pi / d) ** 2 + g
