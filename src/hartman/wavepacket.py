@@ -22,7 +22,11 @@ Both integrals are improper at p = 0.  Off the bound-state thresholds
 and each integral ends in a closed form below p_c = min(eps, hbar K/256)
 (`_tails`).  At a threshold alpha = 0 and |T(0)| = 1, and the mean exit
 time diverges for any packet with phi_in(0) != 0, which is detected and
-reported rather than silently truncated.
+reported rather than silently truncated.  Above p_c, `_intervals` seeds the
+panels of every row at once: p_c 2^j below eps, eps, the support edge p0 -
+9 dp and the resonances.  dp ranges from 2^-32 p0, where the nodes, rounded
+to ulp(p0), stop resolving the packet, to where it spans more resonances than
+panels; as dp -> 0, P_T -> |T(p0)|^2 and <t> -> m(a - x0 + hbar Phi_T'(p0))/p0.
 `packet_rows` forms a sweep's rows once, for the `packet-sweep` command and
 the threshold-window check of `hartman.verify`.
 """
@@ -46,6 +50,9 @@ _SUPPORT_SIGMAS = 9.0
 # eps, this fraction of min(p0, dp): adaptive panels of a packet integral
 # start at p_c <= eps, geometric below eps
 _CUTOFF_FRACTION = 1e-3
+# dp/p0 below which the packet integrals' nodes, rounded to ulp(p0) <= 2^-52 p0,
+# resolve the packet to worse than about 2^-20 of P_T (about 0.4 ulp(p0)/dp)
+_MIN_REL_WIDTH = 2.0**-32
 # the closed-form tail below the panels starts at hbar K/_TAIL_DEPTH, where
 # beta k^2/alpha <= 1.5e-5, and no deeper than eps _TAIL_FLOOR (60 halvings);
 # where K puts it at that floor, |T|^2 is flat and it starts at eps/_TAIL_DEPTH
@@ -111,19 +118,14 @@ class PassageTimeReport:
     classical_defined: bool  # False when p0^2 <= 2 m V0
 
 
-def packet_amplitude(
-    spec: GaussianPacketSpec, p, consts: PhysicalConstants = ATOMIC
-):
+def packet_amplitude(spec: GaussianPacketSpec, p, consts: PhysicalConstants = ATOMIC):
     """phi_in(p, 0); p must be positive (the packet has no p <= 0 content)."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("packet amplitude is defined for p > 0 only")
-    p0 = spec.p0(consts)
-    n = spec.norm_constant(consts)
-    out = n * np.exp(
-        -((arr - p0) ** 2) / (4.0 * spec.delta_p**2)
-        - 1j * arr * spec.x0 / consts.hbar
-    )
+    p0, n = spec.p0(consts), spec.norm_constant(consts)
+    out = n * np.exp(-((arr - p0) ** 2) / (4.0 * spec.delta_p**2)
+                     - 1j * arr * spec.x0 / consts.hbar)
     return complex(out) if np.isscalar(p) else out
 
 
@@ -143,8 +145,14 @@ def _transmitted_weight(spec, consts, g, width, p):
 
 
 def _cutoff(spec, consts):
-    """eps, the packet's low cutoff: no packet integral's tail starts above it."""
-    return min(spec.p0(consts), spec.delta_p) * _CUTOFF_FRACTION
+    """eps, the packet's low cutoff: no packet integral's tail starts above it.
+    Raises ValueError for a width dp below `_MIN_REL_WIDTH` p0, or one whose
+    square is not a normal float (dp outside about 1.5e-154 to 1.3e154)."""
+    p0, dp = spec.p0(consts), spec.delta_p
+    if not (dp >= _MIN_REL_WIDTH * p0 and np.finfo(float).tiny <= dp * dp < math.inf):
+        raise ValueError(f"delta_p = {dp:.6g} out of range: the packet integrals resolve "
+                         f"2^-32 p0 = {_MIN_REL_WIDTH * p0:.6g} or more, with a normal square")
+    return min(p0, dp) * _CUTOFF_FRACTION
 
 
 def _tails(spec, consts, g, d):
@@ -167,10 +175,9 @@ def _tails(spec, consts, g, d):
     weighs against its tolerance.  Where beta or alpha overflows (an opaque
     barrier, kappa0 d above about 353) p_c = eps and both tails are 0, as
     |T|^2 underflows there."""
-    hbar = consts.hbar
+    hbar, eps = consts.hbar, _cutoff(spec, consts)
     with np.errstate(over="ignore", invalid="ignore"):  # subnormal or opaque g: taken below
         alpha, beta, K, dphi0 = _kernel.low_k_limits(g, d)[:4]
-    eps = _cutoff(spec, consts)
     floor = eps * _TAIL_FLOOR
     opaque = ~np.isfinite(beta)  # beta overflows with alpha or before it
     with np.errstate(invalid="ignore"):
@@ -205,13 +212,12 @@ def _tails(spec, consts, g, d):
 def _intervals(spec, consts, g, width, lo, hi) -> list[tuple]:
     """The `_lockstep` rows (lo, hi, breakpoints) of packet integrals over
     strengths g of one width, for all rows at once: lo 2^j below the packet's
-    low cutoff eps, eps, and above eps the packet's lower support edge p0 -
-    9 dp and the resonances q d = n pi at hbar sqrt((n pi/d)^2 + g), n = 0
-    being the barrier momentum; the edge keeps a packet narrow against p0 from
-    falling between the nodes of a panel.  Each row's seeds
-    are counted in closed form first, n from where the resonances pass eps to
-    where they pass hi, rounded outward; a row of more seeds than
-    `_MAX_PANELS` raises ConvergenceError, and no array of them is formed."""
+    low cutoff eps, eps, and above eps the lower support edge p0 - 9 dp (so
+    that a packet narrow against p0 meets the nodes) and the resonances q d =
+    n pi at hbar sqrt((n pi/d)^2 + g), n = 0 being the barrier momentum.
+    Each row's seeds are counted in closed form first, n from where the
+    resonances pass eps to where they pass hi, rounded outward; a row of more
+    seeds than `_MAX_PANELS` raises ConvergenceError, with none formed."""
     hbar, eps = consts.hbar, _cutoff(spec, consts)
     edge = spec.p0(consts) - _SUPPORT_SIGMAS * spec.delta_p
     g, lo, hi = np.broadcast_arrays(*np.atleast_1d(g, lo, hi))
@@ -230,8 +236,9 @@ def _intervals(spec, consts, g, width, lo, hi) -> list[tuple]:
     t = np.arange(end[-1]) - t  # a seed's place in its row
     k = t - n_low  # < 0: the low seeds, 0: eps, 1: the edge, then n = first + k - 2
     with np.errstate(all="ignore"):
+        n = (first + k - 2.0) * math.pi / width
         p = np.select([k < 0, k == 0, k == 1], [lo_r * np.float_power(2.0, t + 1.0), eps, edge],
-                      hbar * np.sqrt(np.float_power((first + k - 2.0) * math.pi / width, 2.0) + g_r))
+                      hbar * np.sqrt(np.float_power(n, 2.0) + g_r))
     keep = (k <= 0) | (p > eps)
     ends = [0, *np.cumsum(keep, dtype=float)[(end - 1.0).astype(int)].astype(int).tolist()]
     p = p[keep].tolist()
@@ -263,9 +270,7 @@ def _require_below_barrier(spec, pot, consts) -> float:
     p_b = pot.barrier_momentum(consts)  # raises for v0 <= 0
     p0 = spec.p0(consts)
     if p0 >= p_b:
-        raise ValueError(
-            f"packet momentum p0 = {p0} must lie below the barrier momentum {p_b}"
-        )
+        raise ValueError(f"packet momentum p0 = {p0} must lie below the barrier momentum {p_b}")
     return p_b
 
 
@@ -296,9 +301,7 @@ def classical_reference_time(
     For classically forbidden heights (p0^2 <= 2 m V0) the free-motion time
     is returned with a False flag instead of omitting the value.
     """
-    p0 = spec.p0(consts)
-    m = consts.mass
-    a = pot.half_width
+    p0, m, a = spec.p0(consts), consts.mass, pot.half_width
     if p0 * p0 > 2.0 * m * pot.v0:
         inside = math.sqrt(p0 * p0 - 2.0 * m * pot.v0)
         return m * (-a - spec.x0) / p0 + m * pot.width / inside, True
@@ -568,9 +571,7 @@ def critical_width(
     """
     p_b = _require_below_barrier(spec, pot, consts)
     p0 = spec.p0(consts)
-    return (consts.hbar / (4.0 * spec.delta_p**2)) * math.sqrt(
-        (p_b - p0) ** 3 / (p_b + p0)
-    )
+    return (consts.hbar / (4.0 * spec.delta_p**2)) * math.sqrt((p_b - p0) ** 3 / (p_b + p0))
 
 
 def crossover_width_empirical(
@@ -598,33 +599,24 @@ def crossover_width_empirical(
         # a wide trial overflows the kernel where |T|^2 = 0 (a NaN in it still raises)
         with np.errstate(over="ignore", invalid="ignore"):
             (p_c,), (tail,) = _tails(spec, consts, g[:1], width)[:2]
-            (below,), (above,) = _packet_integrals(spec, consts, g, width, [p_c, p_b],
-                                                   [p_b, p_hi], rel_tol=_SPLIT_REL_TOL)
-            below, above = _first_error([below, above])
+            below, above = _first_error([r for r, in _packet_integrals(
+                spec, consts, g, width, [p_c, p_b], [p_b, p_hi], rel_tol=_SPLIT_REL_TOL)])
         if not above.value > 0:
             raise ConvergenceError(
                 f"above-barrier transmittance underflows to {above.value} at d = {width}: "
                 "no crossover can be represented", estimate=width)
         return below.value + tail - above.value
 
-    d_lo = 1e-3
+    d_lo, d_hi = 1e-3, 1.0
     f_lo = split_transmittance(d_lo)
     if f_lo <= 0:
-        raise ConvergenceError(
-            f"no sign change: already above-barrier dominated at d = {d_lo} "
-            f"(f = {f_lo:.3e})",
-            estimate=d_lo,
-        )
-    d_hi = 1.0
-    f_hi = split_transmittance(d_hi)
-    while f_hi > 0:
+        raise ConvergenceError(f"no sign change: already above-barrier dominated at d = {d_lo} "
+                               f"(f = {f_lo:.3e})", estimate=d_lo)
+    while split_transmittance(d_hi) > 0:
         d_hi *= 2.0
         if d_hi > _D_MAX:
-            raise ConvergenceError(
-                f"no sign change in the search bracket [{d_lo}, {_D_MAX}]",
-                estimate=d_hi,
-            )
-        f_hi = split_transmittance(d_hi)
+            raise ConvergenceError(f"no sign change in the search bracket [{d_lo}, {_D_MAX}]",
+                                   estimate=d_hi)
 
     while (d_hi - d_lo) > tol * d_hi:
         mid = 0.5 * (d_lo + d_hi)

@@ -536,6 +536,22 @@ def test_packet_sweep_right_start_exits_2(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, code", [
+    (["--width", "1e-200"], 0),  # an OverflowError in the resonance loop
+    (["--delta-p", "1e-200"], 2),  # a ZeroDivisionError in the tail
+    (["--delta-p", "1e-160"], 2),  # P_T = 0: the support rounded to p0
+    (["--delta-p", "1e150"], 3),  # hung in the resonance loop
+    (["--delta-p", "1e200"], 2),  # an OverflowError
+    (["--width", "1.5e3", "--x0=-1e4"], 3),  # more resonances than panels
+])
+def test_packet_sweep_extreme_inputs_exit_typed(tmp_path, capsys, args, code):
+    """fig3 at extreme widths and momentum spreads ends with rows or a typed
+    error and its exit code, not a traceback or a hang."""
+    out = tmp_path / "p.csv"
+    assert run_cli(["packet-sweep", "--preset", "fig3", *args, "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+
+
 def test_packet_sweep_raises_first_row_error(tmp_path, monkeypatch, capsys):
     """Row -0.3 fails to converge (NaN |D|^2) and row -0.2 transmits nothing
     (|D|^2 = inf, T = 0): the sweep exits as a serial one would, with the

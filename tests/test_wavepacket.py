@@ -242,6 +242,18 @@ class TestMeanExitTime:
         assert rep.t_out == pytest.approx((pot.half_width - spec.x0 + dphi[0]) / spec.k0,
                                           rel=1e-8)
 
+    @pytest.mark.parametrize("dp", [1e-200, 1e-160, 1e-17, 1e155, 1e200])
+    def test_unresolved_or_unsquarable_width_rejected(self, dp):
+        """Below 2^-32 p0 the nodes stop resolving the packet (dp = 1e-17 gave
+        P_T = 3.47), and dp^2 must be a normal float."""
+        spec, pot = GaussianPacketSpec(math.pi / 8, dp, -41.0), SquarePotential(0.1, 1.0)
+        for run in (transmission_probability, mean_exit_time):
+            with pytest.raises(ValueError, match="out of range"):
+                run(spec, pot)
+        with pytest.raises(ValueError, match="out of range"):
+            crossover_width_empirical(GaussianPacketSpec(1.0, dp, -200.0),
+                                      SquarePotential(5.0, 0.5))
+
     def test_free_divergence_detected_for_broad_packet(self):
         """v0 = 0 is the trivial threshold: T(0) = 1, so a packet with
         phi(0) != 0 has no finite mean exit time."""
