@@ -118,14 +118,19 @@ class PassageTimeReport:
     classical_defined: bool  # False when p0^2 <= 2 m V0
 
 
-def packet_amplitude(spec: GaussianPacketSpec, p, consts: PhysicalConstants = ATOMIC):
+def packet_amplitude(
+    spec: GaussianPacketSpec, p, consts: PhysicalConstants = ATOMIC
+):
     """phi_in(p, 0); p must be positive (the packet has no p <= 0 content)."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("packet amplitude is defined for p > 0 only")
-    p0, n = spec.p0(consts), spec.norm_constant(consts)
-    out = n * np.exp(-((arr - p0) ** 2) / (4.0 * spec.delta_p**2)
-                     - 1j * arr * spec.x0 / consts.hbar)
+    p0 = spec.p0(consts)
+    n = spec.norm_constant(consts)
+    out = n * np.exp(
+        -((arr - p0) ** 2) / (4.0 * spec.delta_p**2)
+        - 1j * arr * spec.x0 / consts.hbar
+    )
     return complex(out) if np.isscalar(p) else out
 
 
@@ -210,35 +215,33 @@ def _tails(spec, consts, g, d):
 
 
 def _intervals(spec, consts, g, width, lo, hi) -> list[tuple]:
-    """The `_lockstep` rows (lo, hi, breakpoints) of packet integrals over
-    strengths g of one width, for all rows at once: lo 2^j below the packet's
-    low cutoff eps, eps, and above eps the lower support edge p0 - 9 dp (so
-    that a packet narrow against p0 meets the nodes) and the resonances q d =
-    n pi at hbar sqrt((n pi/d)^2 + g), n = 0 being the barrier momentum.
-    Each row's seeds are counted in closed form first, n from where the
-    resonances pass eps to where they pass hi, rounded outward; a row of more
-    seeds than `_MAX_PANELS` raises ConvergenceError, with none formed."""
+    """The `_lockstep` rows (lo, hi, breakpoints) over strengths g of one width,
+    formed for all rows at once from closed-form counts: lo 2^j below the low
+    cutoff eps, eps, and above eps the support edge p0 - 9 dp (which a packet
+    narrow against p0 needs to meet the nodes) and the resonances q d = n pi,
+    n = 0 being the barrier momentum.  A row of more seeds than `_MAX_PANELS`
+    raises ConvergenceError before any is formed."""
     hbar, eps = consts.hbar, _cutoff(spec, consts)
     edge = spec.p0(consts) - _SUPPORT_SIGMAS * spec.delta_p
     g, lo, hi = np.broadcast_arrays(*np.atleast_1d(g, lo, hi))
-    with np.errstate(all="ignore"):  # NaN or inf seeds, which are dropped
+    with np.errstate(all="ignore"):  # inf or NaN seeds, which are dropped
         n_low = np.maximum(np.ceil(np.log2(eps / lo)) - 1.0, 0.0)  # j >= 1 with lo 2^j < eps,
         n_low += lo * np.float_power(2.0, n_low + 1.0) < eps  # one more where log2 rounds down
+        # n from one below the first resonance above eps to one above the last below hi
         first, last = (np.floor(width * np.sqrt(np.maximum((p / hbar) ** 2 - g, 0.0)) / math.pi)
                        for p in (eps, hi))
-        count = n_low + 2.0 + np.maximum(last - first + 2.0, 0.0)  # eps, edge, n = first..last + 1
-    if not np.all(count < _MAX_PANELS):
-        raise ConvergenceError(f"a packet integral seeds {np.max(count) + 1.0:.6g} panels, "
-                               f"more than the budget of {_MAX_PANELS}")
-    end = np.cumsum(count)
-    lo_r, g_r, n_low, first, t = np.repeat([lo, g, n_low, first, end - count],
-                                           count.astype(int), axis=1)
-    t = np.arange(end[-1]) - t  # a seed's place in its row
-    k = t - n_low  # < 0: the low seeds, 0: eps, 1: the edge, then n = first + k - 2
-    with np.errstate(all="ignore"):
-        n = (first + k - 2.0) * math.pi / width
+        count = n_low + 2.0 + np.maximum(last - first + 2.0, 0.0)
+        if not np.all(count < _MAX_PANELS):
+            raise ConvergenceError(f"a packet integral seeds {np.max(count) + 1.0:.6g} panels, "
+                                   f"more than the budget of {_MAX_PANELS}")
+        end = np.cumsum(count)
+        lo_r, g_r, n_low, first, t = np.repeat([lo, g, n_low, first, end - count],
+                                               count.astype(int), axis=1)
+        t = np.arange(end[-1]) - t  # a seed's place in its row
+        k = t - n_low  # < 0: the low seeds, 0: eps, 1: the edge, then n = first + k - 2
+        q = (first + k - 2.0) * math.pi / width
         p = np.select([k < 0, k == 0, k == 1], [lo_r * np.float_power(2.0, t + 1.0), eps, edge],
-                      hbar * np.sqrt(np.float_power(n, 2.0) + g_r))
+                      hbar * np.sqrt(np.float_power(q, 2.0) + g_r))
     keep = (k <= 0) | (p > eps)
     ends = [0, *np.cumsum(keep, dtype=float)[(end - 1.0).astype(int)].astype(int).tolist()]
     p = p[keep].tolist()
@@ -335,8 +338,7 @@ def _exit_times(spec, pots, consts) -> list[tuple]:
     at_zero = packet_weight(spec, 1e-12, consts) > 1e-280
 
     def gate(i, main):
-        pot = pots[i]
-        if at_zero and pot.v0 < 0 and is_at_threshold(pot, consts):
+        if at_zero and pots[i].v0 < 0 and is_at_threshold(pots[i], consts):
             raise ThresholdDivergenceError(
                 "well is at a bound-state threshold and the packet does not vanish "
                 "at p = 0: the mean exit time diverges")
