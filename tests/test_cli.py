@@ -537,11 +537,11 @@ def test_packet_sweep_right_start_exits_2(tmp_path, capsys, jobs):
 
 
 @pytest.mark.parametrize("args, code", [
-    (["--width", "1e-200"], 0),  # an OverflowError in the resonance loop
-    (["--delta-p", "1e-200"], 2),  # a ZeroDivisionError in the tail
-    (["--delta-p", "1e-160"], 2),  # P_T = 0: the support rounded to p0
+    (["--width", "1e-200"], 0),  # was an OverflowError in the resonance loop
+    (["--delta-p", "1e-200"], 2),  # was a ZeroDivisionError in the tail
+    (["--delta-p", "1e-160"], 2),  # was P_T = 0: the support rounded to p0
     (["--delta-p", "1e150"], 3),  # hung in the resonance loop
-    (["--delta-p", "1e200"], 2),  # an OverflowError
+    (["--delta-p", "1e200"], 2),  # was an OverflowError
     (["--width", "1.5e3", "--x0=-1e4"], 3),  # more resonances than panels
 ])
 def test_packet_sweep_extreme_inputs_exit_typed(tmp_path, capsys, args, code):

@@ -432,8 +432,8 @@ class TestLowMomentumTail:
 
 def _reference_rows(spec, pots, lo, hi, consts=ATOMIC):
     """The per-row loop `wavepacket._intervals` replaced: lo 2^j below eps, eps,
-    and above eps the barrier momentum and the resonances q d = n pi below hi,
-    with the packet's lower support edge p0 - 9 dp, seeded since."""
+    and above eps the lower support edge p0 - 9 dp, the barrier momentum and
+    the resonances q d = n pi below hi."""
     eps = wavepacket._cutoff(spec, consts)
     rows = []
     for pot, a, b in zip(pots, lo, hi):
