@@ -16,8 +16,11 @@ R = -i (g S1 / 2k) T at any k != 0.  For real k (A = Re D, B = Im D):
 
 Entry points, each one pass over an array of k: `denominator` (A, B, |D|^2
 from C and S1 alone), `transmission_grid` (adds S2 and dPhi_T/dk),
-`scatter_grid` (T, R and the eigenphase slopes) and `complex_amplitudes`
-(T and R at complex k); `trig_triplet` gives C, S1, S2 of any mu.  A real
+`phase_parts` (adds rho = -g S1/2k and the eigenphase slopes, all real: the
+phases, eigenphase floors and delay bounds are formed from these),
+`scatter_grid` (T and R from `phase_parts`, by `transmission`) and
+`complex_amplitudes` (T and R at complex k); `trig_triplet` gives C, S1,
+S2 of any mu.  A real
 grid with no point in the series window and every mu of one sign (all
 tunnelling or all propagating, as is every one-point call) takes plain
 ufuncs; a grid that mixes signs, reaches into the window or is complex
@@ -161,6 +164,25 @@ def transmission_grid(g, width, k):
     return den, dphi, S1, S2, A, B
 
 
+def phase_parts(g, width, k):
+    """The real parts that every phase, eigenphase floor and delay bound is
+    formed from, on a grid of real nonzero wavenumbers: A = Re D, B = Im D,
+    |D|^2, S1, rho = -g S1/(2k) (R/T = i rho), dPhi_T/dk and the two
+    eigenphase slopes d(delta_j)/dk = (dPhi_T/dk +- rho'/(1 + rho^2))/2."""
+    k = np.asarray(k, dtype=float)
+    den, dphi, S1, S2, A, B = transmission_grid(g, width, k)
+    rho = -g * S1 / (2.0 * k)
+    drho = -(g / 2.0) * (S2 - S1 / (k * k))
+    corr = drho / (1.0 + rho * rho)
+    return A, B, den, S1, rho, dphi, 0.5 * (dphi + corr), 0.5 * (dphi - corr)
+
+
+def transmission(k, width, A, B, den):
+    """T = e^{-ikd} (A - iB)/|D|^2 from the real parts of `phase_parts`."""
+    ph = -k * float(width)
+    return (np.cos(ph) + 1j * np.sin(ph)) * (A - 1j * B) / den
+
+
 def scatter_grid(g, width, k):
     """Amplitudes and phase derivatives on a grid of real nonzero wavenumbers.
 
@@ -181,19 +203,9 @@ def scatter_grid(g, width, k):
         d(arg T)/dk and the two eigenphase derivatives d(delta_j)/dk.
     """
     k = np.asarray(k, dtype=float)
-    den, dphi, S1, S2, A, B = transmission_grid(g, width, k)
-    ph = -k * float(width)
-    t = (np.cos(ph) + 1j * np.sin(ph)) * (A - 1j * B) / den
-    rr = g * S1 / (2.0 * k)
-    r = -1j * rr * t
-
-    # R/T = i*rho with rho = -g S1/(2k); arg(1 +- i*rho)' = +-rho'/(1+rho^2)
-    rho = -rr
-    drho = -(g / 2.0) * (S2 - S1 / (k * k))
-    corr = drho / (1.0 + rho * rho)
-    dd0 = 0.5 * (dphi + corr)
-    dd1 = 0.5 * (dphi - corr)
-    return t, r, dphi, dd0, dd1
+    A, B, den, _, rho, dphi, dd0, dd1 = phase_parts(g, width, k)
+    t = transmission(k, width, A, B, den)
+    return t, 1j * rho * t, dphi, dd0, dd1
 
 
 def complex_amplitudes(g, width, k):

@@ -29,9 +29,20 @@ floor_j being the `channel_floors` above (Wigner, Phys. Rev. 98, 145 (1955);
 the sin(2 theta_j)/(2k) term is Winful's self-interference delay, PRL 91,
 260401 (2003)); `smith_identity_check` compares the two sides.  The dwell
 time tau_D = (m/(hbar k)) * interior_norm is positive by construction.
-The delay dt and its oscillatory bound are formed once, in `_delays`, for
-`wigner_delay`, `causality_bounds`, the delay-sweep rows (`delay_rows`) and
-the crossing checks of `hartman.verify`.
+
+The floors need no eigenphase.  On the real axis, with A = Re D, B = Im D
+and rho = -g S1/(2k) from the kernel (`_kernel.phase_parts`),
+
+    e^{2i(ka + delta_j)} = e^{ikd} S_j = (A - iB)(1 +- i rho)/|D|^2,
+    sin 2(ka + delta_j)  = (+-A rho - B)/|D|^2,
+
+so floor_j = -a - (A rho -+ B)/(2k |D|^2) and the oscillatory bound is
+(m/(hbar k))(-d - A rho/(k |D|^2)).  The delay dt and that bound are formed
+once, in `_delays`, for `wigner_delay`, `causality_bounds`, the delay-sweep
+rows (`delay_rows`) and the crossing checks of `hartman.verify`;
+`smith_identity_check` takes floor_j the same way.  `channel_floors` and
+`oscillatory_delay_bound` keep the sine of the eigenphases, for phase tables
+and as the independent check.
 """
 from __future__ import annotations
 
@@ -43,7 +54,7 @@ import numpy as np
 from . import _kernel
 from .boundstates import _level, count_bound_states
 from .potential import PhysicalConstants, SquarePotential
-from .scattering import PhaseTable, eigenphases, require_finite
+from .scattering import PhaseTable, require_finite
 
 _PARITIES = ("even", "odd")
 
@@ -100,13 +111,14 @@ def oscillatory_delay_bound(k, half_width: float, delta0, delta1,
 
 def _delays(g, width: float, k, consts: PhysicalConstants):
     """dPhi_T/dk, the delay dt = m dPhi_T/dk/(hbar k) and its
-    `oscillatory_delay_bound`, elementwise over strengths g and wavenumbers
-    k, from one kernel call; a value that is not finite, or T = 0, raises
-    ConvergenceError."""
-    t, r, dphi, _, _ = _kernel.scatter_grid(g, width, k)
-    delta_t = consts.mass * dphi / (consts.hbar * k)
-    osc = oscillatory_delay_bound(k, width / 2.0, *eigenphases(t, r), consts)
-    require_finite(delta_t, osc, t=t)
+    `oscillatory_delay_bound` (m/(hbar k))(-d - A rho/(k |D|^2)),
+    elementwise over strengths g and wavenumbers k, from one kernel call; a
+    value that is not finite raises ConvergenceError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
+        A, _, den, _, rho, dphi, _, _ = _kernel.phase_parts(g, width, k)
+        delta_t = consts.mass * dphi / (consts.hbar * k)
+        osc = consts.mass / (consts.hbar * k) * (-width - A * rho / (k * den))
+    require_finite(den, delta_t, osc)
     return dphi, delta_t, osc
 
 
@@ -321,18 +333,21 @@ def smith_identity_check(
     """Verify the interior norm against the boundary-derivative identity
     integral(psi_j^2) = (2/h)(delta_j' - floor_j).
 
-    The right side takes delta_j and its analytic k-derivative from one
-    kernel call (S2 and D'), and floor_j from `channel_floors`; the left side,
+    The right side takes delta_j' and floor_j = -a - (A rho -+ B)/(2k |D|^2)
+    from the real parts of one kernel call (S2 and D'); the left side,
     `interior_norm`, uses no phase or derivative.  Opaque barriers raise
     ConvergenceError.
     """
     lhs = interior_norm(pot, consts, k, parity)
     k = float(k)
     j = _PARITIES.index(parity)
-    t, r, _, dd0, dd1 = _kernel.scatter_grid(pot.strength(consts), pot.width, np.array([k]))
-    require_finite(dd0, dd1, t=t)
-    floor = channel_floors(k, pot.half_width, *eigenphases(t, r))[j]
-    rhs = (2.0 / consts.h) * float((dd0, dd1)[j][0] - floor[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
+        A, B, den, _, rho, _, dd0, dd1 = _kernel.phase_parts(
+            pot.strength(consts), pot.width, np.array([k]))
+        # delta_j' - floor_j, with sin 2(ka + delta_j) = (+-A rho - B)/|D|^2
+        excess = (dd0, dd1)[j] + pot.half_width + (A * rho - (1 - 2 * j) * B) / (2.0 * k * den)
+    require_finite(den, excess)
+    rhs = (2.0 / consts.h) * float(excess[0])
     return SmithIdentityReport(
         k=k,
         parity=parity,

@@ -21,6 +21,17 @@ Closed forms, with d = 2a, g = 2 m v0 / hbar^2 and q^2 = k^2 - g:
 Both are even in q, so they continue automatically through E = v0 (q = 0,
 handled by series) and into the tunneling region, and they extend to complex
 k for causality checks.
+
+On the real axis the phases need no complex arithmetic.  With A = Re D,
+B = Im D, rho = -g S1/(2k) (R/T = i rho) and s = q S1 = sin(qd) above the
+barrier momentum (0 at and below it, where q is taken as 0):
+
+    Phi_T   = theta - arctan2(A (s + B), A^2 - B s),   theta = (q - k) d
+    delta_j = Phi_T/2 +- arctan(rho)/2
+
+where the arctan2's second argument stays >= 1, which keeps Phi_T on the
+branch that vanishes as k -> infinity (`_phases`).  `eigenphases` keeps the
+complex route, arg(T +- R)/2, as an independent check.
 """
 from __future__ import annotations
 
@@ -94,10 +105,14 @@ class PhaseTable:
 
 def require_finite(*values, t=None) -> None:
     """Raise ConvergenceError unless every value is finite and the
-    transmission amplitude `t`, if given, is finite and nonzero."""
+    transmission amplitude `t`, if given, is finite and nonzero.  One check,
+    of the values' sum: it is finite when every value is, and only a sum that
+    is not (which may have overflowed) is looked at value by value."""
     checked = values if t is None else (*values, t)
-    if not (t is None or np.count_nonzero(t) == np.size(t)) or any(
-            np.count_nonzero(np.isfinite(v)) < np.size(v) for v in checked):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(checked[1:], checked[0])
+    finite = np.isfinite(total).all() or all(np.isfinite(v).all() for v in checked)
+    if not finite or (t is not None and np.count_nonzero(t) < np.size(t)):
         raise ConvergenceError("T underflows to 0 or a value is not finite: |D|^2 "
                                "overflows above kappa d ~ 355 (opaque barrier)")
 
@@ -117,12 +132,13 @@ def amplitudes(pot: SquarePotential, consts: PhysicalConstants, k) -> Amplitudes
         raise ValueError(f"k must be finite, got {k}")
     g = pot.strength(consts)
     d = pot.width
-    if kc.imag == 0.0:
-        k = kc.real
-        t, r, _, _, _ = _kernel.scatter_grid(g, d, np.array([k]))
-    else:
-        k = kc
-        t, r = _kernel.complex_amplitudes(g, d, np.array([k]))
+    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
+        if kc.imag == 0.0:
+            k = kc.real
+            t, r, _, _, _ = _kernel.scatter_grid(g, d, np.array([k]))
+        else:
+            k = kc
+            t, r = _kernel.complex_amplitudes(g, d, np.array([k]))
     require_finite(r, t=t)
     return Amplitudes(k=k, t=complex(t[0]), r=complex(r[0]))
 
@@ -157,25 +173,28 @@ def default_k_max(pot: SquarePotential, consts: PhysicalConstants = ATOMIC) -> f
 
 
 def _phases(g: float, d: float, k) -> tuple[np.ndarray, ...]:
-    """T, Phi_T, delta_0, delta_1 and their k-derivatives, in closed form.
+    """T, Phi_T, delta_0, delta_1 and their k-derivatives, in closed form,
+    from the real parts of one kernel call (the forms above).
 
-    With q = sqrt(max(k^2 - g, 0)), T e^{i(k-q)d} = 1/(D e^{iqd}), and
-    Re(D e^{iqd}) is cos^2 qd + (k/q + q/k) sin^2(qd)/2 >= 1 above the barrier
-    momentum and cosh(|q| d) >= 1 at and below it.  So the principal
-    Phi_T = (q - k) d + arg(T e^{i(k-q)d}) is continuous and vanishes as
-    k -> infinity; R/T = i rho gives delta_j = (Phi_T +- arctan rho)/2.
-    Opaque barriers, where |D|^2 overflows (kappa d > ~355), raise ConvergenceError.
+    Above the barrier momentum T e^{-i theta} = 1/(D e^{iqd}), whose real part
+    A^2 - B s = cos^2 qd + (k/q + q/k) sin^2(qd)/2 is >= 1 and whose imaginary
+    part is A (s + B); at and below it s = 0, theta = -kd, and the two parts
+    are those of A D, with A = cosh(|q| d) >= 1.  So the principal Phi_T is
+    continuous and vanishes as k -> infinity.  Opaque barriers, where |D|^2
+    overflows (kappa d > ~355), raise ConvergenceError.
     """
     k = np.asarray(k, dtype=float)
-    t, r, dphi, dd0, dd1 = _kernel.scatter_grid(g, d, k)
-    mu = k * k - g
-    theta = d * np.where(mu > 0, -g / (np.sqrt(np.maximum(mu, 0.0)) + k), -k)
-    with np.errstate(all="ignore"):
-        phi_t = theta + np.angle(t * np.exp(-1j * theta))
-        half = 0.5 * np.arctan((r / t).imag)
-    out = (t, phi_t, 0.5 * phi_t + half, 0.5 * phi_t - half, dphi, dd0, dd1)
-    require_finite(*out[1:], r, t=t)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
+        A, B, den, S1, rho, dphi, dd0, dd1 = _kernel.phase_parts(g, d, k)
+        mu = k * k - g
+        q = np.sqrt(np.maximum(mu, 0.0))
+        s = q * S1
+        theta = d * np.where(mu > 0, -g / (q + k), -k)
+        phi_t = theta - np.arctan2(A * (s + B), A * A - B * s)
+    require_finite(den, phi_t, dphi, dd0, dd1)
+    half = 0.5 * np.arctan(rho)
+    return (_kernel.transmission(k, d, A, B, den), phi_t,
+            0.5 * phi_t + half, 0.5 * phi_t - half, dphi, dd0, dd1)
 
 
 def build_phase_table(

@@ -143,9 +143,13 @@ def packet_weight(spec, p, consts: PhysicalConstants = ATOMIC):
 
 
 def _transmitted_weight(spec, consts, g, width, p):
-    """|phi_in|^2 |T|^2 = |phi_in|^2/|D|^2 and dPhi_T/dk at momenta p, from one kernel call."""
+    """|phi_in|^2 |T|^2 = |phi_in|^2/|D|^2 and dPhi_T/dk at momenta p, from
+    one kernel call.  On an opaque barrier the kernel's intermediates
+    overflow, without NumPy warnings: the weight underflows to 0 and
+    dPhi_T/dk is NaN, which the quadrature reports."""
     p = np.asarray(p, dtype=float)
-    den, dphi = _kernel.transmission_grid(g, width, p / consts.hbar)[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        den, dphi = _kernel.transmission_grid(g, width, p / consts.hbar)[:2]
     return packet_weight(spec, p, consts) / den, dphi
 
 
@@ -485,7 +489,9 @@ def mean_exit_time_via_flux(
     1 + _DT/t_fine_end), as the flux tail varies on the scale of t; the
     kernel takes the times in batches of about `_CHUNK` points.
     J_T = (hbar/m) Im(psi* dpsi/dx), and the first moment of J_T is
-    returned.  Two checks raise ConvergenceError, in this order: the window
+    returned.  A delta_p outside the range of the packet integrals
+    (`_cutoff`) raises ValueError before any arithmetic.  Two checks raise
+    ConvergenceError, in this order: the window
     must capture essentially all transmitted flux, |integral J_T dt - P_T|
     <= tol * P_T; and the half-grid (Richardson) error estimate |Q_h - Q_2h|/3,
     with Q_2h the trapezoid on every other time (no extra kernel points),
@@ -493,6 +499,7 @@ def mean_exit_time_via_flux(
     integral J_T dt and the mean time.
     """
     _require_left_start(spec, pot)
+    _cutoff(spec, consts)
     m = consts.mass
     aprime = pot.half_width - spec.x0
     p_hi = spec.p_max(consts)

@@ -621,16 +621,21 @@ def test_verify_fast_suite_passes(capsys):
 def test_verify_broken_kernel_fails(capsys, monkeypatch):
     """A NaN from the kernel fails checks: exit code 1 and FAIL lines.  A
     check that reaches the NaN through `require_finite` raises, and fails
-    under its function's name while the rest of the suite still runs."""
-    scatter_grid = hartman._kernel.scatter_grid
+    under its function's name while the rest of the suite still runs.  The
+    NaN goes into `phase_parts`, the real-k entry that `scatter_grid`, the
+    phase tables and the delays all read, in every part but |D|^2: NumPy's
+    complex division by a NaN raises an 'invalid' RuntimeWarning, which
+    would end the run before any check reports."""
+    phase_parts = hartman._kernel.phase_parts
 
     def one_nan(g, d, k):
-        out = tuple(np.array(x) for x in scatter_grid(g, d, k))
-        for x in out:
-            x.flat[x.size // 2] = np.nan
+        out = tuple(np.array(x) for x in phase_parts(g, d, k))
+        for i, x in enumerate(out):
+            if i != 2:
+                x.flat[x.size // 2] = np.nan
         return out
 
-    monkeypatch.setattr(hartman._kernel, "scatter_grid", one_nan)
+    monkeypatch.setattr(hartman._kernel, "phase_parts", one_nan)
     code = run_cli(["verify", "--skip-slow"])
     assert code == 1
     lines = capsys.readouterr().out.splitlines()

@@ -17,10 +17,14 @@ from hartman import (
     amplitudes,
     build_phase_table,
     low_momentum_limits,
+    smith_identity_check,
     solve_bound_states,
+    threshold_depths,
     transmission_probability,
 )
 from hartman._kernel import scatter_grid
+from hartman.delays import _delays, channel_floors
+from hartman.scattering import _phases, eigenphases
 
 EPS = sys.float_info.epsilon
 
@@ -97,15 +101,11 @@ def test_kernel_finite_for_opaque_barrier():
     assert all(np.all(np.isfinite(v)) for v in values)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RuntimeWarning,
-    reason="the kernel forms cosh(kappa d), which overflows with a NumPy RuntimeWarning "
-    "before the typed error; the overflow-free kernel of ROADMAP item 2 forms no such value",
-)
 def test_opaque_barrier_raises_typed_error_without_warning():
     """With NumPy's warnings as errors, an opaque barrier (kappa d ~ 2,500
-    at k = 0.5) still ends in the documented ConvergenceError."""
+    at k = 0.5) still ends in the documented ConvergenceError: the kernel's
+    cosh(kappa d) overflows, but `amplitudes` and the phase tables call it
+    under np.errstate and check its outputs."""
     pot = SquarePotential(5.0, 400.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -157,3 +157,53 @@ def test_transmission_probability_at_most_one(v0, a, k0, delta_p):
     assume(pot.v0 >= 0 or _off_threshold(a * math.sqrt(2.0 * abs(v0)), 1e-3))
     spec = GaussianPacketSpec(k0, delta_p, -a - 10.0)
     assert transmission_probability(spec, pot, ATOMIC) <= 1.0 + 1e-10
+
+
+def _complex_route_phi(g, d, k):
+    """Phi_T through complex arithmetic: theta + arg(T e^{-i theta}) with T
+    from `scatter_grid`, theta = (q - k) d as `scattering._phases` rounds it."""
+    t = scatter_grid(g, d, k)[0]
+    mu = k * k - g
+    theta = d * np.where(mu > 0, -g / (np.sqrt(np.maximum(mu, 0.0)) + k), -k)
+    return theta + np.angle(t * np.exp(-1j * theta))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    v0=st.floats(-20.0, 20.0),
+    a=st.floats(0.05, 3.0),
+    level=st.integers(0, 3),
+    log_eps=st.floats(-8.0, -2.0),
+    above=st.booleans(),
+)
+def test_real_phases_and_floors_match_complex_route(v0, a, level, log_eps, above):
+    """Phi_T, delta_j and the eigenphase floors formed from the real parts
+    A, B, |D|^2, S1 and rho agree to 1e-13 with the complex route: np.angle
+    for Phi_T, `eigenphases` (mod pi) for delta_j and `channel_floors` of
+    them for the floor sum in the delay bound and for the floor in
+    `smith_identity_check`.  Each grid mixes tunnelling and propagating
+    points, puts seven points in the series window |k^2 - g| d^2 < 1e-3 of
+    a barrier, and level > 0 turns the well into one a relative 1e-8..1e-2
+    from its level-th threshold depth."""
+    if level:
+        v0 = threshold_depths(a, level, ATOMIC)[-1] * (1.0 + (1.0 if above else -1.0) * 10.0**log_eps)
+    pot = SquarePotential(v0, a)
+    g, d = pot.strength(ATOMIC), pot.width
+    k = np.geomspace(1e-2, 20.0, 61)
+    if g > 0:
+        kk = g + np.linspace(-9e-4, 9e-4, 7) / (d * d)
+        k = np.concatenate([k, np.sqrt(kk[kk > 0])])
+    _, phi, d0, d1, _, dd0, dd1 = _phases(g, d, k)
+    assert np.abs(phi - _complex_route_phi(g, d, k)).max() <= 1e-13
+    t, r = scatter_grid(g, d, k)[:2]
+    want0, want1 = eigenphases(t, r)
+    for got, want in ((d0, want0), (d1, want1)):
+        off = got - want
+        assert np.abs(off - math.pi * np.round(off / math.pi)).max() <= 1e-13
+    floor0, floor1 = channel_floors(k, a, want0, want1)
+    osc = _delays(g, d, k, ATOMIC)[2]
+    assert np.abs(osc * k - (floor0 + floor1)).max() <= 1e-13  # m = hbar = 1
+    for i in (0, len(k) // 2, len(k) - 1):
+        for parity, dd, floor in (("even", dd0, floor0), ("odd", dd1, floor1)):
+            rhs = smith_identity_check(pot, ATOMIC, float(k[i]), parity).rhs
+            assert abs(rhs * ATOMIC.h / 2.0 - (dd[i] - floor[i])) <= 1e-13

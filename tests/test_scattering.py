@@ -159,6 +159,16 @@ def test_transmission_grid_is_scatter_grid_t_and_dphi():
         assert all(_same_bits(x, y) for x, y in zip(denominator(g, 1.5, ks), (a, b, den)))
 
 
+def test_phase_table_t_is_scatter_grid_t_bitwise():
+    """The table's T column, formed from `phase_parts` beside the real
+    phases, is `scatter_grid`'s T bit for bit, on a barrier (tunnelling
+    and propagating points) and a well."""
+    for pot in (BARRIER5_HALF, WELL1):
+        table = build_phase_table(pot, ATOMIC, 1e-3, samples=400)
+        t = scatter_grid(pot.strength(ATOMIC), pot.width, table.k_grid)[0]
+        assert _same_bits(table.t, t)
+
+
 def test_one_branch_grids_match_masked_grids_bitwise():
     """A real grid with no point in the series window and every mu of one sign
     (all tunnelling or all propagating) takes plain ufuncs; each of its points

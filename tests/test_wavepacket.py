@@ -105,6 +105,17 @@ class TestTransmissionProbability:
             with pytest.raises(ThresholdDivergenceError):
                 mean_exit_time(spec, pot)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opaque_momenta_raise_no_warning(self):
+        """kappa d ~ 375 at p0 = 0.5: |D|^2 overflows over the packet's
+        support, so P_T underflows to a subnormal, with no RuntimeWarning
+        from the kernel's intermediates, and the exit time, whose dPhi_T/dk
+        is NaN there, ends in the typed error."""
+        spec, pot = GaussianPacketSpec(0.5, 0.1, -400.0), SquarePotential(5.0, 60.0)
+        assert 0.0 <= transmission_probability(spec, pot) < 1e-300
+        with pytest.raises(ConvergenceError):
+            mean_exit_time(spec, pot)
+
     def test_matches_fixed_grid_oracle(self):
         pot = SquarePotential(5.0, 1.0)
         pt = transmission_probability(FIG3_PACKET, pot)
@@ -550,6 +561,21 @@ class TestExitTimeBatch:
 
 
 class TestFluxOracle:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dp", [1e-200, 1e-20, 1e200])
+    def test_width_range_checked_first(self, dp, monkeypatch):
+        """The packet integrals' delta_p range holds for the oracle too, and is
+        checked before any arithmetic: dp = 1e-200 and 1e200 printed
+        RuntimeWarnings, and dp = 1e-20 formed a reference P_T of 3.07e14,
+        before an error."""
+        def untouched(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(_kernel, "denominator", untouched)
+        spec = GaussianPacketSpec(math.pi / 8, dp, -41.0)
+        with pytest.raises(ValueError, match="out of range"):
+            mean_exit_time_via_flux(spec, SquarePotential(0.1, 1.0))
+
     def test_reversed_window_rejected(self):
         with pytest.raises(ValueError, match="invalid time window"):
             mean_exit_time_via_flux(NARROW, SquarePotential(0.0, 1.0), t_window=(5.0, 1.0))
