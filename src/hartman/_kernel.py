@@ -20,12 +20,11 @@ from C and S1 alone), `transmission_grid` (adds S2 and dPhi_T/dk),
 phases, eigenphase floors and delay bounds are formed from these),
 `scatter_grid` (T and R from `phase_parts`, by `transmission`) and
 `complex_amplitudes` (T and R at complex k); `trig_triplet` gives C, S1,
-S2 of any mu.  A real
-grid with no point in the series window and every mu of one sign (all
-tunnelling or all propagating, as is every one-point call) takes plain
-ufuncs; a grid that mixes signs, reaches into the window or is complex
-takes masked ufuncs, branch by branch.  Each point gets the same bits on
-either path.
+S2 of any mu.  A real grid with no point in the series window and every mu
+of one sign (all tunnelling or all propagating, as is every one-point call)
+takes plain ufuncs; a grid that mixes signs, reaches into the window or is
+complex takes masked ufuncs, branch by branch.  Each point gets the same
+bits on either path.
 """
 from __future__ import annotations
 

@@ -186,6 +186,7 @@ def _phases(g: float, d: float, k) -> tuple[np.ndarray, ...]:
     k = np.asarray(k, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
         A, B, den, S1, rho, dphi, dd0, dd1 = _kernel.phase_parts(g, d, k)
+        t = _kernel.transmission(k, d, A, B, den)  # first, to keep the peak memory down
         mu = k * k - g
         q = np.sqrt(np.maximum(mu, 0.0))
         s = q * S1
@@ -193,8 +194,7 @@ def _phases(g: float, d: float, k) -> tuple[np.ndarray, ...]:
         phi_t = theta - np.arctan2(A * (s + B), A * A - B * s)
     require_finite(den, phi_t, dphi, dd0, dd1)
     half = 0.5 * np.arctan(rho)
-    return (_kernel.transmission(k, d, A, B, den), phi_t,
-            0.5 * phi_t + half, 0.5 * phi_t - half, dphi, dd0, dd1)
+    return t, phi_t, 0.5 * phi_t + half, 0.5 * phi_t - half, dphi, dd0, dd1
 
 
 def build_phase_table(

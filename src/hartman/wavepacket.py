@@ -491,12 +491,12 @@ def mean_exit_time_via_flux(
     J_T = (hbar/m) Im(psi* dpsi/dx), and the first moment of J_T is
     returned.  A delta_p outside the range of the packet integrals
     (`_cutoff`) raises ValueError before any arithmetic.  Two checks raise
-    ConvergenceError, in this order: the window
-    must capture essentially all transmitted flux, |integral J_T dt - P_T|
-    <= tol * P_T; and the half-grid (Richardson) error estimate |Q_h - Q_2h|/3,
-    with Q_2h the trapezoid on every other time (no extra kernel points),
-    must stay within `_GRID_TOL_SHARE` = 0.1 of tol, relative, for both
-    integral J_T dt and the mean time.
+    ConvergenceError, in this order: the window must capture essentially all
+    transmitted flux, |integral J_T dt - P_T| <= tol * P_T; and the half-grid
+    (Richardson) error estimate |Q_h - Q_2h|/3, with Q_2h the trapezoid on
+    every other time (no extra kernel points), must stay within
+    `_GRID_TOL_SHARE` = 0.1 of tol, relative, for both integral J_T dt and
+    the mean time.
     """
     _require_left_start(spec, pot)
     _cutoff(spec, consts)

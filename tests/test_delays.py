@@ -344,6 +344,20 @@ def finite_difference_identity(pot, k, parity):
     return (4.0 * bilinear(dE / 2.0) - bilinear(dE)) / 3.0
 
 
+def _worst_identity_error(seed, n, k_min):
+    """Worst `smith_identity_check` rel_error, both parities, over n random
+    barriers and wells (|v0| <= 10, a in [0.2, 3]) at log-uniform k in
+    [k_min, 10]."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n):
+        pot = SquarePotential(rng.uniform(-10, 10), rng.uniform(0.2, 3.0))
+        k = math.exp(rng.uniform(math.log(k_min), math.log(10.0)))
+        for parity in ("even", "odd"):
+            worst = max(worst, smith_identity_check(pot, ATOMIC, k, parity).rel_error)
+    return worst
+
+
 class TestSmithIdentity:
     def test_free_particle_exact(self):
         rep = smith_identity_check(FREE, ATOMIC, 1.0, "even")
@@ -372,28 +386,14 @@ class TestSmithIdentity:
         assert worst_oracle < 1e-6
 
     def test_exact_on_wide_random_sample(self):
-        rng = np.random.default_rng(31)
-        worst = 0.0
-        for _ in range(1000):
-            pot = SquarePotential(rng.uniform(-10, 10), rng.uniform(0.2, 3.0))
-            k = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-            for parity in ("even", "odd"):
-                worst = max(worst, smith_identity_check(pot, ATOMIC, k, parity).rel_error)
-        assert worst < 1e-9
+        assert _worst_identity_error(31, 1000, 0.1) < 1e-9
 
     def test_real_floor_keeps_digits_at_low_k(self):
         """floor_j from the real parts, sin 2(ka + delta_j) = (+-A rho - B)/|D|^2,
         keeps the digits that the angle and sine of the eigenphases lost: on
         these 2,000 inputs, k in [0.02, 10], the complex route read 1.16e-9
         and the real floor reads 4.5e-11."""
-        rng = np.random.default_rng(37)
-        worst = 0.0
-        for _ in range(2000):
-            pot = SquarePotential(rng.uniform(-10, 10), rng.uniform(0.2, 3.0))
-            k = math.exp(rng.uniform(math.log(0.02), math.log(10.0)))
-            for parity in ("even", "odd"):
-                worst = max(worst, smith_identity_check(pot, ATOMIC, k, parity).rel_error)
-        assert worst < 1e-9
+        assert _worst_identity_error(37, 2000, 0.02) < 1e-9
 
     def test_low_momentum_barrier(self):
         """Where central differences in energy cancel (6.7e-6 with them)."""
