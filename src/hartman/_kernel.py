@@ -18,13 +18,12 @@ Entry points, each one pass over an array of k: `denominator` (A, B, |D|^2
 from C and S1 alone), `transmission_grid` (adds S2 and dPhi_T/dk),
 `phase_parts` (adds rho = -g S1/2k and the eigenphase slopes, all real: the
 phases, eigenphase floors and delay bounds are formed from these),
-`scatter_grid` (T and R from `phase_parts`, by `transmission`) and
-`complex_amplitudes` (T and R at complex k); `trig_triplet` gives C, S1,
-S2 of any mu.  A real grid with no point in the series window and every mu
-of one sign (all tunnelling or all propagating, as is every one-point call)
-takes plain ufuncs; a grid that mixes signs, reaches into the window or is
-complex takes masked ufuncs, branch by branch.  Each point gets the same
-bits on either path.
+`scatter_grid` (T and R from `phase_parts`) and `complex_amplitudes` (T and
+R at complex k); `trig_triplet` gives C, S1, S2 of any mu.  A real grid with
+no point in the series window and every mu of one sign (all tunnelling or
+all propagating, as is every one-point call) takes plain ufuncs; a grid that
+mixes signs, reaches into the window or is complex takes masked ufuncs,
+branch by branch.  Each point gets the same bits on either path.
 """
 from __future__ import annotations
 
@@ -176,12 +175,6 @@ def phase_parts(g, width, k):
     return A, B, den, S1, rho, dphi, 0.5 * (dphi + corr), 0.5 * (dphi - corr)
 
 
-def transmission(k, width, A, B, den):
-    """T = e^{-ikd} (A - iB)/|D|^2 from the real parts of `phase_parts`."""
-    ph = -k * float(width)
-    return (np.cos(ph) + 1j * np.sin(ph)) * (A - 1j * B) / den
-
-
 def scatter_grid(g, width, k):
     """Amplitudes and phase derivatives on a grid of real nonzero wavenumbers.
 
@@ -203,7 +196,8 @@ def scatter_grid(g, width, k):
     """
     k = np.asarray(k, dtype=float)
     A, B, den, _, rho, dphi, dd0, dd1 = phase_parts(g, width, k)
-    t = transmission(k, width, A, B, den)
+    ph = -k * float(width)
+    t = (np.cos(ph) + 1j * np.sin(ph)) * (A - 1j * B) / den  # e^{-ikd} (A - iB)/|D|^2
     return t, 1j * rho * t, dphi, dd0, dd1
 
 

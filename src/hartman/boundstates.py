@@ -196,7 +196,7 @@ def levinson_check(
             n_bound_states=0,
         )
 
-    phi0 = float(_phases(pot.strength(consts), pot.width, [k_min])[1][0])
+    phi0 = float(_phases(pot.strength(consts), pot.width, [k_min])[0][0])
     predicted = math.pi * (n_b - 0.5)
     return LevinsonReport(
         phi_t_at_kmin=phi0,

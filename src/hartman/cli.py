@@ -15,11 +15,13 @@ echoes every resolved value.  Output goes to
 --out (CSV or JSON; stdout when omitted), resolved against $HARTMAN_OUT_DIR
 for relative paths.  Identical configurations produce byte-identical files.
 The module parses, dispatches (`DATASETS`) and writes: the rows come from a
-phase table, `delays.delay_rows` and `wavepacket.packet_rows`, the sweeps
-over the depths of `v0_grid`.  Each command imports the module it calls
-when it runs, so `amplitudes` loads neither `delays` nor `wavepacket`, and
-`json` is imported only to write JSON.  Every command runs in one process;
---jobs N is accepted and checked (N >= 1) but changes nothing.
+phase table and `_kernel.scatter_grid`, `delays.delay_rows` and
+`wavepacket.packet_rows`, the sweeps over the depths of `v0_grid`.  Each
+command imports the module it calls when it runs, so `amplitudes` loads
+neither `delays` nor `wavepacket`; NumPy loads only once the arguments parse
+(not for --help or a usage error), and `json` only to write JSON.  Every
+command runs in one process; --jobs N is accepted and checked (N >= 1) but
+changes nothing.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid input, 3 numerical
 non-convergence.
@@ -28,10 +30,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import sys
-
-import numpy as np
 
 from .errors import ConvergenceError
 from .potential import PhysicalConstants, SquarePotential
@@ -65,7 +66,7 @@ def _json_value(x):
     infinity (a diverged packet row), which JSON cannot represent."""
     if isinstance(x, bool):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):  # int or a NumPy integer
         return int(x)
     return float(x) if math.isfinite(x) else None
 
@@ -75,7 +76,7 @@ def write_dataset(args: argparse.Namespace, header: list[str], rows: list[tuple]
     non-finite values as null)."""
     if args.format == "csv":
         # one %-format string per dataset, from the types of its first row
-        fmt = ",".join("%d" if isinstance(x, (bool, int, np.integer))
+        fmt = ",".join("%d" if isinstance(x, numbers.Integral)
                        else f"%.{args.precision}g" for x in next(iter(rows), ()))
         text = "\n".join([",".join(header)] + [fmt % tuple(row) for row in rows]) + "\n"
     else:
@@ -103,6 +104,8 @@ def cmd_amplitudes(args: argparse.Namespace, consts: PhysicalConstants) -> list[
     bisects where the phases move fast; with the adaptive flag off, only the
     uniform points are emitted (fixed-size datasets).
     """
+    import numpy as np
+    from ._kernel import scatter_grid
     from .scattering import build_phase_table
 
     if args.width is None:
@@ -112,11 +115,14 @@ def cmd_amplitudes(args: argparse.Namespace, consts: PhysicalConstants) -> list[
     for w in np.atleast_1d(args.width).tolist():
         pot = SquarePotential(v0=args.v0, half_width=w / 2.0)
         table = build_phase_table(pot, consts, k_min, k_hi, samples=samples)
-        keep = args.adaptive | np.isin(table.k_grid, np.linspace(k_min, k_hi, samples))
-        t = table.t[keep].tolist()  # Python's abs: np.abs(t)**2 differs in the last bit
-        rows += zip([w] * len(t), table.k_grid[keep].tolist(), [z.real for z in t],
-                    [z.imag for z in t], [abs(z) ** 2 for z in t], table.phi_t[keep].tolist(),
-                    table.delta0[keep].tolist(), table.delta1[keep].tolist())
+        cols = table.k_grid, table.phi_t, table.delta0, table.delta1
+        if not args.adaptive:
+            keep = np.isin(table.k_grid, np.linspace(k_min, k_hi, samples))
+            cols = [c[keep] for c in cols]
+        t = scatter_grid(pot.strength(consts), pot.width, cols[0])[0].tolist()
+        # Python's abs below: np.abs(t)**2 differs in the last bit
+        rows += zip([w] * len(t), cols[0].tolist(), [z.real for z in t], [z.imag for z in t],
+                    [abs(z) ** 2 for z in t], *(c.tolist() for c in cols[1:]))
     return rows
 
 
@@ -298,6 +304,7 @@ def main(argv=None) -> int:
             raise ValueError("--precision must be at least 12 significant digits")
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
+        import numpy as np
         consts = PhysicalConstants(hbar=args.hbar, mass=args.mass)
         rows_of, header = DATASETS[args.command]
         # an opaque barrier overflows the kernel's intermediates on the way to

@@ -40,9 +40,10 @@ so floor_j = -a - (A rho -+ B)/(2k |D|^2) and the oscillatory bound is
 (m/(hbar k))(-d - A rho/(k |D|^2)).  The delay dt and that bound are formed
 once, in `_delays`, for `wigner_delay`, `causality_bounds`, the delay-sweep
 rows (`delay_rows`) and the crossing checks of `hartman.verify`;
-`smith_identity_check` takes floor_j the same way.  `channel_floors` and
-`oscillatory_delay_bound` keep the sine of the eigenphases, for phase tables
-and as the independent check.
+`smith_identity_check` takes floor_j the same way, and each phase table
+stores both floors for `eigenphase_derivative_bounds`.  `channel_floors` and
+`oscillatory_delay_bound` keep the sine of the eigenphases, as the
+independent check.
 """
 from __future__ import annotations
 
@@ -231,9 +232,8 @@ def eigenphase_derivative_bounds(
     k = table.k_grid
     dd0, dd1 = table.ddelta0, table.ddelta1
 
-    floor0, floor1 = channel_floors(k, a, table.delta0, table.delta1)
-    margin0 = dd0 - floor0
-    margin1 = dd1 - floor1
+    margin0 = dd0 - table.floor0
+    margin1 = dd1 - table.floor1
 
     simple0 = dd0 + a
     simple1 = dd1 + a

@@ -11,7 +11,7 @@ into eigenvalues
 each unimodular on the real axis, S_j = e^{2 i delta_j}.  Phases obey
 Phi_T = delta_0 + delta_1 and vanish as k -> infinity; a PhaseTable carries
 the continuous phases on that branch, together with their analytic
-k-derivatives.
+k-derivatives and the oscillatory floors of the eigenphase slopes.
 
 Closed forms, with d = 2a, g = 2 m v0 / hbar^2 and q^2 = k^2 - g:
 
@@ -28,6 +28,7 @@ barrier momentum (0 at and below it, where q is taken as 0):
 
     Phi_T   = theta - arctan2(A (s + B), A^2 - B s),   theta = (q - k) d
     delta_j = Phi_T/2 +- arctan(rho)/2
+    floor_j = -a - (A rho -+ B)/(2k |D|^2)   (delta_j' > floor_j, `delays`)
 
 where the arctan2's second argument stays >= 1, which keeps Phi_T on the
 branch that vanishes as k -> infinity (`_phases`).  `eigenphases` keeps the
@@ -45,7 +46,7 @@ from . import _kernel
 from .errors import ConvergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
 
-# largest Phi_T step between table neighbours (half of it for each delta_j)
+# largest Phi_T step between table neighbours (half of it, exactly, for each delta_j)
 _MAX_JUMP = math.pi / 2
 
 
@@ -70,7 +71,8 @@ class EigenChannelValues:
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """Continuous phases and analytic derivatives on a k-grid.
+    """Continuous phases, analytic derivatives and the floors of delta_j'
+    on a k-grid, all real: no T, which `_kernel.scatter_grid` gives bitwise.
 
     The grid is strictly increasing.  Phi_T and delta_j are closed forms on
     the branch where they vanish as k -> infinity, and neighbours that are
@@ -80,13 +82,14 @@ class PhaseTable:
     pot: SquarePotential
     consts: PhysicalConstants
     k_grid: np.ndarray
-    t: np.ndarray  # transmission amplitude at each grid point
     phi_t: np.ndarray
     delta0: np.ndarray
     delta1: np.ndarray
     dphi_t: np.ndarray
     ddelta0: np.ndarray
     ddelta1: np.ndarray
+    floor0: np.ndarray
+    floor1: np.ndarray
 
     @property
     def k_min(self) -> float:
@@ -173,7 +176,7 @@ def default_k_max(pot: SquarePotential, consts: PhysicalConstants = ATOMIC) -> f
 
 
 def _phases(g: float, d: float, k) -> tuple[np.ndarray, ...]:
-    """T, Phi_T, delta_0, delta_1 and their k-derivatives, in closed form,
+    """Phi_T, delta_0, delta_1, their k-derivatives and the floors of delta_j',
     from the real parts of one kernel call (the forms above).
 
     Above the barrier momentum T e^{-i theta} = 1/(D e^{iqd}), whose real part
@@ -186,15 +189,17 @@ def _phases(g: float, d: float, k) -> tuple[np.ndarray, ...]:
     k = np.asarray(k, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
         A, B, den, S1, rho, dphi, dd0, dd1 = _kernel.phase_parts(g, d, k)
-        t = _kernel.transmission(k, d, A, B, den)  # first, to keep the peak memory down
+        Arho, w = A * rho, 2.0 * k * den  # the floors first: a lower peak memory
+        floor0, floor1 = -0.5 * d - (Arho - B) / w, -0.5 * d - (Arho + B) / w
+        del Arho, w
         mu = k * k - g
         q = np.sqrt(np.maximum(mu, 0.0))
-        s = q * S1
         theta = d * np.where(mu > 0, -g / (q + k), -k)
+        s = np.multiply(q, S1, out=q)
         phi_t = theta - np.arctan2(A * (s + B), A * A - B * s)
-    require_finite(den, phi_t, dphi, dd0, dd1)
+    require_finite(den, phi_t, dphi, dd0, dd1, floor0, floor1)
     half = 0.5 * np.arctan(rho)
-    return t, phi_t, 0.5 * phi_t + half, 0.5 * phi_t - half, dphi, dd0, dd1
+    return phi_t, 0.5 * phi_t + half, 0.5 * phi_t - half, dphi, dd0, dd1, floor0, floor1
 
 
 def build_phase_table(
@@ -222,15 +227,19 @@ def build_phase_table(
     ks = np.linspace(k_min, k_max, samples)
     cols = _phases(g, d, ks)
     while True:  # ends: the phases are continuous and adjacent floats are not split
-        jumps = np.abs(np.diff(cols[1:4], axis=1)) * [[1.0], [2.0], [2.0]]
-        idx = np.nonzero(jumps.max(axis=0) > _MAX_JUMP)[0]
+        split = np.abs(np.diff(cols[0])) > _MAX_JUMP
+        for delta in cols[1:3]:
+            split |= np.abs(np.diff(delta)) > 0.5 * _MAX_JUMP
+        if not (idx := np.flatnonzero(split)).size:
+            break
         mids = 0.5 * (ks[idx] + ks[idx + 1])
         inside = (ks[idx] < mids) & (mids < ks[idx + 1])
         if not inside.any():
-            return PhaseTable(pot, consts, ks, *cols)
+            break
         idx, mids = idx[inside], mids[inside]
         ks = np.insert(ks, idx + 1, mids)
         cols = tuple(np.insert(c, idx + 1, m) for c, m in zip(cols, _phases(g, d, mids)))
+    return PhaseTable(pot, consts, ks, *cols)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,27 @@ def test_amplitudes_column_matches_matching_oracle(tmp_path):
         assert float(r[4]) == pytest.approx(abs(t_o) ** 2, rel=1e-9)
 
 
+def test_fig1_t_is_scatter_grid_t_bitwise(tmp_path):
+    """The amplitude rows' T, formed once from `scatter_grid` over the rows'
+    k, is `scatter_grid`'s T bit for bit, on a barrier (tunnelling and
+    propagating points) and a well, both with refined tables; --no-adaptive
+    emits the adaptive rows at the uniform points, byte for byte."""
+    for v0, width in ((5.0, 6.0), (-5.0, 4.0)):
+        pot = SquarePotential(v0, width / 2.0)
+        opts = ["amplitudes", "--v0", str(v0), "--width", str(width), "--k-min", "1e-3",
+                "--k-max", str(hartman.default_k_max(pot, ATOMIC)), "--samples", "400"]
+        assert run_cli(opts + ["--out", str(tmp_path / "all.csv")]) == 0
+        assert run_cli(opts + ["--no-adaptive", "--out", str(tmp_path / "uniform.csv")]) == 0
+        _, rows = read_csv(tmp_path / "all.csv")
+        _, uniform = read_csv(tmp_path / "uniform.csv")
+        k, re_t, im_t = (np.array([float(r[i]) for r in rows]) for i in (1, 2, 3))
+        t = hartman._kernel.scatter_grid(pot.strength(ATOMIC), pot.width, k)[0]
+        assert np.array_equal(re_t, t.real) and np.array_equal(im_t, t.imag)
+        grid = np.linspace(1e-3, hartman.default_k_max(pot, ATOMIC), 400)
+        assert uniform == [r for r, x in zip(rows, np.isin(k, grid)) if x]
+        assert len(uniform) == 400 < len(rows)
+
+
 def test_byte_identical_reruns(tmp_path):
     args = [
         "delay-sweep", "--v0-min", "-0.5", "--v0-max", "0.5", "--v0-step", "0.1",
@@ -513,6 +534,17 @@ def test_jobs_below_one_rejected(jobs):
         ["amplitudes", "--v0", "5", "--width", "1", "--samples", "20"],
     ):
         assert run_cli(args + ["--jobs", jobs]) == 2
+
+
+def test_cli_import_loads_no_numpy():
+    """`import hartman.cli` leaves NumPy unloaded, so --help and usage errors
+    do not pay its import."""
+    src = os.path.dirname(os.path.dirname(hartman.__file__))
+    code = "import sys, hartman.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_import_starts_no_process_pool():

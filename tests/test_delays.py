@@ -196,6 +196,41 @@ class TestEigenphaseDerivativeBounds:
         assert rep.min_margin_simple < 0  # bound state drives delta_0' < -a
 
 
+    @pytest.mark.parametrize("tol", [1e-9, -0.25])
+    def test_stored_floors_decide_as_channel_floors(self, tol):
+        """On the benchmark's `analysis` ranges (barriers and wells with
+        |v0| in [0.05, 10], a in [0.2, 2], and wells 1-10% from threshold
+        depths n = 1-3), with tables on k in [0.25, 5], the report from the
+        table's stored floors has the `passed`, the violations (k, channel,
+        bound) and, within 1e-12, the minimum margins of the sine route,
+        `channel_floors` of the table's delta_j.  tol = -0.25 asks for a
+        margin of 0.25, so that the violation sets are not empty."""
+        rng = np.random.default_rng(31)
+        pots = [SquarePotential(sign * rng.uniform(0.05, 10.0), rng.uniform(0.2, 2.0))
+                for sign in (1.0, -1.0) for _ in range(20)]
+        for i in range(18):
+            level, a = 1 + i % 3, rng.uniform(0.3, 2.0)
+            eps = (1.0 if i % 2 else -1.0) * 10.0 ** rng.uniform(-2.0, -1.0)
+            pots.append(SquarePotential(threshold_depths(a, level, ATOMIC)[-1] * (1.0 + eps), a))
+        n_violations = 0
+        for pot in pots:
+            table = build_phase_table(pot, ATOMIC, 0.25, 5.0, samples=300)
+            rep = eigenphase_derivative_bounds(pot, ATOMIC, table, tol=tol)
+            a, k = pot.half_width, table.k_grid
+            floors = channel_floors(k, a, table.delta0, table.delta1)
+            osc = [dd - floor for dd, floor in zip((table.ddelta0, table.ddelta1), floors)]
+            simple = [table.ddelta0 + a, table.ddelta1 + a]
+            rows = [("oscillatory", osc)] + [("no-bound-state", simple)] * (pot.v0 >= 0)
+            want = {(float(k[i]), ch, name) for name, margins in rows
+                    for ch, margin in enumerate(margins) for i in np.flatnonzero(margin < -tol)}
+            got = {(v.k, v.channel, v.bound) for v in rep.violations}
+            assert got == want and rep.passed is not want, pot
+            assert abs(rep.min_margin_osc - min(m.min() for m in osc)) <= 1e-12, pot
+            assert abs(rep.min_margin_simple - min(m.min() for m in simple)) <= 1e-12, pot
+            n_violations += len(got)
+        assert (n_violations > 0) is (tol < 0)
+
+
 class TestDwellTime:
     def test_free_interior_norm_closed_form(self):
         for k in (0.3, 1.0, 2.7):

@@ -180,11 +180,14 @@ def test_real_phases_and_floors_match_complex_route(v0, a, level, log_eps, above
     """Phi_T, delta_j and the eigenphase floors formed from the real parts
     A, B, |D|^2, S1 and rho agree to 1e-13 with the complex route: np.angle
     for Phi_T, `eigenphases` (mod pi) for delta_j and `channel_floors` of
-    them for the floor sum in the delay bound and for the floor in
-    `smith_identity_check`.  Each grid mixes tunnelling and propagating
-    points, puts seven points in the series window |k^2 - g| d^2 < 1e-3 of
-    a barrier, and level > 0 turns the well into one a relative 1e-8..1e-2
-    from its level-th threshold depth."""
+    them for the floors `_phases` returns, the floor sum in the delay bound
+    and the floor in `smith_identity_check`; a table's floor0 and floor1
+    agree to 1e-13 with `channel_floors` of its own delta_j on k >= 0.25
+    (below, that route's 1/(2k) times delta_j's rounding comes near 1e-13:
+    1.07e-13 at k = 0.01, a = 3).  Each grid mixes
+    tunnelling and propagating points, puts seven points in the series
+    window |k^2 - g| d^2 < 1e-3 of a barrier, and level > 0 turns the well
+    into one a relative 1e-8..1e-2 from its level-th threshold depth."""
     if level:
         v0 = threshold_depths(a, level, ATOMIC)[-1] * (1.0 + (1.0 if above else -1.0) * 10.0**log_eps)
     pot = SquarePotential(v0, a)
@@ -193,7 +196,7 @@ def test_real_phases_and_floors_match_complex_route(v0, a, level, log_eps, above
     if g > 0:
         kk = g + np.linspace(-9e-4, 9e-4, 7) / (d * d)
         k = np.concatenate([k, np.sqrt(kk[kk > 0])])
-    _, phi, d0, d1, _, dd0, dd1 = _phases(g, d, k)
+    phi, d0, d1, _, dd0, dd1, real0, real1 = _phases(g, d, k)
     assert np.abs(phi - _complex_route_phi(g, d, k)).max() <= 1e-13
     t, r = scatter_grid(g, d, k)[:2]
     want0, want1 = eigenphases(t, r)
@@ -201,6 +204,11 @@ def test_real_phases_and_floors_match_complex_route(v0, a, level, log_eps, above
         off = got - want
         assert np.abs(off - math.pi * np.round(off / math.pi)).max() <= 1e-13
     floor0, floor1 = channel_floors(k, a, want0, want1)
+    assert max(np.abs(real0 - floor0).max(), np.abs(real1 - floor1).max()) <= 1e-13
+    table = build_phase_table(pot, ATOMIC, 0.25, 20.0, samples=61)
+    table_floors = channel_floors(table.k_grid, a, table.delta0, table.delta1)
+    assert max(np.abs(table.floor0 - table_floors[0]).max(),
+               np.abs(table.floor1 - table_floors[1]).max()) <= 1e-13
     osc = _delays(g, d, k, ATOMIC)[2]
     assert np.abs(osc * k - (floor0 + floor1)).max() <= 1e-13  # m = hbar = 1
     for i in (0, len(k) // 2, len(k) - 1):
