@@ -19,17 +19,18 @@ from C and S1 alone), `transmission_grid` (adds S2 and dPhi_T/dk),
 `phase_parts` (adds rho = -g S1/2k and the eigenphase slopes, all real: the
 phases, eigenphase floors and delay bounds are formed from these),
 `scatter_grid` (T and R from `phase_parts`) and `complex_amplitudes` (T and
-R at complex k); `trig_triplet` gives C, S1, S2 of any mu.  A real grid with
-no point in the series window and every mu of one sign (all tunnelling or
-all propagating, as is every one-point call) takes plain ufuncs; a grid that
-mixes signs, reaches into the window or is complex takes masked ufuncs,
-branch by branch.  Each point gets the same bits on either path.
+R at complex k); `trig_triplet` gives C, S1, S2 of any mu.  C and S1 come
+from their direct forms at every mu != 0; only S2 cancels near mu = 0 and
+takes a series there.  A real grid whose mu all have one sign and none is 0
+(all tunnelling or all propagating, as is every nonzero one-point call) takes
+plain ufuncs; a grid that mixes signs, holds a 0 or is complex takes masked
+ufuncs, branch by branch.  Each point gets the same bits on either path.
 """
 from __future__ import annotations
 
 import numpy as np
 
-# series switch for |mu|*d^2; below it the direct forms lose digits to
+# series switch of S2 for |mu|*d^2; below it (d*C - S1)/mu loses digits to
 # cancellation, above it the 4-term series is exact to double precision
 W_CUT = 1e-3
 # the direct forms of C, S1: for mu > 0 or complex; for mu < 0, in |mu|^(1/2)
@@ -51,54 +52,46 @@ def _direct(qd, q, cos, sin, C=None, S1=None, where=True):
 
 
 def _trig_pair(mu, d):
-    """mu as a real or complex array, its C and S1, and the `_branch` index of
-    the series window.  A real grid outside the window whose mu all have one
-    sign takes plain ufuncs; any other grid is written in place, each branch
-    as a masked ufunc (so is a 0-d mu, which `out=` keeps 0-d)."""
+    """mu as a real or complex array, with C = cos(qd) and S1 = sin(qd)/q from
+    their direct forms, and C = 1, S1 = d at mu = 0.  A real grid whose mu all
+    have one sign and none is 0 takes plain ufuncs; any other grid is written
+    in place, each branch as a masked ufunc (so is a 0-d mu, which `out=`
+    keeps 0-d)."""
     real = not np.iscomplexobj(mu)
     mu = np.asarray(mu, dtype=float if real else complex)
-    w = mu * d * d
-    small = np.abs(w) < W_CUT
-    series = _branch(small)
-    forms = ()
-    if series is not ...:
-        q = np.sqrt(np.abs(mu) if real else mu)
-        qd = q * d
-        if not real:
-            forms = ((~small, _CIRCULAR),)
-        else:
-            # a NaN takes the cosh branch and stays NaN
-            pos = mu > 0.0
-            if series is None and mu.ndim and (side := _branch(pos)) is not pos:
-                return mu, *_direct(qd, q, *(_CIRCULAR if side is ... else _HYPERBOLIC)), None
-            neg = ~pos
-            if series is not None:
-                direct = ~small
-                pos, neg = direct & pos, direct & neg
-            forms = ((pos, _CIRCULAR), (neg, _HYPERBOLIC))
-    C = np.empty_like(mu)
-    S1 = np.empty_like(mu)
+    q = np.sqrt(np.abs(mu) if real else mu)
+    qd = q * d
+    if not real:
+        forms = ((mu != 0.0, _CIRCULAR),)
+    else:
+        # a NaN takes the cosh branch and stays NaN
+        pos = mu > 0.0
+        side = _branch(pos)
+        if mu.ndim and (side is ... or side is None and np.count_nonzero(mu) == mu.size):
+            return mu, *_direct(qd, q, *(_CIRCULAR if side is ... else _HYPERBOLIC))
+        forms = ((pos, _CIRCULAR), (~pos & (mu != 0.0), _HYPERBOLIC))
+    C = np.ones_like(mu)
+    S1 = np.full_like(mu, d)
     for mask, form in forms:
         if (sel := _branch(mask)) is not None:
             _direct(qd, q, *form, C, S1, True if sel is ... else sel)
-    if series is not None:
-        ws = w[series]
-        C[series] = 1.0 + ws * (-0.5 + ws * (1.0 / 24 + ws * (-1.0 / 720)))
-        S1[series] = d * (1.0 + ws * (-1.0 / 6 + ws * (1.0 / 120 + ws * (-1.0 / 5040))))
-    return mu, C, S1, series
+    return mu, C, S1
 
 
 def trig_triplet(mu, width):
     """C, S1, S2 for an array of real or complex mu values at fixed width d."""
     d = float(width)
-    mu, C, S1, series = _trig_pair(mu, d)
+    mu, C, S1 = _trig_pair(mu, d)
+    w = mu * d * d
+    small = np.abs(w) < W_CUT
+    series = _branch(small)
     if series is None and mu.ndim:
         return C, S1, (d * C - S1) / mu
     S2 = np.empty_like(mu)
     if series is not ...:
-        np.divide(d * C - S1, mu, out=S2, where=True if series is None else ~series)
+        np.divide(d * C - S1, mu, out=S2, where=True if series is None else ~small)
     if series is not None:
-        ws = mu[series] * d * d
+        ws = w[series]
         S2[series] = d**3 * (-1.0 / 3 + ws * (1.0 / 30 + ws * (-1.0 / 840 + ws * (1.0 / 45360))))
     return C, S1, S2
 
@@ -142,7 +135,7 @@ def denominator(g, width, k):
     nonzero wavenumbers, without the S2 and dPhi_T/dk of `transmission_grid`."""
     k = np.asarray(k, dtype=float)
     kk = k * k
-    _, A, S1, _ = _trig_pair(kk - g, float(width))
+    _, A, S1 = _trig_pair(kk - g, float(width))
     return (A, *_denominator(k, 2.0 * kk - g, A, S1))
 
 
@@ -208,7 +201,7 @@ def complex_amplitudes(g, width, k):
     """
     k = np.asarray(k, dtype=complex)
     d = float(width)
-    _, C, S1, _ = _trig_pair(k * k - g, d)
+    _, C, S1 = _trig_pair(k * k - g, d)
     D = C - 0.5j * S1 * (2.0 * k * k - g) / k
     t = np.exp(-1j * k * d) / D
     r = -0.5j * (g / k) * S1 * t

@@ -18,10 +18,10 @@ The module parses, dispatches (`DATASETS`) and writes: the rows come from a
 phase table and `_kernel.scatter_grid`, `delays.delay_rows` and
 `wavepacket.packet_rows`, the sweeps over the depths of `v0_grid`.  Each
 command imports the module it calls when it runs, so `amplitudes` loads
-neither `delays` nor `wavepacket`; NumPy loads only once the arguments parse
-(not for --help or a usage error), and `json` only to write JSON.  Every
-command runs in one process; --jobs N is accepted and checked (N >= 1) but
-changes nothing.
+neither `delays` nor `wavepacket`; the commands import NumPy and `main` does
+not, so --help and a usage error load none of it, and `json` loads only to
+write JSON.  Every command runs in one process; --jobs N is accepted and
+checked (N >= 1) but changes nothing.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid input, 3 numerical
 non-convergence.
@@ -304,14 +304,9 @@ def main(argv=None) -> int:
             raise ValueError("--precision must be at least 12 significant digits")
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
-        import numpy as np
         consts = PhysicalConstants(hbar=args.hbar, mass=args.mass)
         rows_of, header = DATASETS[args.command]
-        # an opaque barrier overflows the kernel's intermediates on the way to
-        # a typed error; that error, not NumPy's warnings, is the report
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = rows_of(args, consts)
-        write_dataset(args, header, rows)
+        write_dataset(args, header, rows_of(args, consts))
         return 0
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -142,7 +142,6 @@ def phase_time(
 ) -> float:
     """Extrapolated phase time m d / p + dt (not a genuine traversal time)."""
     _check_table(table, pot)
-    table.require(k)
     p = consts.hbar * k
     return consts.mass * pot.width / p + wigner_delay(table, consts, k)
 
@@ -287,7 +286,8 @@ def interior_norm(
     k = float(k)
     a = pot.half_width
     mu = k * k - pot.strength(consts)
-    c, s1, s2 = (float(x[0]) for x in _kernel.trig_triplet(np.array([mu]), a))
+    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
+        c, s1, s2 = (float(x[0]) for x in _kernel.trig_triplet(np.array([mu]), a))
     if parity == "even":
         num = a + c * s1
         den = k * k * c * c + mu * mu * s1 * s1

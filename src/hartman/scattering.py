@@ -276,8 +276,9 @@ def van_kampen_check(
             raise ValueError("k = 0 is not a valid sample")
     g = pot.strength(consts)
     d = pot.width
-    t, r = _kernel.complex_amplitudes(g, d, ks)
-    tm, rm = _kernel.complex_amplitudes(g, d, -ks.conj())
+    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
+        t, r = _kernel.complex_amplitudes(g, d, ks)
+        tm, rm = _kernel.complex_amplitudes(g, d, -ks.conj())
     require_finite(r, tm, rm, t=t)
     s0, s1 = t + r, t - r
     e = np.exp(1j * ks * d)

@@ -31,7 +31,6 @@ from .delays import (
     dwell_time,
     oscillatory_delay_bound,
     smith_identity_check,
-    wigner_delay,
 )
 from .errors import ConvergenceError
 from .potential import ATOMIC, PhysicalConstants, SquarePotential
@@ -399,11 +398,8 @@ def check_hartman_plateau() -> CheckResult:
     sits near 2 m hbar/(p_b p0)."""
     start = time.perf_counter()
     p0 = 0.5
-    taus = {}
-    for d in (8.0, 12.0):
-        pot = SquarePotential(5.0, d / 2.0)
-        table = build_phase_table(pot, ATOMIC, 0.01, 100.0, samples=400)
-        taus[d] = d / p0 + wigner_delay(table, ATOMIC, p0)
+    # g = 2 m v0/hbar^2 = 10 and k = p0/hbar in atomic units
+    taus = {d: d / p0 + float(_delays(10.0, d, np.array([p0]), ATOMIC)[1][0]) for d in (8.0, 12.0)}
     elapsed = time.perf_counter() - start
     asymptote = 2.0 / (math.sqrt(10.0) * p0)
     drift = abs(taus[8.0] - taus[12.0])

@@ -492,7 +492,8 @@ def mean_exit_time_via_flux(
     returned.  A delta_p outside the range of the packet integrals
     (`_cutoff`) raises ValueError before any arithmetic.  Two checks raise
     ConvergenceError, in this order: the window must capture essentially all
-    transmitted flux, |integral J_T dt - P_T| <= tol * P_T; and the half-grid
+    transmitted flux, |integral J_T dt - P_T| <= tol * P_T (a NaN flux, from
+    a barrier opaque to part of the window, misses it); and the half-grid
     (Richardson) error estimate |Q_h - Q_2h|/3, with Q_2h the trapezoid on
     every other time (no extra kernel points), must stay within
     `_GRID_TOL_SHARE` = 0.1 of tol, relative, for both integral J_T dt and
@@ -507,8 +508,9 @@ def mean_exit_time_via_flux(
     # reference transmission probability on a fixed grid (trapezoid), also
     # used to pick the time window from the low-momentum weight
     pgrid = np.linspace(1e-7, p_hi, _P_POINTS)
-    wgt = packet_weight(spec, pgrid, consts) / _kernel.denominator(
-        pot.strength(consts), pot.width, pgrid / consts.hbar)[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
+        wgt = packet_weight(spec, pgrid, consts) / _kernel.denominator(
+            pot.strength(consts), pot.width, pgrid / consts.hbar)[2]
     p_t_ref = float(np.trapezoid(wgt, pgrid))
     _require_transmitted(p_t_ref)
 
@@ -537,14 +539,17 @@ def mean_exit_time_via_flux(
 
     flux = np.empty(len(ts))
     batch = max(1, _CHUNK // len(_oracle_nodes()[0]))
-    for s in range(0, len(ts), batch):
-        psi, psix = _windowed_wave(spec, pot, consts, ts[s : s + batch], p_hi)
-        flux[s : s + batch] = (consts.hbar / m) * (psi.conj() * psix).imag
-    m0 = float(np.trapezoid(flux, ts))
-    m1 = float(np.trapezoid(flux * ts, ts))
+    # where the window's momenta tunnel through an opaque barrier the kernel
+    # overflows: the flux is NaN, which the deficit check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, len(ts), batch):
+            psi, psix = _windowed_wave(spec, pot, consts, ts[s : s + batch], p_hi)
+            flux[s : s + batch] = (consts.hbar / m) * (psi.conj() * psix).imag
+        m0 = float(np.trapezoid(flux, ts))
+        m1 = float(np.trapezoid(flux * ts, ts))
 
     deficit = abs(m0 - p_t_ref) / p_t_ref
-    if deficit > tol:
+    if not deficit <= tol:
         raise ConvergenceError(
             f"time window misses transmitted flux: captured {m0:.8f} of "
             f"P_T = {p_t_ref:.8f} (deficit {deficit:.2e} > tol {tol:.1e})",
@@ -604,12 +609,10 @@ def crossover_width_empirical(
     g = np.full(2, pot.strength(consts))  # the rows below and above p_b
 
     def split_transmittance(width: float) -> float:
-        # every resonance lies above p_b, so `below` gets only the low breakpoints;
-        # a wide trial overflows the kernel where |T|^2 = 0 (a NaN in it still raises)
-        with np.errstate(over="ignore", invalid="ignore"):
-            (p_c,), (tail,) = _tails(spec, consts, g[:1], width)[:2]
-            below, above = _first_error([r for r, in _packet_integrals(
-                spec, consts, g, width, [p_c, p_b], [p_b, p_hi], rel_tol=_SPLIT_REL_TOL)])
+        # every resonance lies above p_b, so `below` gets only the low breakpoints
+        (p_c,), (tail,) = _tails(spec, consts, g[:1], width)[:2]
+        below, above = _first_error([r for r, in _packet_integrals(
+            spec, consts, g, width, [p_c, p_b], [p_b, p_hi], rel_tol=_SPLIT_REL_TOL)])
         if not above.value > 0:
             raise ConvergenceError(
                 f"above-barrier transmittance underflows to {above.value} at d = {width}: "

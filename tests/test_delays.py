@@ -8,6 +8,7 @@ from scipy.integrate import quad as scipy_quad
 from hartman import (
     ATOMIC,
     ConvergenceError,
+    GaussianPacketSpec,
     PhysicalConstants,
     SquarePotential,
     build_phase_table,
@@ -18,10 +19,12 @@ from hartman import (
     eigenphase_derivative_bounds,
     interior_norm,
     levinson_check,
+    mean_exit_time_via_flux,
     phase_time,
     smith_identity_check,
     solve_bound_states,
     threshold_depths,
+    van_kampen_check,
     wigner_delay,
 )
 from hartman.delays import channel_floors, delay_rows, oscillatory_delay_bound
@@ -446,19 +449,31 @@ class TestSmithIdentity:
             smith_identity_check(WELL1, ATOMIC, 1.0, "even", 1e-5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_opaque_barrier_raises_typed_error():
-    """kappa d ~ 2500: a ConvergenceError, not NaN or a bare ValueError."""
+    """kappa d ~ 2500: a ConvergenceError, not NaN or a bare ValueError, and
+    no NumPy RuntimeWarning on the way.  The flux oracle finds no transmitted
+    weight behind a wholly opaque barrier, and reports the NaN flux of a
+    partly opaque one (its window's slow momenta overflow the kernel) as
+    missing flux."""
     pot = SquarePotential(5.0, 400.0)
     calls = [
         lambda: amplitudes(pot, ATOMIC, 0.5),
         lambda: amplitudes(pot, ATOMIC, 0.5 + 0.1j),
+        lambda: van_kampen_check(pot, ATOMIC, [0.5 + 0.1j]),
         *(lambda p=p: interior_norm(pot, ATOMIC, 0.5, p) for p in ("even", "odd")),
         *(lambda p=p: dwell_time(pot, ATOMIC, 0.5, p) for p in ("even", "odd")),
         lambda: smith_identity_check(pot, ATOMIC, 0.5, "even"),
     ]
     for call in calls:
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="opaque"):
+        with pytest.raises(ConvergenceError, match="opaque"):
             call()
+    with pytest.raises(ValueError, match="transmitted weight vanishes"):
+        mean_exit_time_via_flux(GaussianPacketSpec(0.5, 0.1, -450.0), pot, ATOMIC)
+    for spec, partly in ((GaussianPacketSpec(3.6, 0.3, -400.0), SquarePotential(5.0, 150.0)),
+                         (GaussianPacketSpec(1.2, 0.2, -600.0), SquarePotential(0.4, 300.0))):
+        with pytest.raises(ConvergenceError, match="misses transmitted flux"):
+            mean_exit_time_via_flux(spec, partly, ATOMIC)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

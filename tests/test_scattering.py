@@ -92,6 +92,8 @@ def test_kernel_grids_match_one_point_calls():
     """Every point of a grid wholly in one branch of `trig_triplet` (tunneling,
     propagating, series window) or spread over all three gets the bits of a
     one-point call and of a 0-d call, in `trig_triplet` and `scatter_grid`.
+    So does an exact mu = 0 (+0.0, -0.0 or 0j) inside a mixed and a complex
+    grid, where C = 1, S1 = d and S2 = -d^3/3.
     The long grid takes the masked branches of a mixed grid: contiguous runs,
     then interleaved signs, around a cluster of points in the series window;
     it and its complex counterpart (mu + 1e-6i) are checked against 1-d
@@ -109,7 +111,7 @@ def test_kernel_grids_match_one_point_calls():
         "tunneling": np.linspace(0.1, 1.9, 7),
         "propagating": np.linspace(2.1, 6.0, 7),
         "series": window,
-        "mixed": np.array([0.3, window[1], 4.0, window[5], 1.2, 2.5]),
+        "mixed": np.array([0.3, window[1], 4.0, 2.0, window[5], 1.2, 2.5]),
         "long": np.concatenate([tunneling, cluster[:48], propagating, interleaved.ravel(),
                                 cluster[48:]]),
     }
@@ -139,6 +141,13 @@ def test_kernel_grids_match_one_point_calls():
     for i, mu in enumerate(complex_mus):
         one = trig_triplet(np.array([mu]), d)
         assert all(_same_bits(x[i], y[0]) for x, y in zip(triplet, one)), mu
+    for zero in (0.0, -0.0, 0j):
+        for mus in (np.array([-2.0, zero, 1e-6, 3.0]), np.array([1.0 + 1j, zero, 1e-6j, -2.0])):
+            triplet = trig_triplet(mus, d)
+            assert [x[1] for x in triplet] == [1.0, d, d**3 * (-1.0 / 3)], mus
+            for point in (mus[1], mus[1:2]):
+                one = trig_triplet(point, d)
+                assert all(_same_bits(x[1], y.reshape(())) for x, y in zip(triplet, one)), mus
 
 
 def test_transmission_grid_is_scatter_grid_t_and_dphi():
