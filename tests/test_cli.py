@@ -623,18 +623,7 @@ def test_missing_values_exit_2(capsys, args, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["amplitudes", "--v0", "5", "--width", "200", "--k-min", "0.5", "--k-max", "1",
-     "--samples", "10"],
-    ["delay-sweep", "--v0-min", "1", "--v0-max", "800", "--v0-step", "1", "--width", "60",
-     "--k", "0.1"],
-    ["packet-sweep", "--v0-min", "1", "--v0-max", "50", "--v0-step", "7", "--k0", "0.5",
-     "--delta-p", "0.1", "--x0", "-400", "--width", "300"],
-], ids=lambda argv: argv[0])
-def test_opaque_barrier_error_without_numpy_warnings(argv, capsys):
-    """The kernel's overflow on an opaque barrier ends in the typed error
-    (exit 3) alone, one `error:` line with no NumPy RuntimeWarning ahead of
-    it, in each dataset command."""
+def _assert_typed_error_alone(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run_cli(argv)
@@ -642,6 +631,26 @@ def test_opaque_barrier_error_without_numpy_warnings(argv, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_opaque_barrier_error_without_numpy_warnings(capsys):
+    """The kernel's overflow on an opaque barrier ends in the typed error
+    (exit 3) alone, one `error:` line with no NumPy RuntimeWarning ahead of
+    it."""
+    _assert_typed_error_alone(
+        ["amplitudes", "--v0", "5", "--width", "200", "--k-min", "0.5", "--k-max", "1",
+         "--samples", "10"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["delay-sweep", "--v0-min", "1", "--v0-max", "800", "--v0-step", "1", "--width", "60",
+     "--k", "0.1"],
+    ["packet-sweep", "--v0-min", "1", "--v0-max", "50", "--v0-step", "7", "--k0", "0.5",
+     "--delta-p", "0.1", "--x0", "-400", "--width", "300"],
+], ids=lambda argv: argv[0])
+def test_sweep_opaque_barrier_error_without_numpy_warnings(argv, capsys):
+    """The same single typed error in each sweep command."""
+    _assert_typed_error_alone(argv, capsys)
 
 
 def test_precision_floor_enforced():
