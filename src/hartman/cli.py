@@ -275,7 +275,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--skip-slow", action="store_true",
-                       help="skip the packet-integral checks")
+                       help="skip the flux-oracle, two width and fig3 threshold-window checks")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     return parser, sub.choices
 
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -9,6 +9,12 @@ executes; each check returns a CheckResult with the measured extremes so
 failures are diagnosable, and `run_all_checks` adds its wall time.  A check
 that raises ConvergenceError or ValueError fails under its function's name,
 with the error in its detail, and the remaining checks still run.
+Each fast check that samples the kernel evaluates its grid in one kernel call
+(one row per potential or FD stencil; one call per sign of k for the symmetry
+check; every crossing bracket bisected at once).  The checks of a public scalar
+entry (`amplitudes`, `smith_identity_check`, `dwell_time`, `solve_bound_states`,
+`levinson_check`) loop over it on purpose: with the well tables they keep the
+kernel's one-sign plain-ufunc path under test.
 The crossing checks take dt from `delays` and the threshold-window check
 reads fig3's rows from `wavepacket.packet_rows`; `check_bound_chain` keeps
 its own dt = Phi_T'/k as the independent check of the bound chain.
@@ -164,38 +170,28 @@ def _fmt(x: float) -> str:
 
 
 def _max(*values) -> float:
-    """Largest of `values`, NaN if any is NaN (the builtin max drops a NaN
-    that is not its first argument, which would pass a broken check)."""
-    return float(np.max(values))
+    """Largest element of `values` (numbers or arrays), NaN if any is NaN (the
+    builtin max drops a NaN that is not its first argument, which would pass a
+    broken check)."""
+    return float(np.max([np.max(v) for v in values]))
 
 
 def _min(*values) -> float:
-    """Smallest of `values`, NaN if any is NaN."""
-    return float(np.min(values))
+    """Smallest element of `values` (numbers or arrays), NaN if any is NaN."""
+    return float(np.min([np.min(v) for v in values]))
 
 
 def check_unitarity_and_symmetry() -> CheckResult:
     """|T|^2+|R|^2 = 1, |S_j| = 1, and T(-k) = T(k)* on a 10^4 grid."""
     tol = 1e-12
-    v0s = np.linspace(-10.0, 10.0, 100)
+    g = 2.0 * np.linspace(-10.0, 10.0, 100)[:, None]  # one row per v0
     ks = np.linspace(1e-3, 50.0, 100)
     start = time.perf_counter()
-    worst_u = worst_s = worst_sym = 0.0
-    for v0 in v0s:
-        g = 2.0 * v0
-        t, r, _, _, _ = _kernel.scatter_grid(g, 2.0, ks)
-        tm, rm, _, _, _ = _kernel.scatter_grid(g, 2.0, -ks)
-        worst_u = _max(worst_u, float(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0).max()))
-        worst_s = _max(
-            worst_s,
-            float(np.abs(np.abs(t + r) - 1.0).max()),
-            float(np.abs(np.abs(t - r) - 1.0).max()),
-        )
-        worst_sym = _max(
-            worst_sym,
-            float(np.abs(t.conj() - tm).max()),
-            float(np.abs(r.conj() - rm).max()),
-        )
+    t, r, _, _, _ = _kernel.scatter_grid(g, 2.0, ks)
+    tm, rm, _, _, _ = _kernel.scatter_grid(g, 2.0, -ks)
+    worst_u = _max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0))
+    worst_s = _max(np.abs(np.abs(t + r) - 1.0), np.abs(np.abs(t - r) - 1.0))
+    worst_sym = _max(np.abs(t.conj() - tm), np.abs(r.conj() - rm))
     elapsed = time.perf_counter() - start
     return CheckResult(
         "unitarity and symmetry (10^4 grid)",
@@ -269,20 +265,17 @@ def check_phases_and_derivatives() -> CheckResult:
         table = build_phase_table(pot, ATOMIC, 1e-3)
         dense = dense_unwrap_phases(pot, ATOMIC, table.k_grid)
         closed = np.array([table.phi_t, table.delta0, table.delta1])
-        worst_dense = _max(worst_dense, float(np.abs(closed - dense).max()))
-        g = pot.strength(ATOMIC)
-        for _ in range(40):
-            k = rng.uniform(0.2, 0.8 * table.k_max)
-            h = 1e-5 * k
-            ks = k + h * np.arange(-2.0, 3.0)
-            t, _, dphi, _, _ = _kernel.scatter_grid(g, pot.width, ks)
-            ph = np.unwrap(np.angle(t))
-            if np.abs(np.diff(ph)).max() > 1.0:  # resonance peak; FD unreliable
-                continue
-            fd = (ph[0] - 8 * ph[1] + 8 * ph[3] - ph[4]) / (12 * h)
-            worst_fd = _max(
-                worst_fd, abs(fd - dphi[2]) / max(abs(dphi[2]), 1e-9)
-            )
+        worst_dense = _max(worst_dense, np.abs(closed - dense))
+        k = rng.uniform(0.2, 0.8 * table.k_max, 40)[:, None]  # one stencil per row
+        h = 1e-5 * k
+        t, _, dphi, _, _ = _kernel.scatter_grid(
+            pot.strength(ATOMIC), pot.width, k + h * np.arange(-2.0, 3.0))
+        ph = np.unwrap(np.angle(t))
+        # a resonance peak makes FD unreliable; a NaN row is kept, to fail
+        smooth = ~(np.abs(np.diff(ph)).max(axis=1) > 1.0)
+        fd = (ph[:, 0] - 8 * ph[:, 1] + 8 * ph[:, 3] - ph[:, 4]) / (12 * h[:, 0])
+        err = np.abs(fd - dphi[:, 2]) / np.maximum(np.abs(dphi[:, 2]), 1e-9)
+        worst_fd = _max(worst_fd, err[smooth])
     return CheckResult(
         "phases vs dense unwrap and analytic derivatives",
         worst_dense < dense_tol and worst_fd < fd_tol,
@@ -302,21 +295,18 @@ def check_bound_chain() -> CheckResult:
     d = 2.0
     ks = np.linspace(0.02, 20.0, 140)
     v0s = np.linspace(-10.0, 10.0, 90)
-    worst_chain = worst_order = worst_ch = worst_simple = worst_dd = np.inf
-    for v0 in v0s:
-        g = 2.0 * v0
-        t, r, dphi, dd0, dd1 = _kernel.scatter_grid(g, d, ks)
-        d0, d1 = eigenphases(t, r)
-        dt = dphi / ks
-        osc = oscillatory_delay_bound(ks, a, d0, d1, ATOMIC)
-        weak = (1.0 / ks) * (-d - 1.0 / ks)
-        worst_chain = _min(worst_chain, float((dt - osc).min()))
-        worst_order = _min(worst_order, float((osc - weak).min()))
-        floor0, floor1 = channel_floors(ks, a, d0, d1)
-        worst_ch = _min(worst_ch, float((dd0 - floor0).min()), float((dd1 - floor1).min()))
-        if v0 >= 0:
-            worst_simple = _min(worst_simple, float((dt - (-d / ks)).min()))
-            worst_dd = _min(worst_dd, float((dd0 + a).min()), float((dd1 + a).min()))
+    t, r, dphi, dd0, dd1 = _kernel.scatter_grid(2.0 * v0s[:, None], d, ks)  # one row per v0
+    d0, d1 = eigenphases(t, r)
+    dt = dphi / ks
+    osc = oscillatory_delay_bound(ks, a, d0, d1, ATOMIC)
+    weak = (1.0 / ks) * (-d - 1.0 / ks)
+    floor0, floor1 = channel_floors(ks, a, d0, d1)
+    worst_chain = _min(dt - osc)
+    worst_order = _min(osc - weak)
+    worst_ch = _min(dd0 - floor0, dd1 - floor1)
+    barrier = v0s >= 0
+    worst_simple = _min((dt - (-d / ks))[barrier])
+    worst_dd = _min(dd0[barrier] + a, dd1[barrier] + a)
     passed = (
         worst_chain >= slack
         and worst_order >= slack
@@ -348,41 +338,32 @@ def check_simple_bound_violation() -> CheckResult:
 
 
 def _simple_margin(v0):
-    """delta_t + m d/p at k = 0.1 and d = 2 (hbar = m = 1), for one v0 or an array."""
-    v0 = np.asarray(v0, dtype=float)
+    """delta_t + m d/p at k = 0.1 and d = 2 (hbar = m = 1), on an array of v0."""
     dt = _delays(2.0 * v0, _CROSSING_WIDTH, np.full(v0.shape, _CROSSING_K), ATOMIC)[1]
     return dt + _CROSSING_WIDTH / _CROSSING_K
 
 
 def find_simple_bound_crossings() -> list[float]:
-    """Roots of `_simple_margin` by a scan of step 1e-3 over [-2, 0) and bisection."""
+    """Roots of `_simple_margin` by a scan of step 1e-3 over [-2, 0) and
+    60 bisection steps, every bracket at once."""
     v0s = np.arange(-2.0, 0.0, 1e-3)
     vals = _simple_margin(v0s)
-    out = []
-    for i in np.nonzero(np.diff(np.sign(vals)))[0]:
-        lo, hi = v0s[i], v0s[i + 1]
-        flo = vals[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = _simple_margin(mid)
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    return out
+    i = np.nonzero(np.diff(np.sign(vals)))[0]
+    lo, hi, flo = v0s[i], v0s[i + 1], vals[i]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = _simple_margin(mid)
+        left = (fm > 0) == (flo > 0)  # the root lies above mid
+        lo, flo, hi = np.where(left, mid, lo), np.where(left, fm, flo), np.where(left, hi, mid)
+    return (0.5 * (lo + hi)).tolist()
 
 
 def check_crossings_near_thresholds() -> CheckResult:
     """Crossings of delta_t with -m d/p sit within 0.02 of the expected depths."""
     tol = 0.02
     crossings = find_simple_bound_crossings()
-    dists = []
-    for target in CROSSING_TARGETS:
-        if crossings:
-            dists.append(_min(*(abs(c - target) for c in crossings)))
-        else:
-            dists.append(math.inf)
+    dists = [_min(np.abs(np.subtract(crossings, target))) if crossings else math.inf
+             for target in CROSSING_TARGETS]
     return CheckResult(
         "delay crossings near bound-state onsets",
         all(x <= tol for x in dists),

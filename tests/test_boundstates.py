@@ -186,7 +186,7 @@ class TestLevinson:
 
     def test_opaque_barrier_raises(self):
         """kappa d ~ 632 at k_min: |D|^2 overflows, so a typed error, not NaN."""
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError):
             levinson_check(SquarePotential(5.0, 100.0), ATOMIC)
 
     def test_free_trivial_branch(self):

@@ -602,13 +602,19 @@ def test_packet_sweep_raises_first_row_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_invalid_input_exit_code():
+def test_invalid_input_exit_code(capsys):
     assert run_cli(["amplitudes", "--v0", "5", "--width", "-1"]) == 2
     assert run_cli(["delay-sweep", "--v0-min", "0", "--v0-max", "1",
                     "--v0-step", "-0.1"]) == 2
     assert run_cli(["packet-sweep", "--v0-min", "0", "--v0-max", "0",
                     "--v0-step", "1", "--k0", "1", "--delta-p", "0.1",
                     "--x0", "5"]) == 2  # packet starts right of the barrier
+    capsys.readouterr()
+    # a 7.11 PiB grid, which NumPy refuses before allocating anything
+    assert run_cli(["amplitudes", "--v0", "5", "--width", "1",
+                    "--samples", "1000000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args, message", [

@@ -463,7 +463,7 @@ class TestPhaseTable:
         """|D|^2 overflows above kappa d ~ 355: a typed error, not NaN or a
         wrong finite phase."""
         for a in (100.0, 400.0):
-            with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            with pytest.raises(ConvergenceError):
                 build_phase_table(SquarePotential(5.0, a), ATOMIC, 0.01)
 
     def test_anchor_exact_for_wide_barrier(self):
@@ -535,5 +535,5 @@ class TestVanKampen:
     def test_opaque_barrier_raises(self):
         """kappa d ~ 2,500: the kernel overflows to NaN, which ends in a
         typed error rather than in NaN moduli with passed=False."""
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError):
             van_kampen_check(SquarePotential(5.0, 400.0), ATOMIC, [0.5 + 0.1j])

@@ -236,7 +236,7 @@ class TestMeanExitTime:
         """P_T underflows to 0 behind an opaque barrier: no exit time rather
         than t_out = nan."""
         spec = GaussianPacketSpec(0.5, 1e-9, -200.0)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="weight vanishes"):
+        with pytest.raises(ValueError, match="weight vanishes"):
             mean_exit_time(spec, SquarePotential(5.0, 120.0))
 
     @pytest.mark.parametrize("dp", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
@@ -433,12 +433,11 @@ class TestLowMomentumTail:
         spec = GaussianPacketSpec(1.0, 0.1, -400.0)
         pots = [SquarePotential(5.0, a) for a in (55.872, 60.0, 64.0, 300.0)]
         eps = wavepacket._cutoff(spec, ATOMIC)
-        with np.errstate(all="ignore"):
-            for pot in pots:
-                tails = wavepacket._tails(spec, ATOMIC, np.array([pot.strength()]), pot.width)
-                assert tails[0] == eps and not np.any(tails[1:])
-                p_t = transmission_probability(spec, pot)
-                assert math.isfinite(p_t) and 0.0 <= p_t < 1e-250
+        for pot in pots:
+            tails = wavepacket._tails(spec, ATOMIC, np.array([pot.strength()]), pot.width)
+            assert tails[0] == eps and not np.any(tails[1:])
+            p_t = transmission_probability(spec, pot)
+            assert math.isfinite(p_t) and 0.0 <= p_t < 1e-250
 
 
 def _reference_rows(spec, pots, lo, hi, consts=ATOMIC):
@@ -500,8 +499,7 @@ class TestIntervals:
         spec, v0 = GaussianPacketSpec(1.0, 0.06, -200.0), 5.0
         pot = SquarePotential(v0, width / 2.0)
         p_b = pot.barrier_momentum()
-        with np.errstate(over="ignore", invalid="ignore"):
-            (p_c,) = wavepacket._tails(spec, ATOMIC, np.array([pot.strength()]), width)[0]
+        (p_c,) = wavepacket._tails(spec, ATOMIC, np.array([pot.strength()]), width)[0]
         self._check(spec, [pot, pot], [p_c, p_b], [p_b, max(spec.p_max(), p_b + 0.36)])
 
     def test_too_many_seeds_raise_before_forming(self, monkeypatch):
