@@ -44,9 +44,19 @@ rows (`delay_rows`) and the crossing checks of `hartman.verify`;
 stores both floors for `eigenphase_derivative_bounds`.  `channel_floors` and
 `oscillatory_delay_bound` keep the sine of the eigenphases, as the
 independent check.
+
+At one k the calls share their kernel values: `causality_bounds`,
+`wigner_delay` (so `phase_time`) and `smith_identity_check` read
+`phase_parts` at (g, d, k) through `_phase_point`, and `interior_norm` (so
+`dwell_time` and the Smith left side) reads `trig_triplet` at (mu, a)
+through `_triplet_point`.  Each keeps only its last point, as the floats of
+the one-point call a fresh evaluation makes: the delay, both dwell times and
+both Smith checks at one (potential, k) cost two kernel calls, not seven,
+and every result keeps its bits.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,39 +120,58 @@ def oscillatory_delay_bound(k, half_width: float, delta0, delta1,
     return (consts.mass / (consts.hbar * k)) * (floor0 + floor1)
 
 
+@functools.lru_cache(maxsize=1)
+def _phase_point(g: float, width: float, k: float) -> tuple[float, ...]:
+    """`_kernel.phase_parts` at one real k, as floats; the last point only."""
+    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised by the callers
+        return tuple(np.concatenate(_kernel.phase_parts(g, width, np.array([k]))).tolist())
+
+
+@functools.lru_cache(maxsize=1)
+def _triplet_point(mu: float, half_width: float) -> tuple[float, ...]:
+    """`_kernel.trig_triplet` (C, S1, S2) at one mu, as floats; the last point only."""
+    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised by the callers
+        return tuple(np.concatenate(_kernel.trig_triplet(np.array([mu]), half_width)).tolist())
+
+
 def _delays(g, width: float, k, consts: PhysicalConstants):
     """dPhi_T/dk, the delay dt = m dPhi_T/dk/(hbar k) and its
     `oscillatory_delay_bound` (m/(hbar k))(-d - A rho/(k |D|^2)),
-    elementwise over strengths g and wavenumbers k, from one kernel call; a
-    value that is not finite raises ConvergenceError."""
+    elementwise over strengths g and an array of wavenumbers k from one
+    kernel call, or as floats at a float k from `_phase_point`; a value that
+    is not finite raises ConvergenceError."""
+    parts = _phase_point if isinstance(k, float) else _kernel.phase_parts
     with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
-        A, _, den, _, rho, dphi, _, _ = _kernel.phase_parts(g, width, k)
+        A, _, den, _, rho, dphi, _, _ = parts(g, width, k)
         delta_t = consts.mass * dphi / (consts.hbar * k)
         osc = consts.mass / (consts.hbar * k) * (-width - A * rho / (k * den))
     require_finite(den, delta_t, osc)
     return dphi, delta_t, osc
 
 
-def _check_table(table: PhaseTable, pot: SquarePotential) -> None:
+def _check_table(table: PhaseTable, pot: SquarePotential, consts: PhysicalConstants) -> None:
+    """Raise ValueError unless `table` was built for `pot` under `consts`,
+    the units of its range and values."""
     if table.pot != pot:
-        raise ValueError(
-            f"phase table was built for {table.pot}, not {pot}"
-        )
+        raise ValueError(f"phase table was built for {table.pot}, not {pot}")
+    if table.consts != consts:
+        raise ValueError(f"phase table was built under {table.consts}, not {consts}")
 
 
 def wigner_delay(table: PhaseTable, consts: PhysicalConstants, k: float) -> float:
     """dt = (m/(hbar k)) dPhi_T/dk, from the analytic derivative."""
-    table.require(k)
     pot = table.pot
-    return float(_delays(pot.strength(consts), pot.width, np.array([float(k)]), consts)[1][0])
+    _check_table(table, pot, consts)
+    table.require(k)
+    return _delays(pot.strength(consts), pot.width, float(k), consts)[1]
 
 
 def phase_time(
     pot: SquarePotential, consts: PhysicalConstants, table: PhaseTable, k: float
 ) -> float:
     """Extrapolated phase time m d / p + dt (not a genuine traversal time)."""
-    _check_table(table, pot)
-    p = consts.hbar * k
+    _check_table(table, pot, consts)
+    p = consts.hbar * float(k)
     return consts.mass * pot.width / p + wigner_delay(table, consts, k)
 
 
@@ -151,14 +180,13 @@ def causality_bounds(
 ) -> DelayRecord:
     """Delay at k together with every bound it must respect.  The bound-state
     bound reads only the shallowest level, so that is the one level solved."""
-    _check_table(table, pot)
+    _check_table(table, pot, consts)
     table.require(k)
     k = float(k)
     d = pot.width
     m = consts.mass
     p = consts.hbar * k
-    dphi, delta_t, osc = (float(x[0]) for x in
-                          _delays(pot.strength(consts), d, np.array([k]), consts))
+    dphi, delta_t, osc = _delays(pot.strength(consts), d, k, consts)
 
     n_b = count_bound_states(pot, consts) if pot.v0 < 0 else 0
     bound_bs = None
@@ -226,7 +254,7 @@ def eigenphase_derivative_bounds(
     The oscillatory bounds hold for any real square potential; the simple
     bound delta_j' >= -a additionally requires no bound states (v0 >= 0).
     """
-    _check_table(table, pot)
+    _check_table(table, pot, consts)
     a = pot.half_width
     k = table.k_grid
     dd0, dd1 = table.ddelta0, table.ddelta1
@@ -277,7 +305,9 @@ def interior_norm(
     cosh^2 - sinh^2.  Both denominators are sums of squares, so
     the interior-amplitude resonances cos(qa) -> 0 / sin(qa) -> 0 and the
     q -> 0 point are all regular.  Opaque barriers, where c overflows, raise
-    ConvergenceError.
+    ConvergenceError.  The triplet comes from
+    `_triplet_point`, which keeps only the last (mu, a): both parities,
+    `dwell_time` and the Smith left side at one point share it, bitwise.
     """
     if parity not in _PARITIES:
         raise ValueError(f"parity must be one of {_PARITIES}, got {parity!r}")
@@ -286,8 +316,7 @@ def interior_norm(
     k = float(k)
     a = pot.half_width
     mu = k * k - pot.strength(consts)
-    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
-        c, s1, s2 = (float(x[0]) for x in _kernel.trig_triplet(np.array([mu]), a))
+    c, s1, s2 = _triplet_point(mu, a)
     if parity == "even":
         num = a + c * s1
         den = k * k * c * c + mu * mu * s1 * s1
@@ -336,18 +365,18 @@ def smith_identity_check(
     The right side takes delta_j' and floor_j = -a - (A rho -+ B)/(2k |D|^2)
     from the real parts of one kernel call (S2 and D'); the left side,
     `interior_norm`, uses no phase or derivative.  Opaque barriers raise
-    ConvergenceError.
+    ConvergenceError.  Those parts come from
+    `_phase_point`, which keeps only the last (g, d, k): both parities and
+    the delay at one point share them, bitwise.
     """
     lhs = interior_norm(pot, consts, k, parity)
     k = float(k)
     j = _PARITIES.index(parity)
-    with np.errstate(over="ignore", invalid="ignore"):  # opaque barriers: raised below
-        A, B, den, _, rho, _, dd0, dd1 = _kernel.phase_parts(
-            pot.strength(consts), pot.width, np.array([k]))
-        # delta_j' - floor_j, with sin 2(ka + delta_j) = (+-A rho - B)/|D|^2
-        excess = (dd0, dd1)[j] + pot.half_width + (A * rho - (1 - 2 * j) * B) / (2.0 * k * den)
+    A, B, den, _, rho, _, dd0, dd1 = _phase_point(pot.strength(consts), pot.width, k)
+    # delta_j' - floor_j, with sin 2(ka + delta_j) = (+-A rho - B)/|D|^2
+    excess = (dd0, dd1)[j] + pot.half_width + (A * rho - (1 - 2 * j) * B) / (2.0 * k * den)
     require_finite(den, excess)
-    rhs = (2.0 / consts.h) * float(excess[0])
+    rhs = (2.0 / consts.h) * excess
     return SmithIdentityReport(
         k=k,
         parity=parity,

@@ -380,7 +380,7 @@ def check_hartman_plateau() -> CheckResult:
     start = time.perf_counter()
     p0 = 0.5
     # g = 2 m v0/hbar^2 = 10 and k = p0/hbar in atomic units
-    taus = {d: d / p0 + float(_delays(10.0, d, np.array([p0]), ATOMIC)[1][0]) for d in (8.0, 12.0)}
+    taus = {d: d / p0 + _delays(10.0, d, p0, ATOMIC)[1] for d in (8.0, 12.0)}
     elapsed = time.perf_counter() - start
     asymptote = 2.0 / (math.sqrt(10.0) * p0)
     drift = abs(taus[8.0] - taus[12.0])

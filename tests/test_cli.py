@@ -255,6 +255,7 @@ def test_packet_sweep_free_and_threshold_rows_diverge(tmp_path):
         assert float(r[1]) == transmission_probability(spec, SquarePotential(float(r[0]), 1.0))
 
 
+@pytest.mark.usefixtures("fresh_point_memos")
 def test_fig3_kernel_call_budget(tmp_path, monkeypatch):
     """fig3's 201 rows run in lockstep, one kernel call per block of each
     quadrature round, each row's time moment starts from the panels its P_T
@@ -584,6 +585,7 @@ def test_packet_sweep_extreme_inputs_exit_typed(tmp_path, capsys, args, code):
     assert out.exists() == (code == 0)
 
 
+@pytest.mark.usefixtures("fresh_point_memos")
 def test_packet_sweep_raises_first_row_error(tmp_path, monkeypatch, capsys):
     """Row -0.3 fails to converge (NaN |D|^2) and row -0.2 transmits nothing
     (|D|^2 = inf, T = 0): the sweep exits as a serial one would, with the
@@ -673,6 +675,7 @@ def test_verify_fast_suite_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.usefixtures("fresh_point_memos")
 def test_verify_broken_kernel_fails(capsys, monkeypatch):
     """A NaN from the kernel fails checks: exit code 1 and FAIL lines.  A
     check that reaches the NaN through `require_finite` raises, and fails

@@ -27,6 +27,7 @@ from hartman import (
     van_kampen_check,
     wigner_delay,
 )
+from hartman import _kernel, delays
 from hartman.delays import channel_floors, delay_rows, oscillatory_delay_bound
 
 H = 2.0 * math.pi
@@ -74,6 +75,21 @@ class TestWignerDelay:
             phase_time(WELL1, ATOMIC, barrier_table, 0.5)
         with pytest.raises(ValueError):
             causality_bounds(WELL1, ATOMIC, barrier_table, 0.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda table, consts: wigner_delay(table, consts, 1.0),
+        lambda table, consts: phase_time(BARRIER_D2, consts, table, 1.0),
+        lambda table, consts: causality_bounds(BARRIER_D2, consts, table, 1.0),
+        lambda table, consts: eigenphase_derivative_bounds(BARRIER_D2, consts, table),
+    ], ids=["wigner_delay", "phase_time", "causality_bounds", "eigenphase_derivative_bounds"])
+    def test_table_under_other_constants_rejected(self, barrier_table, call):
+        """A table's range and values are in the units of the constants it was
+        built under: with this atomic table, causality_bounds under
+        (hbar, m) = (2, 3) returned dt = -1.823 at k = 1, its range checked
+        in atomic units."""
+        with pytest.raises(ValueError, match="built under"):
+            call(barrier_table, PhysicalConstants(2.0, 3.0))
+        call(barrier_table, PhysicalConstants(1.0, 1.0))  # equal to ATOMIC: accepted
 
 
 class TestPhaseTime:
@@ -480,12 +496,131 @@ def test_opaque_barrier_raises_typed_error():
 def test_opaque_barrier_raises_without_warning():
     """kappa d ~ 375 at k = 0.5: the phase, delay and floor paths read
     |D|^2 = inf from the kernel and raise the typed error, with no NumPy
-    RuntimeWarning on the way."""
+    RuntimeWarning on the way; the second Smith check raises from the
+    remembered point."""
     pot = SquarePotential(5.0, 60.0)
     calls = (lambda: build_phase_table(pot, ATOMIC, 0.01),
              lambda: levinson_check(pot, ATOMIC),
              lambda: smith_identity_check(pot, ATOMIC, 0.5, "odd"),
+             lambda: smith_identity_check(pot, ATOMIC, 0.5, "even"),
              lambda: delay_rows([5.0, 6.0], 0.5, pot.width, ATOMIC))
     for call in calls:
         with pytest.raises(ConvergenceError, match="opaque"):
             call()
+
+
+class TestPointMemo:
+    """The one-point calls share their kernel values through two memos that
+    keep the last point only; every result is the bits of a fresh call."""
+
+    POTS = (SquarePotential(5.0, 1.0), SquarePotential(0.3, 0.4),  # barriers
+            SquarePotential(-1.0, 1.0), SquarePotential(-7.3, 1.7),  # wells
+            # wells 1% and 0.1% off their first and second thresholds
+            SquarePotential(threshold_depths(1.0, 1)[0] * 1.01, 1.0),
+            SquarePotential(threshold_depths(0.6, 2)[1] * 0.999, 0.6),
+            SquarePotential(0.0, 1.0), SquarePotential(-0.0, 1.0))
+    KS = (0.05, 0.7, 3.1)
+
+    @staticmethod
+    def _calls(pot, consts, table, k):
+        """Every entry point that reads a memo, by name, at one (pot, k)."""
+        calls = {
+            "causality_bounds": lambda: causality_bounds(pot, consts, table, k),
+            "wigner_delay": lambda: wigner_delay(table, consts, k),
+            "phase_time": lambda: phase_time(pot, consts, table, k),
+        }
+        for p in ("even", "odd"):
+            calls[f"interior_norm {p}"] = lambda p=p: interior_norm(pot, consts, k, p)
+            calls[f"dwell_time {p}"] = lambda p=p: dwell_time(pot, consts, k, p)
+            calls[f"smith_identity_check {p}"] = lambda p=p: smith_identity_check(pot, consts, k, p)
+        return calls
+
+    @staticmethod
+    def _fresh(call):
+        delays._phase_point.cache_clear()
+        delays._triplet_point.cache_clear()
+        return repr(call())
+
+    def _cases(self, consts):
+        for pot in self.POTS:
+            table = build_phase_table(pot, consts, 0.01)
+            for k in self.KS:
+                yield from ((f"{pot} k={k} {name}", call)
+                            for name, call in self._calls(pot, consts, table, k).items())
+
+    @pytest.mark.parametrize("consts", [ATOMIC, PhysicalConstants(hbar=1.3, mass=0.7)],
+                             ids=["atomic", "other"])
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    def test_memo_gives_fresh_bits(self, order, consts):
+        """In order by point, and with the points interleaved at random, each
+        result equals the one computed with both memos emptied, in repr."""
+        cases = list(self._cases(consts))
+        if order == "reversed":
+            cases.reverse()
+        elif order == "shuffled":
+            cases = [cases[i] for i in np.random.default_rng(7).permutation(len(cases))]
+        got = [(name, repr(call())) for name, call in cases]
+        assert got == [(name, self._fresh(call)) for name, call in cases]
+
+    def test_numpy_scalar_k_gives_the_float_bits(self):
+        """An np.float64 k, whether it misses or hits the memo, gives what a
+        float k gives."""
+        for pot in self.POTS[:4]:
+            table = build_phase_table(pot, ATOMIC, 0.01)
+            for k in self.KS:
+                floats = self._calls(pot, ATOMIC, table, k)
+                scalars = self._calls(pot, ATOMIC, table, np.float64(k))
+                for name, call in floats.items():
+                    want = self._fresh(call)
+                    assert self._fresh(scalars[name]) == want, name
+                    call()
+                    assert repr(scalars[name]()) == want, name
+
+    @pytest.mark.parametrize("pair", [
+        (SquarePotential(5.0, 1.0), SquarePotential(-5.0, 1.0), ATOMIC, ATOMIC),
+        (SquarePotential(5.0, 1.0), SquarePotential(5.0, 1.5), ATOMIC, ATOMIC),
+        (WELL1, WELL1, ATOMIC, PhysicalConstants(hbar=1.3, mass=0.7)),
+    ], ids=["depth", "width", "constants"])
+    def test_other_potential_or_constants_is_a_new_entry(self, pair):
+        """Alternating two potentials, or two constant sets, at one k misses
+        the memo on every switch and gives each its own fresh bits."""
+        pot_a, pot_b, consts_a, consts_b = pair
+        calls = [self._calls(pot, consts, build_phase_table(pot, consts, 0.01), 0.7)
+                 for pot, consts in ((pot_a, consts_a), (pot_b, consts_b))]
+        memos = (delays._phase_point, delays._triplet_point)
+        for name in calls[0]:
+            want = [self._fresh(c[name]) for c in calls]
+            before = [memo.cache_info() for memo in memos]
+            got = [repr(c[name]()) for c in (*calls, *calls)]
+            after = [memo.cache_info() for memo in memos]
+            assert got == want + want, name
+            assert [a.hits - b.hits for a, b in zip(after, before)] == [0, 0], name
+            assert {a.misses - b.misses for a, b in zip(after, before)} <= {0, 4}, name
+
+    @pytest.mark.usefixtures("fresh_point_memos")
+    def test_one_point_analysis_makes_two_kernel_calls(self, monkeypatch):
+        """The delay, both dwell times and both Smith checks at one (pot, k)
+        cost one `phase_parts` and one `trig_triplet` call."""
+        pot = SquarePotential(-2.3, 0.8)
+        table = build_phase_table(pot, ATOMIC, 0.01)
+        calls, depth = [], [0]
+
+        def counted(name, inner):
+            def call(*args):  # counts calls from outside the kernel only
+                if not depth[0]:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return inner(*args)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        for name in ("phase_parts", "trig_triplet"):
+            monkeypatch.setattr(_kernel, name, counted(name, getattr(_kernel, name)))
+        causality_bounds(pot, ATOMIC, table, 1.1)
+        for p in ("even", "odd"):
+            dwell_time(pot, ATOMIC, 1.1, p)
+        for p in ("even", "odd"):
+            smith_identity_check(pot, ATOMIC, 1.1, p)
+        assert sorted(calls) == ["phase_parts", "trig_triplet"]

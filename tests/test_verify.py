@@ -1,5 +1,6 @@
 """The invariant suite itself: a broken kernel must fail its checks."""
 import numpy as np
+import pytest
 
 from hartman import _kernel, verify
 
@@ -9,6 +10,7 @@ def test_monotone_filtering_passes():
     assert result.passed, result.line()
 
 
+@pytest.mark.usefixtures("fresh_point_memos")
 def test_nan_from_kernel_fails_checks(monkeypatch):
     """One NaN per kernel call reaches each check's running extreme: the
     check fails and reports nan instead of the extreme of the finite rest.

@@ -540,6 +540,7 @@ class TestExitTimeBatch:
                 assert rep == want
         assert diverged >= 2  # the free row and the exact threshold
 
+    @pytest.mark.usefixtures("fresh_point_memos")
     def test_row_error_stays_in_its_row(self, monkeypatch):
         """A row whose integrand is NaN gets its own ConvergenceError; the
         rows beside it are unchanged."""
@@ -560,6 +561,7 @@ class TestExitTimeBatch:
 
 class TestFluxOracle:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.usefixtures("fresh_point_memos")
     @pytest.mark.parametrize("dp", [1e-200, 1e-20, 1e200])
     def test_width_range_checked_first(self, dp, monkeypatch):
         """The packet integrals' delta_p range holds for the oracle too, and is
