@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,7 +306,9 @@ def interior_norm(
     cosh^2 - sinh^2.  Both denominators are sums of squares, so
     the interior-amplitude resonances cos(qa) -> 0 / sin(qa) -> 0 and the
     q -> 0 point are all regular.  Opaque barriers, where c overflows, raise
-    ConvergenceError.  The triplet comes from
+    ConvergenceError.  A k whose square is not a normal float (k below
+    about 1.5e-154) raises ValueError: k^2 underflows there, to 0/0 for the
+    even parity and to a norm of 0 for the odd one.  The triplet comes from
     `_triplet_point`, which keeps only the last (mu, a): both parities,
     `dwell_time` and the Smith left side at one point share it, bitwise.
     """
@@ -314,6 +317,9 @@ def interior_norm(
     if not 0 < k < math.inf:
         raise ValueError(f"k must be positive and finite, got {k}")
     k = float(k)
+    if k * k < sys.float_info.min:
+        raise ValueError(f"k = {k:.6g} out of range: k^2 must be a normal float "
+                         f"(k above about 1.5e-154)")
     a = pot.half_width
     mu = k * k - pot.strength(consts)
     c, s1, s2 = _triplet_point(mu, a)

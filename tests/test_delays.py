@@ -366,6 +366,16 @@ def test_non_finite_k_rejected(check, k):
         check(BARRIER_D2, ATOMIC, k, "even")
 
 
+@pytest.mark.parametrize("v0, k", [(0.0, 1e-170), (1e-300, 1e-162)])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("check", [interior_norm, dwell_time, smith_identity_check])
+def test_underflowing_k_squared_rejected(check, parity, v0, k):
+    """Where k^2 underflows to 0 the even norm was 0/0, a bare
+    ZeroDivisionError, and the odd one 0, a dwell time of 0."""
+    with pytest.raises(ValueError, match="k\\^2 must be a normal float"):
+        check(SquarePotential(v0, 1.0), ATOMIC, k, parity)
+
+
 def _boundary_values(pot, k, parity, delta_ref=None):
     """psi_j(a), psi_j'(a) and delta_j from the outside form (amplitude
     sqrt(2/h)); delta_ref pins the mod-pi branch for differences in energy."""

@@ -614,7 +614,9 @@ class TestFluxOracle:
         `packet_amplitude` and `scatter_grid`, on both sides of the series
         switch |mu| d^2 = W_CUT, and in the oracle's 2-D call (times x nodes,
         the times as a column), where the barrier's rows hold both kernel
-        branches and take the masked path."""
+        branches and take the masked path.  The last row is a coarse-grid
+        time, t = 1e5, at the momenta of the oracle's window there, whose
+        phases reach about 450."""
         pot = SquarePotential(v0, 0.7)
         spec = GaussianPacketSpec(1.1, 0.4, -6.0)
         g, d = pot.strength(consts), pot.width
@@ -635,16 +637,43 @@ class TestFluxOracle:
         for t in (0.0, 3.7, 25.0):
             fused = _bulk_wave(spec, pot, consts, p, t)
             np.testing.assert_allclose(fused, expected(p, t), rtol=1e-12, atol=0.0)
-        ts = np.array([0.0, 3.7, 25.0, 140.0])
-        rows = p * (1.0 + 0.05 * np.arange(len(ts)))[:, None]
+        width = wavepacket._W_MULT * math.sqrt(2.0 * math.pi * consts.hbar * consts.mass / 1e5)
+        ts = np.array([0.0, 3.7, 25.0, 140.0, 1e5])
+        rows = np.vstack([p * (1.0 + 0.05 * np.arange(4))[:, None],
+                          np.linspace(width / len(p), width, len(p))])
         if v0 > 0:
-            direct = (rows / consts.hbar) ** 2 - g
+            direct = (rows[:4] / consts.hbar) ** 2 - g
             direct = np.where(np.abs(direct) * d * d > W_CUT, direct, 0.0)
             assert np.all(np.any(direct < 0, axis=1) & np.any(direct > 0, axis=1))
         fused = _bulk_wave(spec, pot, consts, rows, ts[:, None])
         assert fused.shape == rows.shape
         for row, t, f_row in zip(rows, ts, fused):
             np.testing.assert_allclose(f_row, expected(row, t), rtol=1e-12, atol=0.0)
+
+    def test_unit_phase_matches_mpmath(self):
+        """cos theta and sin theta from tan(theta/2) within 1e-15 absolute of
+        40-digit mpmath: for |theta| up to 1e6, within 1e-9 of odd multiples
+        of pi (tan -> +-inf), at odd multiples of pi/2 and at 0; a NaN theta
+        gives NaN and no floating-point warning."""
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(35)
+        odd = 2.0 * rng.integers(-160_000, 160_000, 300) + 1.0
+        theta = np.concatenate([
+            rng.uniform(-1e6, 1e6, 600),
+            rng.uniform(-10.0, 10.0, 300),
+            odd * math.pi + rng.uniform(-1e-9, 1e-9, 300),
+            odd * math.pi,
+            odd * (math.pi / 2.0),
+            [0.0, -0.0, 5e-324, -1e-300],
+        ])
+        with np.errstate(all="raise", under="ignore"):  # t^2 at theta = 5e-324
+            cos, sin = wavepacket._unit_phase(0.5 * theta)
+        with mp.workdps(40):
+            for x, c, s in zip(theta.tolist(), cos.tolist(), sin.tolist()):
+                assert abs(mp.cos(x) - c) <= 1e-15 and abs(mp.sin(x) - s) <= 1e-15, x
+        with np.errstate(all="raise"):
+            cos, sin = wavepacket._unit_phase(np.array([math.nan, 1.0]))
+        assert np.isnan(cos[0]) and np.isnan(sin[0]) and np.isfinite(cos[1] + sin[1])
 
     def test_oracle_nodes_match_scipy(self):
         """The rule from Newton steps on P_n's recurrence: ascending nodes
